@@ -20,7 +20,6 @@ from .concat import (ConcatCertificate, ConcatViolation, DsigmaTable,
 from .census import (CensusReport, IndexPair, PowerWitness, enumerate_smooth,
                      gamma, h_delta, kolakoski_prefix, lift, lift_family,
                      scan_powers)
-from .cache import EnumerationCache
 from .errors import (CertificationError, NotClosableError,
                      NotDifferentiableError, WordParseError)
 from .search import SmoothEnumerator, is_smooth_fast
@@ -39,7 +38,7 @@ __all__ = [
     "power_decomposition",
     "CensusReport", "IndexPair", "PowerWitness", "enumerate_smooth", "gamma",
     "h_delta", "kolakoski_prefix", "lift", "lift_family", "scan_powers",
-    "EnumerationCache", "SmoothEnumerator", "is_smooth_fast",
+    "SmoothEnumerator", "is_smooth_fast",
     "CertificationError", "NotClosableError", "NotDifferentiableError",
     "WordParseError",
 ]

@@ -2,9 +2,10 @@
 
 ``scan_powers`` walks every smooth base up to a length bound (bases of smooth
 powers are necessarily smooth, because factors of smooth words are smooth)
-and tests the n-th power.  ``gamma`` counts the distinct power words found
-and applies a stabilization heuristic: a finite count is only reported as
-stable when no new power word appeared in the top quartile of base lengths.
+and tests the n-th power inside the walk (:func:`smoothwords.search.power_hits`).
+``gamma`` counts the distinct power words found and applies a stabilization
+heuristic: a finite count is only reported as stable when no new power word
+appeared in the top quartile of base lengths.
 ``lift_family`` manufactures families of distinct smooth n-power bases by
 repeatedly pulling an even-length base back through ``delta_inv``, which is
 the constructive evidence for "infinitely many" power claims.
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from .core import Alphabet, EPSILON, Word, delta_inv, word_to_text
 from .errors import CertificationError
-from .search import SmoothEnumerator, is_smooth_fast
+from .search import SHARED_ENUMERATOR, is_smooth_fast, power_hits
 
 __all__ = [
     "IndexPair", "PowerWitness", "CensusReport",
@@ -54,16 +55,11 @@ def h_delta(ab: Alphabet) -> IndexPair:
     return IndexPair(h=h, delta=delta_index)
 
 
-_SHARED_ENUMERATOR = SmoothEnumerator()
-
-
-def enumerate_smooth(ab: Alphabet, n: int,
-                     enumerator: SmoothEnumerator | None = None) -> list[Word]:
+def enumerate_smooth(ab: Alphabet, n: int) -> list[Word]:
     """Exactly the smooth words of length n over {a, b}, lexicographic."""
     if n < 0:
         raise ValueError("length must be >= 0")
-    enumerator = enumerator or _SHARED_ENUMERATOR
-    return list(enumerator.of_length(ab, n))
+    return list(SHARED_ENUMERATOR.of_length(ab, n))
 
 
 @dataclass(frozen=True)
@@ -149,36 +145,46 @@ def _stability(bound: int, last_new: int | None) -> tuple[bool, str]:
                    f"length {last_new}, inside the top quartile {start}..{bound}")
 
 
-def _power_worker(args):
-    a, b, n, bases = args
-    ab = Alphabet(a, b)
-    return [is_smooth_fast(base * n, ab) for base in bases]
+def _power_subtree(args):
+    a, b, n, L, prefix = args
+    return power_hits(Alphabet(a, b), n, L, prefix)
 
 
-def scan_powers(ab: Alphabet, n: int, L: int, jobs: int = 1,
-                enumerator: SmoothEnumerator | None = None) -> CensusReport:
-    """Test u^n for smoothness over every smooth base u with 1 <= |u| <= L."""
+def _split_depth(ab: Alphabet, L: int, tasks: int) -> int:
+    """The shallowest depth (at most L) with at least ``tasks`` smooth prefixes."""
+    depth = 1
+    while depth < L and len(SHARED_ENUMERATOR.of_length(ab, depth)) < tasks:
+        depth += 1
+    return depth
+
+
+def scan_powers(ab: Alphabet, n: int, L: int, jobs: int = 1) -> CensusReport:
+    """Test u^n for smoothness over every smooth base u with 1 <= |u| <= L.
+
+    With ``jobs`` > 1 the walk is split into the subtrees below the smooth
+    prefixes of one depth, at least 8 per worker; the caller tests the
+    shorter bases itself.  The witnesses are the same for every ``jobs``.
+    """
     if n < 2:
         raise ValueError("exponent must be >= 2")
     if L < 1:
         raise ValueError("base-length bound must be >= 1")
-    enumerator = enumerator or _SHARED_ENUMERATOR
-    bases = enumerator.flat(ab, L, min_len=1)
     if jobs > 1:
-        chunk = max(1, len(bases) // (jobs * 8))
-        work = [(ab.a, ab.b, n, [tuple(u) for u in bases[i:i + chunk]])
-                for i in range(0, len(bases), chunk)]
+        depth = _split_depth(ab, L, 8 * jobs)
+        work = [(ab.a, ab.b, n, L, tuple(p)) for p in SHARED_ENUMERATOR.of_length(ab, depth)]
+        hits = power_hits(ab, n, depth - 1) + [[] for _ in range(depth, L + 1)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            flags = [flag for part in pool.map(_power_worker, work) for flag in part]
+            # Prefix order keeps each length's bases lexicographic.
+            for part in pool.map(_power_subtree, work):
+                for level, found in zip(hits[depth:], part[depth:]):
+                    level.extend(found)
     else:
-        flags = [is_smooth_fast(u * n, ab) for u in bases]
+        hits = power_hits(ab, n, L)
 
     witnesses = []
     seen: set[Word] = set()
     last_new: int | None = None
-    for u, ok in zip(bases, flags):
-        if not ok:
-            continue
+    for u in (Word._wrap(t) for level in hits for t in level):
         p = u * n
         if p not in seen:
             seen.add(p)
@@ -190,8 +196,7 @@ def scan_powers(ab: Alphabet, n: int, L: int, jobs: int = 1,
                         last_new_base_length=last_new, stable=stable, note=note)
 
 
-def gamma(ab: Alphabet, n: int, L: int, jobs: int = 1,
-          enumerator: SmoothEnumerator | None = None) -> tuple[int, CensusReport]:
+def gamma(ab: Alphabet, n: int, L: int, jobs: int = 1) -> tuple[int, CensusReport]:
     """Count distinct smooth power words u^n with |u| <= L.
 
     For n = 1 every smooth word qualifies, so the count can only grow with L;
@@ -201,9 +206,8 @@ def gamma(ab: Alphabet, n: int, L: int, jobs: int = 1,
         raise ValueError("exponent must be >= 1")
     if L < 1:
         raise ValueError("base-length bound must be >= 1")
-    enumerator = enumerator or _SHARED_ENUMERATOR
     if n == 1:
-        words = enumerator.flat(ab, L, min_len=1)
+        words = SHARED_ENUMERATOR.flat(ab, L, min_len=1)
         witnesses = tuple(PowerWitness(base=u, power=u, primitive_base=_primitive_root(u))
                           for u in words)
         report = CensusReport(alphabet=ab, exponent=1, bound=L,
@@ -211,7 +215,7 @@ def gamma(ab: Alphabet, n: int, L: int, jobs: int = 1,
                               last_new_base_length=L if words else None,
                               stable=False, note="unbounded at this bound")
         return len(words), report
-    report = scan_powers(ab, n, L, jobs=jobs, enumerator=enumerator)
+    report = scan_powers(ab, n, L, jobs=jobs)
     return report.gamma, report
 
 

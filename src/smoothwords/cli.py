@@ -2,7 +2,9 @@
 
 Exit codes: 0 = success (findings such as census witnesses are data, not
 errors), 1 = a certified identity failed (certification violation), 2 =
-usage error.  JSON output carries a top-level schema_version field "1".
+usage error, 141 = stdout was closed early (128 + SIGPIPE, as a shell
+reports a process killed by SIGPIPE).  JSON output carries a top-level
+schema_version field "1".
 """
 
 from __future__ import annotations
@@ -13,29 +15,25 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .cache import EnumerationCache
 from .calculus import derivative, rho, smooth_chain
-from .census import enumerate_smooth, gamma, h_delta, kolakoski_prefix, lift, scan_powers
+from .census import enumerate_smooth, gamma, kolakoski_prefix, lift, scan_powers
 from .concat import certify_concat, dsigma_table, power_decomposition
 from .core import Alphabet, Word, closure, delta, word_from_text, word_to_text
 from .errors import CertificationError, WordParseError
-from .search import SmoothEnumerator
 
-DEFAULT_CACHE_DIR = ".smoothcache"
-CACHE_ENV_VAR = "SMOOTHWORDS_CACHE"
 SCHEMA_VERSION = "1"
+# Exit status when stdout is closed before the output is written.
+EXIT_BROKEN_PIPE = 141
 
 # Commands whose reports can render as CSV.
 _CSV_COMMANDS = {"scan-powers", "gamma", "enumerate"}
-# Commands that enumerate smooth words and therefore use the disk cache.
-_CACHED_COMMANDS = {"enumerate", "scan-powers", "gamma", "certify-concat"}
 
 
-def parse_word_text(s: str, ab: Alphabet | None = None) -> Word:
+def parse_word_text(s: str) -> Word:
     """Parse word text (digit string or comma form) into a Word.
 
-    The alphabet is accepted for interface symmetry but letters are not
-    restricted to it: run-length images legitimately leave the alphabet.
+    Letters are not restricted to the command's alphabet: run-length images
+    legitimately leave it.
     """
     return word_from_text(s)
 
@@ -45,7 +43,6 @@ class CliConfig:
     alphabet: Alphabet
     command: str
     fmt: str
-    cache_dir: str
     jobs: int
     word: str | None = None
     n: int | None = None
@@ -61,11 +58,9 @@ def _common_flags() -> argparse.ArgumentParser:
                         help="two-letter alphabet, e.g. 1,2")
     common.add_argument("--format", choices=("text", "json", "csv"),
                         default="text", help="output format")
-    common.add_argument("--cache-dir", default=None,
-                        help=f"enumeration cache directory (default: ${CACHE_ENV_VAR} "
-                             f"or {DEFAULT_CACHE_DIR})")
     common.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for scans (default 1)")
+                        help="parallel workers for scans (default 1); "
+                             "never changes the output")
     return common
 
 
@@ -129,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_config(argv=None) -> CliConfig:
     args = build_parser().parse_args(argv)
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE_DIR
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     bound = getattr(args, "L", None)
     n = getattr(args, "n", None)
     if bound is None and args.command in ("scan-powers", "gamma"):
@@ -138,7 +134,6 @@ def parse_config(argv=None) -> CliConfig:
         alphabet=Alphabet.parse(args.alphabet),
         command=args.command,
         fmt=args.format,
-        cache_dir=cache_dir,
         jobs=args.jobs,
         word=getattr(args, "word", None),
         n=n,
@@ -174,24 +169,21 @@ def run(config: CliConfig) -> int:
     if fmt == "csv" and config.command not in _CSV_COMMANDS:
         print(f"error: csv output is not defined for {config.command!r}", file=sys.stderr)
         return 2
-    cache = (EnumerationCache(config.cache_dir)
-             if config.command in _CACHED_COMMANDS else None)
-    enumerator = SmoothEnumerator(cache=cache)
 
     if config.command == "delta":
-        return _emit_word(config, delta(parse_word_text(config.word, ab)))
+        return _emit_word(config, delta(parse_word_text(config.word)))
     if config.command == "closure":
-        return _emit_word(config, closure(parse_word_text(config.word, ab), ab))
+        return _emit_word(config, closure(parse_word_text(config.word), ab))
     if config.command == "derive":
-        return _emit_word(config, derivative(parse_word_text(config.word, ab), ab))
+        return _emit_word(config, derivative(parse_word_text(config.word), ab))
     if config.command == "rho":
-        return _emit_word(config, rho(parse_word_text(config.word, ab), ab))
+        return _emit_word(config, rho(parse_word_text(config.word), ab))
     if config.command == "lift":
-        return _emit_word(config, lift(parse_word_text(config.word, ab),
+        return _emit_word(config, lift(parse_word_text(config.word),
                                        config.alpha, config.k, ab))
 
     if config.command == "chain":
-        chain = smooth_chain(parse_word_text(config.word, ab), ab)
+        chain = smooth_chain(parse_word_text(config.word), ab)
         if fmt == "json":
             _print_json(config, {"alphabet": str(ab), **chain.to_json()})
         else:
@@ -203,7 +195,7 @@ def run(config: CliConfig) -> int:
         return 0
 
     if config.command == "enumerate":
-        words = enumerate_smooth(ab, config.n, enumerator=enumerator)
+        words = enumerate_smooth(ab, config.n)
         if fmt == "json":
             _print_json(config, {"alphabet": str(ab), "length": config.n,
                                  "count": len(words),
@@ -237,7 +229,7 @@ def run(config: CliConfig) -> int:
 
     if config.command == "certify-concat":
         cert = certify_concat(ab, config.bound, jobs=config.jobs,
-                              enumerator=enumerator, explore=config.explore)
+                              explore=config.explore)
         if fmt == "json":
             _print_json(config, cert.to_json())
         else:
@@ -254,7 +246,7 @@ def run(config: CliConfig) -> int:
         return 0
 
     if config.command == "power-decomp":
-        decomp = power_decomposition(parse_word_text(config.word, ab), config.n, ab)
+        decomp = power_decomposition(parse_word_text(config.word), config.n, ab)
         if fmt == "json":
             _print_json(config, decomp.to_json())
         else:
@@ -265,11 +257,9 @@ def run(config: CliConfig) -> int:
 
     if config.command in ("scan-powers", "gamma"):
         if config.command == "gamma":
-            count, report = gamma(ab, config.n, config.bound, jobs=config.jobs,
-                                  enumerator=enumerator)
+            count, report = gamma(ab, config.n, config.bound, jobs=config.jobs)
         else:
-            report = scan_powers(ab, config.n, config.bound, jobs=config.jobs,
-                                 enumerator=enumerator)
+            report = scan_powers(ab, config.n, config.bound, jobs=config.jobs)
             count = report.gamma
         if fmt == "json":
             _print_json(config, report.to_json())
@@ -300,7 +290,16 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return run(config)
+        code = run(config)
+        # Flush inside the try so a closed pipe surfaces here, not at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Recipe from the signal module docs: Python flushes stdout again at
+        # exit, so point it at devnull to keep that flush from failing too.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except CertificationError as exc:
         print(f"certification violation: {exc}", file=sys.stderr)
         return 1

@@ -11,14 +11,13 @@ powers: D^j(u^n) = (D^j(u) w)^(n-1) D^j(u), checked level by level.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .core import Alphabet, Word, mirror, run_lengths, runs, word_to_text
 from .errors import CertificationError
-from .search import (ChainState, SmoothEnumerator, fast_derivative,
-                     is_smooth_fast)
+from .search import (SHARED_ENUMERATOR, fast_derivative, is_smooth_fast,
+                     seeded_state, walk)
 
 __all__ = [
     "DsigmaTable", "ConcatViolation", "ConcatCertificate", "PowerDecomposition",
@@ -121,15 +120,14 @@ def middle_witness(u, x, v, ab: Alphabet) -> Word | None:
     return Word._wrap(mid) if mid is not None else None
 
 
-def _scan_x(ab: Alphabet, L: int, x: tuple, table_set: frozenset | None,
-            enumerator: SmoothEnumerator):
+def _scan_x(ab: Alphabet, L: int, x: tuple, table_set: frozenset | None):
     """Certify every (u, x, v) with u, v smooth, |u|,|v| <= L, uxv smooth.
 
     Returns (tested count, violations, set of extracted middles).  When
     ``table_set`` is None only the middles are collected (exploratory /
     fixpoint use); otherwise membership failures are recorded as violations.
     """
-    a, b = ab.a, ab.b
+    b = ab.b
     tested = 0
     violations: list[tuple[tuple, tuple, tuple, str]] = []
     middles: set[tuple] = set()
@@ -142,21 +140,15 @@ def _scan_x(ab: Alphabet, L: int, x: tuple, table_set: frozenset | None,
             deriv_cache[t] = d
         return d
 
-    for u_word in enumerator.flat(ab, L):
+    for u_word in SHARED_ENUMERATOR.flat(ab, L):
         u = tuple(u_word)
         seed = u + x
-        state = ChainState(ab)
-        ok = True
-        for c in seed:
-            if (c != a and c != b) or not state.push(c):
-                ok = False
-                break
-        if not ok:
+        state = seeded_state(ab, seed)
+        if state is None:
             continue
         du = deriv(u)
-        path: list[int] = []
 
-        def visit() -> None:
+        def visit(path: list[int]) -> None:
             nonlocal tested
             v = tuple(path)
             mid = _extract_middle(du, deriv(v), fast_derivative(seed + v, b))
@@ -168,30 +160,14 @@ def _scan_x(ab: Alphabet, L: int, x: tuple, table_set: frozenset | None,
                 if table_set is not None and mid not in table_set:
                     violations.append((u, x, v, "middle-not-in-table"))
 
-        def extend() -> None:
-            visit()
-            if len(path) == L:
-                return
-            for c in (a, b):
-                if state.push(c):
-                    path.append(c)
-                    extend()
-                    path.pop()
-                    state.pop()
-
-        extend()
+        walk(state, [], L, visit)
     return tested, violations, middles
-
-
-# Per-process enumeration memo for pool workers.
-_WORKER_ENUMERATOR = SmoothEnumerator()
 
 
 def _certify_worker(args):
     a, b, L, x, table_items = args
-    ab = Alphabet(a, b)
     table_set = frozenset(table_items) if table_items is not None else None
-    return _scan_x(ab, L, x, table_set, _WORKER_ENUMERATOR)
+    return _scan_x(Alphabet(a, b), L, x, table_set)
 
 
 @dataclass(frozen=True)
@@ -233,7 +209,6 @@ class ConcatCertificate:
 
 
 def certify_concat(ab: Alphabet, L: int, jobs: int = 1,
-                   enumerator: SmoothEnumerator | None = None,
                    explore: int | None = None) -> ConcatCertificate:
     """Check D(uxv) = D(u) w D(v) with w in the table, exhaustively to bound L.
 
@@ -243,7 +218,6 @@ def certify_concat(ab: Alphabet, L: int, jobs: int = 1,
     """
     if L < 1:
         raise ValueError("length bound must be >= 1")
-    enumerator = enumerator or _SHARED_ENUMERATOR
     table = dsigma_table(ab)
     table_items = frozenset(tuple(w) for w in table.words)
     if explore is None:
@@ -251,7 +225,7 @@ def certify_concat(ab: Alphabet, L: int, jobs: int = 1,
         check: frozenset | None = table_items
         x_source = "table"
     else:
-        xs = [tuple(w) for w in enumerator.flat(ab, explore)]
+        xs = [tuple(w) for w in SHARED_ENUMERATOR.flat(ab, explore)]
         check = None
         x_source = f"smooth-x<={explore}"
 
@@ -261,7 +235,7 @@ def certify_concat(ab: Alphabet, L: int, jobs: int = 1,
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_certify_worker, work))
     else:
-        results = [_scan_x(ab, L, x, check, enumerator) for x in xs]
+        results = [_scan_x(ab, L, x, check) for x in xs]
 
     tested = 0
     violations: list[tuple] = []
@@ -282,9 +256,7 @@ def certify_concat(ab: Alphabet, L: int, jobs: int = 1,
     )
 
 
-def empirical_middle_set(ab: Alphabet, L: int,
-                         enumerator: SmoothEnumerator | None = None,
-                         size_limit: int = 512) -> set[Word]:
+def empirical_middle_set(ab: Alphabet, L: int, size_limit: int = 512) -> set[Word]:
     """Least fixpoint of middle extraction, seeded with the empty word.
 
     This is the independent oracle for the stored tables: it never reads
@@ -292,12 +264,11 @@ def empirical_middle_set(ab: Alphabet, L: int,
     """
     if L < 1:
         raise ValueError("length bound must be >= 1")
-    enumerator = enumerator or _SHARED_ENUMERATOR
     found: set[tuple] = {()}
     queue: list[tuple] = [()]
     while queue:
         x = queue.pop(0)
-        _, _, mids = _scan_x(ab, L, x, None, enumerator)
+        _, _, mids = _scan_x(ab, L, x, None)
         new = mids - found
         found |= new
         queue.extend(sorted(new, key=_shortlex))
@@ -378,6 +349,3 @@ def power_decomposition(u, n: int, ab: Alphabet) -> PowerDecomposition:
                 level=j, expected=None, actual=w)
         levels.append((j, Word._wrap(w)))
     return PowerDecomposition(base=u, exponent=n, alphabet=ab, levels=tuple(levels))
-
-
-_SHARED_ENUMERATOR = SmoothEnumerator()

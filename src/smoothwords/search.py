@@ -19,16 +19,27 @@ touches at most one letter of the level above:
 The first run of a level is exempt from the interior rule, as is the last
 (still growing) run.  Correctness against the literal closure/derivative
 composition is enforced by exhaustive tests at small lengths.
+
+Every bulk workload runs on one walker, :func:`walk`: a preorder,
+explicit-stack walk of the smooth words extending a seed (letter a before b),
+calling a visitor at every node, the seed included.  Preorder visits the
+words of one length in lexicographic order, so collecting per length gives
+shortlex order.  Enumeration (:class:`SmoothEnumerator`), the concatenation
+scans (:func:`visit_smooth_extensions`) and the power census
+(:func:`power_hits`) are visitors on it.  The power visitor fuses the n-th
+power test into the walk: at node u it pushes n-1 more copies of u onto the
+live state, counts the pushes that succeed and pops exactly that many, so
+u^n is tested without a list of bases and without re-deriving u's tower.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
 
-from .core import Alphabet, EPSILON, Word
+from .core import Alphabet, Word
 
-__all__ = ["ChainState", "is_smooth_fast", "fast_derivative", "SmoothEnumerator",
-           "visit_smooth_extensions"]
+__all__ = ["ChainState", "seeded_state", "is_smooth_fast", "fast_derivative", "walk",
+           "visit_smooth_extensions", "power_hits", "SmoothEnumerator"]
 
 # Trail entry kinds for undo.
 _EXTENDED = 0
@@ -126,16 +137,22 @@ class ChainState:
         return len(self.levels)
 
 
-def is_smooth_fast(letters, ab: Alphabet) -> bool:
-    """Smoothness test via the incremental engine; letters outside {a, b} fail."""
+def seeded_state(ab: Alphabet, letters) -> ChainState | None:
+    """A state with ``letters`` pushed, or None if they do not form a smooth
+    word over ``ab`` (letters outside {a, b} fail)."""
     a = ab.a
     b = ab.b
     state = ChainState(ab)
     push = state.push
     for c in letters:
         if (c != a and c != b) or not push(c):
-            return False
-    return True
+            return None
+    return state
+
+
+def is_smooth_fast(letters, ab: Alphabet) -> bool:
+    """Smoothness test via the incremental engine; letters outside {a, b} fail."""
+    return seeded_state(ab, letters) is not None
 
 
 def fast_derivative(letters, b: int) -> tuple[int, ...]:
@@ -155,42 +172,95 @@ def fast_derivative(letters, b: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _enumerate_by_dfs(ab: Alphabet, n: int) -> list[list[Word]]:
-    """All smooth words of each length 0..n, lexicographic within a length."""
-    by_len: list[list[Word]] = [[] for _ in range(n + 1)]
-    by_len[0].append(EPSILON)
-    if n == 0:
-        return by_len
-    state = ChainState(ab)
-    letters = (ab.a, ab.b)
-    path: list[int] = []
+def walk(state: ChainState, path: list[int], max_len: int, visit) -> None:
+    """Call ``visit(path)`` for every smooth extension of ``path`` up to
+    ``max_len`` letters, in preorder with letter a tried before b.
 
-    def extend() -> None:
-        depth = len(path)
-        if depth:
-            by_len[depth].append(Word._wrap(tuple(path)))
-        if depth == n:
+    ``state`` must hold ``path`` already pushed.  The walk appends to and pops
+    from ``path`` and ``state`` in place and leaves both as it found them; the
+    visitor sees the live list and may push onto ``state`` provided it pops
+    the same number of letters before returning.  The root ``path`` itself is
+    visited first.  An explicit stack replaces recursion, so depth is bounded
+    by memory, not by the interpreter's recursion limit.
+    """
+    a = state.a
+    b = state.b
+    push = state.push
+    pop = state.pop
+    append = path.append
+    retract = path.pop
+    visit(path)
+    room = max_len - len(path)
+    if room <= 0:
+        return
+    # nxt[d] is the next letter to try below the node d letters into the
+    # walk; 0 once both letters have been tried.
+    nxt = [a]
+    while nxt:
+        c = nxt[-1]
+        if c:
+            nxt[-1] = b if c == a else 0
+            if push(c):
+                append(c)
+                visit(path)
+                if len(nxt) < room:
+                    nxt.append(a)
+                else:
+                    retract()
+                    pop()
+        else:
+            nxt.pop()
+            if nxt:
+                retract()
+                pop()
+
+
+def visit_smooth_extensions(ab: Alphabet, seed, max_extra: int, visit) -> None:
+    """Call ``visit(v)`` for every word v (including ()) with |v| <= max_extra
+    such that seed+v is smooth.  Does nothing if seed itself is not smooth."""
+    state = seeded_state(ab, seed)
+    if state is not None:
+        walk(state, [], max_extra, lambda path: visit(tuple(path)))
+
+
+def power_hits(ab: Alphabet, n: int, max_len: int, prefix=()) -> list[list[tuple]]:
+    """Smooth words u extending ``prefix`` with 1 <= |u| <= max_len and u^n
+    smooth, grouped by length (index i holds length i) and lexicographic
+    within a length.
+
+    The test is fused into the walk: at node u the other n-1 copies of u are
+    pushed onto the live state and popped again, so a base that fails early
+    in its second copy costs a few pushes and no base list is ever built.
+    """
+    state = seeded_state(ab, prefix)
+    hits: list[list[tuple]] = [[] for _ in range(max_len + 1)]
+    if state is None:
+        return hits
+    push = state.push
+    pop = state.pop
+    copies = n - 1
+
+    def visit(path: list[int]) -> None:
+        if not path:
             return
-        for c in letters:
-            if state.push(c):
-                path.append(c)
-                extend()
-                path.pop()
-                state.pop()
+        pushed = 0
+        for c in path * copies:
+            if not push(c):
+                break
+            pushed += 1
+        else:
+            hits[len(path)].append(tuple(path))
+        for _ in range(pushed):
+            pop()
 
-    extend()
-    return by_len
+    walk(state, list(prefix), max_len, visit)
+    return hits
 
 
 class SmoothEnumerator:
-    """Prefix-pruned smooth-word enumeration with an in-memory memo.
+    """Prefix-pruned smooth-word enumeration with an in-memory memo."""
 
-    Optionally backed by a disk cache (see :mod:`smoothwords.cache`); the
-    cache is advisory and a cold run recomputes everything identically.
-    """
-
-    def __init__(self, cache=None):
-        self.cache = cache
+    def __init__(self):
         self._memo: dict[tuple[int, int], list[list[Word]]] = {}
 
     def up_to(self, ab: Alphabet, n: int) -> list[list[Word]]:
@@ -204,11 +274,10 @@ class SmoothEnumerator:
         have = self._memo.get(key)
         if have is not None and len(have) > n:
             return have
-        by_len = self.cache.load_range(ab, n) if self.cache is not None else None
-        if by_len is None:
-            by_len = _enumerate_by_dfs(ab, n)
-            if self.cache is not None:
-                self.cache.store_range(ab, by_len)
+        by_len: list[list[Word]] = [[] for _ in range(n + 1)]
+        wrap = Word._wrap
+        walk(ChainState(ab), [], n,
+             lambda path: by_len[len(path)].append(wrap(tuple(path))))
         self._memo[key] = by_len
         return by_len
 
@@ -221,27 +290,5 @@ class SmoothEnumerator:
         return [w for length in range(min_len, max_len + 1) for w in by_len[length]]
 
 
-def visit_smooth_extensions(ab: Alphabet, seed, max_extra: int, visit) -> None:
-    """Call ``visit(v)`` for every word v (including ()) with |v| <= max_extra
-    such that seed+v is smooth.  Does nothing if seed itself is not smooth."""
-    a = ab.a
-    b = ab.b
-    state = ChainState(ab)
-    for c in seed:
-        if (c != a and c != b) or not state.push(c):
-            return
-    letters = (a, b)
-    path: list[int] = []
-
-    def extend() -> None:
-        visit(tuple(path))
-        if len(path) == max_extra:
-            return
-        for c in letters:
-            if state.push(c):
-                path.append(c)
-                extend()
-                path.pop()
-                state.pop()
-
-    extend()
+# The process-wide memo behind every function that takes no enumerator.
+SHARED_ENUMERATOR = SmoothEnumerator()

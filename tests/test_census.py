@@ -5,6 +5,7 @@ import pytest
 from smoothwords import (Alphabet, Word, delta, enumerate_smooth, gamma,
                          h_delta, is_smooth, kolakoski_prefix, lift,
                          lift_family, scan_powers, smooth_chain, word_to_text)
+from smoothwords.census import _split_depth
 from smoothwords.errors import CertificationError
 
 
@@ -68,9 +69,17 @@ class TestScanPowers:
         assert report.gamma == 4
 
     def test_parallel_matches_sequential(self, ab12):
-        seq = scan_powers(ab12, 2, 14, jobs=1)
-        par = scan_powers(ab12, 2, 14, jobs=2)
-        assert seq == par
+        # jobs=2 splits at the first depth with 16 prefixes; the witnesses
+        # must straddle that depth so both the caller's part and the merged
+        # subtrees are compared.
+        for ab, n, L in [(ab12, 2, 14), (Alphabet(2, 3), 3, 12)]:
+            depth = _split_depth(ab, L, 16)
+            assert 1 < depth < L
+            assert len(enumerate_smooth(ab, depth)) >= 16
+            seq = scan_powers(ab, n, L, jobs=1)
+            lengths = {len(w.base) for w in seq.witnesses}
+            assert min(lengths) < depth <= max(lengths), (ab, depth, lengths)
+            assert scan_powers(ab, n, L, jobs=2) == seq
 
     def test_primitive_base_tracking(self):
         report = scan_powers(Alphabet(2, 4), 2, 4)

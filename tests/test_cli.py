@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from smoothwords import Alphabet, Word, word_to_text
+from smoothwords import Word, word_to_text
 from smoothwords.cli import main, parse_word_text
 from smoothwords.errors import WordParseError
 
@@ -17,19 +20,18 @@ def run_cli(capsys, *argv):
 
 class TestParseWordText:
     def test_forms(self):
-        ab = Alphabet(1, 3)
-        assert parse_word_text("31113", ab) == (3, 1, 1, 1, 3)
-        assert parse_word_text("12,1,12", ab) == (12, 1, 12)
-        assert parse_word_text("", ab) == Word()
+        assert parse_word_text("31113") == (3, 1, 1, 1, 3)
+        assert parse_word_text("12,1,12") == (12, 1, 12)
+        assert parse_word_text("") == Word()
 
     def test_zero_digit(self):
         with pytest.raises(WordParseError):
-            parse_word_text("102", Alphabet(1, 2))
+            parse_word_text("102")
 
     @given(st.lists(st.integers(min_value=1, max_value=25), max_size=10))
     def test_round_trip(self, letters):
         w = Word(letters)
-        assert parse_word_text(word_to_text(w), None) == w
+        assert parse_word_text(word_to_text(w)) == w
 
 
 class TestWordCommands:
@@ -78,9 +80,8 @@ class TestWordCommands:
 
 
 class TestCensusCommands:
-    def test_enumerate(self, capsys, tmp_path):
-        code, out, _ = run_cli(capsys, "enumerate", "--alphabet", "1,2", "-n", "3",
-                               "--cache-dir", str(tmp_path))
+    def test_enumerate(self, capsys):
+        code, out, _ = run_cli(capsys, "enumerate", "--alphabet", "1,2", "-n", "3")
         assert code == 0
         assert out.split() == ["112", "121", "122", "211", "212", "221"]
 
@@ -97,26 +98,24 @@ class TestCensusCommands:
         assert set(lines) == {"", "2", "5", "22", "25", "52", "55", "222"}
         assert len(lines) == 8
 
-    def test_scan_powers_text(self, capsys, tmp_path):
+    def test_scan_powers_text(self, capsys):
         code, out, _ = run_cli(capsys, "scan-powers", "--alphabet", "1,2",
-                               "-n", "3", "-L", "12", "--cache-dir", str(tmp_path))
+                               "-n", "3", "-L", "12")
         assert code == 0
         assert "0 witnesses" in out
         assert "gamma=0" in out
 
-    def test_gamma_csv(self, capsys, tmp_path):
+    def test_gamma_csv(self, capsys):
         code, out, _ = run_cli(capsys, "gamma", "--alphabet", "1,2", "-n", "2",
-                               "-L", "10", "--format", "csv",
-                               "--cache-dir", str(tmp_path))
+                               "-L", "10", "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "base,base_length,power_length"
         assert all(len(line.split(",")) == 3 for line in lines[1:])
 
-    def test_gamma_json_schema(self, capsys, tmp_path):
+    def test_gamma_json_schema(self, capsys):
         code, out, _ = run_cli(capsys, "gamma", "--alphabet", "2,4", "-n", "4",
-                               "-L", "6", "--format", "json",
-                               "--cache-dir", str(tmp_path))
+                               "-L", "6", "--format", "json")
         assert code == 0
         doc = json.loads(out)
         assert doc["schema_version"] == "1"
@@ -129,68 +128,30 @@ class TestCensusCommands:
         assert code == 0
         assert "level 1: witness 11" in out
 
-    def test_certify_concat_clean(self, capsys, tmp_path):
+    def test_certify_concat_clean(self, capsys):
         code, out, _ = run_cli(capsys, "certify-concat", "--alphabet", "1,2",
-                               "-L", "5", "--cache-dir", str(tmp_path))
+                               "-L", "5")
         assert code == 0
         assert "0 violations" in out
 
-    def test_certify_concat_violation_exits_1(self, capsys, tmp_path):
+    def test_certify_concat_violation_exits_1(self, capsys):
         # the stored {1,3} table is genuinely missing two middles, so the
         # certifier reports violations and the process exits 1
         code, out, _ = run_cli(capsys, "certify-concat", "--alphabet", "1,3",
-                               "-L", "6", "--cache-dir", str(tmp_path))
+                               "-L", "6")
         assert code == 1
         assert "middle-not-in-table" in out
 
-    def test_certify_concat_explore_exits_0(self, capsys, tmp_path):
+    def test_certify_concat_explore_exits_0(self, capsys):
         code, out, _ = run_cli(capsys, "certify-concat", "--alphabet", "1,3",
-                               "-L", "4", "--explore", "4",
-                               "--cache-dir", str(tmp_path))
+                               "-L", "4", "--explore", "4")
         assert code == 0
 
-    def test_jobs_deterministic(self, capsys, tmp_path):
-        args = ("scan-powers", "--alphabet", "1,2", "-n", "2", "-L", "10",
-                "--cache-dir", str(tmp_path))
+    def test_jobs_deterministic(self, capsys):
+        args = ("scan-powers", "--alphabet", "1,2", "-n", "2", "-L", "10")
         _, out1, _ = run_cli(capsys, *args, "--jobs", "1")
         _, out2, _ = run_cli(capsys, *args, "--jobs", "2")
         assert out1 == out2
-
-
-class TestCache:
-    def test_cold_and_warm_runs_identical(self, capsys, tmp_path):
-        args = ("gamma", "--alphabet", "1,2", "-n", "2", "-L", "12",
-                "--format", "json", "--cache-dir", str(tmp_path))
-        code1, cold, _ = run_cli(capsys, *args)
-        assert code1 == 0
-        files = {p.name for p in tmp_path.iterdir()}
-        assert "manifest.json" in files
-        assert any(name.startswith("smooth-1-2-len") for name in files)
-        code2, warm, _ = run_cli(capsys, *args)
-        assert code2 == 0 and warm == cold
-
-    def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SMOOTHWORDS_CACHE", str(tmp_path / "envcache"))
-        code, _, _ = run_cli(capsys, "enumerate", "--alphabet", "1,2", "-n", "4")
-        assert code == 0
-        assert (tmp_path / "envcache" / "manifest.json").is_file()
-
-    def test_flag_wins_over_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SMOOTHWORDS_CACHE", str(tmp_path / "envcache"))
-        code, _, _ = run_cli(capsys, "enumerate", "--alphabet", "1,2", "-n", "4",
-                             "--cache-dir", str(tmp_path / "flagcache"))
-        assert code == 0
-        assert (tmp_path / "flagcache").is_dir()
-        assert not (tmp_path / "envcache").exists()
-
-    def test_cache_is_delete_safe(self, capsys, tmp_path):
-        args = ("enumerate", "--alphabet", "1,3", "-n", "5",
-                "--cache-dir", str(tmp_path))
-        _, first, _ = run_cli(capsys, *args)
-        for p in tmp_path.iterdir():
-            p.unlink()
-        _, second, _ = run_cli(capsys, *args)
-        assert first == second
 
 
 class TestExitCodes:
@@ -224,3 +185,34 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         code, _, _ = run_cli(capsys, "--help")
         assert code == 0
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("command", [
+        ("scan-powers", "-n", "2", "-L", "4"),
+        ("gamma", "-n", "2", "-L", "4"),
+        ("certify-concat", "-L", "2"),
+    ])
+    def test_jobs_below_one_is_usage_error(self, capsys, command, jobs):
+        code, out, err = run_cli(capsys, *command, "--alphabet", "1,2", "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --jobs must be >= 1")
+
+    def test_closed_stdout_exits_141(self):
+        # The read end is closed before the command starts, so its first
+        # write to stdout always meets a broken pipe.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-c", "import sys; from smoothwords.cli import main; "
+                 "sys.exit(main())", "gamma", "--alphabet", "1,2", "-n", "2", "-L", "12"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert err == b""

@@ -1,8 +1,9 @@
 """The incremental engine must agree exactly with the literal chain."""
 
+import sys
 from itertools import product
 
-from smoothwords import Alphabet, Word, is_smooth, smooth_chain
+from smoothwords import Alphabet, Word, is_smooth, scan_powers, smooth_chain
 from smoothwords.search import (ChainState, SmoothEnumerator, fast_derivative,
                                 is_smooth_fast, visit_smooth_extensions)
 
@@ -87,3 +88,39 @@ def test_visit_smooth_extensions_dead_seed():
     calls = []
     visit_smooth_extensions(ab, (1, 1, 1), 3, calls.append)
     assert calls == []
+
+
+def test_fused_power_scan_matches_chain():
+    # Differential check of the power test fused into the walk against the
+    # literal chain of each whole power.
+    enum = SmoothEnumerator()
+    for a, b in [(1, 2), (1, 3), (2, 3), (2, 5), (3, 4)]:
+        ab = Alphabet(a, b)
+        bases = enum.flat(ab, 14, min_len=1)
+        for n in range(2, 6):
+            expected = [u for u in bases if smooth_chain(u * n, ab).is_smooth]
+            got = [w.base for w in scan_powers(ab, n, 14).witnesses]
+            assert got == expected, (ab, n)
+
+
+def _current_depth() -> int:
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_enumeration_depth_is_not_bounded_by_recursion():
+    # A recursive walk would need one frame per letter: 150 letters over
+    # {7,9} is 50 more frames than allowed here.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_current_depth() + 100)
+    try:
+        by_len = SmoothEnumerator().up_to(Alphabet(7, 9), 150)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(by_len) == 151
+    assert sum(map(len, by_len)) == 44785
+    assert by_len[150] and all(is_smooth_fast(w, Alphabet(7, 9)) for w in by_len[150][:20])
