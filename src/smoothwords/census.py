@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .core import Alphabet, EPSILON, Word, delta_inv, word_to_text
 from .errors import CertificationError
-from .search import SHARED_ENUMERATOR, is_smooth_fast, power_hits
+from .search import SHARED_ENUMERATOR, ChainState, is_smooth_fast, power_hits, walk
 
 __all__ = [
     "IndexPair", "PowerWitness", "CensusReport",
@@ -56,10 +56,22 @@ def h_delta(ab: Alphabet) -> IndexPair:
 
 
 def enumerate_smooth(ab: Alphabet, n: int) -> list[Word]:
-    """Exactly the smooth words of length n over {a, b}, lexicographic."""
+    """Exactly the smooth words of length n over {a, b}, lexicographic.
+
+    One walk to depth n keeps only the leaves (preorder visits them in
+    lexicographic order); the shorter words are walked through, not kept.
+    """
     if n < 0:
         raise ValueError("length must be >= 0")
-    return list(SHARED_ENUMERATOR.of_length(ab, n))
+    out: list[Word] = []
+    wrap = Word._wrap
+
+    def visit(path: list[int]) -> None:
+        if len(path) == n:
+            out.append(wrap(tuple(path)))
+
+    walk(ChainState(ab), [], n, visit)
+    return out
 
 
 @dataclass(frozen=True)

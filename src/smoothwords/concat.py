@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .core import Alphabet, Word, mirror, run_lengths, runs, word_to_text
 from .errors import CertificationError
-from .search import (SHARED_ENUMERATOR, fast_derivative, is_smooth_fast,
-                     seeded_state, walk)
+from .search import (SHARED_ENUMERATOR, ChainState, derivative_from_runs, fast_derivative,
+                     is_smooth_fast, walk)
 
 __all__ = [
     "DsigmaTable", "ConcatViolation", "ConcatCertificate", "PowerDecomposition",
@@ -126,41 +126,88 @@ def _scan_x(ab: Alphabet, L: int, x: tuple, table_set: frozenset | None):
     Returns (tested count, violations, set of extracted middles).  When
     ``table_set`` is None only the middles are collected (exploratory /
     fixpoint use); otherwise membership failures are recorded as violations.
+
+    One state serves the whole scan.  An outer walk runs over u; at each node
+    the letters of x are pushed onto the live state, and when u·x is smooth
+    an inner walk over v runs from that same state before x is popped again.
+    The inner walk keeps the run lengths of v, updated in O(1) per node from
+    the parent's, so D(v) and D(u·x·v) are slices of run lengths (the runs of
+    u·x and v merge when v starts with the last letter of u·x) rather than
+    re-derivations of whole words.  Every triple is still sliced and tested.
     """
-    b = ab.b
+    a, b = ab.a, ab.b
     tested = 0
     violations: list[tuple[tuple, tuple, tuple, str]] = []
     middles: set[tuple] = set()
-    deriv_cache: dict[tuple, tuple] = {}
+    if any(c != a and c != b for c in x):
+        return tested, violations, middles
+    state = ChainState(ab)
+    push = state.push
+    pop = state.pop
+    # At the node d letters into the inner walk, v's runs are
+    # vruns[:top[d] + 1] and the last of them has length last[d].  A sibling
+    # subtree may have lengthened the parent's last run in place, so a node
+    # that opens a new run first writes that length back.
+    vruns = [0] * (L + 1)
+    top = [0] * (L + 1)
+    last = [0] * (L + 1)
 
-    def deriv(t: tuple) -> tuple:
-        d = deriv_cache.get(t)
-        if d is None:
-            d = fast_derivative(t, b)
-            deriv_cache[t] = d
-        return d
+    def visit_u(upath: list[int]) -> None:
+        pushed = 0
+        for c in x:
+            if not push(c):
+                break
+            pushed += 1
+        else:
+            scan_v(tuple(upath))
+        for _ in range(pushed):
+            pop()
 
-    for u_word in SHARED_ENUMERATOR.flat(ab, L):
-        u = tuple(u_word)
-        seed = u + x
-        state = seeded_state(ab, seed)
-        if state is None:
-            continue
-        du = deriv(u)
+    def scan_v(u: tuple) -> None:
+        du = fast_derivative(u, b)
+        ux = u + x
+        uxruns = run_lengths(ux)
+        joint = ux[-1] if ux else 0
+        head = uxruns[:-1]
+        tail = uxruns[-1] if ux else 0
+        d_ux = derivative_from_runs(uxruns, b)
 
-        def visit(path: list[int]) -> None:
+        def visit_v(path: list[int]) -> None:
             nonlocal tested
-            v = tuple(path)
-            mid = _extract_middle(du, deriv(v), fast_derivative(seed + v, b))
+            depth = len(path)
+            if depth:
+                if depth == 1:
+                    slot, length = 0, 1
+                elif path[-1] == path[-2]:
+                    slot, length = top[depth - 1], last[depth - 1] + 1
+                else:
+                    slot, length = top[depth - 1] + 1, 1
+                    vruns[slot - 1] = last[depth - 1]
+                vruns[slot] = length
+                top[depth] = slot
+                last[depth] = length
+                vr = vruns[:slot + 1]
+                dv = derivative_from_runs(vr, b)
+                if path[0] == joint:
+                    vr[0] += tail
+                    dfull = derivative_from_runs(head + vr, b)
+                else:
+                    dfull = derivative_from_runs(uxruns + vr, b)
+            else:
+                dv = ()
+                dfull = d_ux
+            mid = _extract_middle(du, dv, dfull)
             tested += 1
             if mid is None:
-                violations.append((u, x, v, "no-middle-decomposition"))
+                violations.append((u, x, tuple(path), "no-middle-decomposition"))
             else:
                 middles.add(mid)
                 if table_set is not None and mid not in table_set:
-                    violations.append((u, x, v, "middle-not-in-table"))
+                    violations.append((u, x, tuple(path), "middle-not-in-table"))
 
-        walk(state, [], L, visit)
+        walk(state, [], L, visit_v)
+
+    walk(state, [], L, visit_u)
     return tested, violations, middles
 
 

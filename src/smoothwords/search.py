@@ -2,8 +2,9 @@
 
 The whole tower w, rho(w), rho(rho(w)), ... is kept as one small tail state
 per level, so appending a letter costs O(tower height) and is exactly
-undoable.  That makes prefix-pruned enumeration and the concatenation scans
-run orders of magnitude faster than re-deriving every candidate from scratch.
+undoable.  That makes prefix-pruned enumeration and the concatenation
+certifier run orders of magnitude faster than re-deriving every candidate
+from scratch.
 
 The state update uses the fact that rho(w) is the interior run lengths of w
 framed by a ``b`` on each side where the corresponding boundary run is longer
@@ -24,12 +25,15 @@ Every bulk workload runs on one walker, :func:`walk`: a preorder,
 explicit-stack walk of the smooth words extending a seed (letter a before b),
 calling a visitor at every node, the seed included.  Preorder visits the
 words of one length in lexicographic order, so collecting per length gives
-shortlex order.  Enumeration (:class:`SmoothEnumerator`), the concatenation
-scans (:func:`visit_smooth_extensions`) and the power census
-(:func:`power_hits`) are visitors on it.  The power visitor fuses the n-th
-power test into the walk: at node u it pushes n-1 more copies of u onto the
-live state, counts the pushes that succeed and pops exactly that many, so
-u^n is tested without a list of bases and without re-deriving u's tower.
+shortlex order.  Enumeration (:class:`SmoothEnumerator`,
+``census.enumerate_smooth``), the power census (:func:`power_hits`) and the
+concatenation certifier (``concat._scan_x``) are visitors on it.  The power
+visitor fuses the n-th power test into the walk: at node u it pushes n-1
+more copies of u onto the live state, counts the pushes that succeed and
+pops exactly that many, so u^n is tested without a list of bases and
+without re-deriving u's tower.  The certifier nests two walks on one state:
+at node u of the outer walk it pushes x, runs an inner walk over v from the
+live u·x, and pops the letters of x it pushed.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ from itertools import groupby
 
 from .core import Alphabet, Word
 
-__all__ = ["ChainState", "seeded_state", "is_smooth_fast", "fast_derivative", "walk",
-           "visit_smooth_extensions", "power_hits", "SmoothEnumerator"]
+__all__ = ["ChainState", "seeded_state", "is_smooth_fast", "fast_derivative",
+           "derivative_from_runs", "walk", "power_hits", "SmoothEnumerator"]
 
 # Trail entry kinds for undo.
 _EXTENDED = 0
@@ -161,15 +165,16 @@ def fast_derivative(letters, b: int) -> tuple[int, ...]:
     No validation: callers must only pass words whose smoothness (hence
     differentiability) is already established.
     """
-    lens = [sum(1 for _ in group) for _, group in groupby(letters)]
-    if not lens:
-        return ()
-    if len(lens) == 1:
-        return (b,) if lens[0] == b else ()
-    out = lens if lens[0] == b else lens[1:]
-    if lens[-1] != b:
-        out = out[:-1]
-    return tuple(out)
+    return derivative_from_runs([sum(1 for _ in group) for _, group in groupby(letters)], b)
+
+
+def derivative_from_runs(lens: list[int], b: int) -> tuple[int, ...]:
+    """The derivative of the word whose run lengths are ``lens``: each
+    boundary run is dropped unless it has length b (a lone run is both)."""
+    n = len(lens)
+    if n < 2:
+        return (b,) if n and lens[0] == b else ()
+    return tuple(lens[0 if lens[0] == b else 1:n if lens[-1] == b else n - 1])
 
 
 def walk(state: ChainState, path: list[int], max_len: int, visit) -> None:
@@ -213,14 +218,6 @@ def walk(state: ChainState, path: list[int], max_len: int, visit) -> None:
             if nxt:
                 retract()
                 pop()
-
-
-def visit_smooth_extensions(ab: Alphabet, seed, max_extra: int, visit) -> None:
-    """Call ``visit(v)`` for every word v (including ()) with |v| <= max_extra
-    such that seed+v is smooth.  Does nothing if seed itself is not smooth."""
-    state = seeded_state(ab, seed)
-    if state is not None:
-        walk(state, [], max_extra, lambda path: visit(tuple(path)))
 
 
 def power_hits(ab: Alphabet, n: int, max_len: int, prefix=()) -> list[list[tuple]]:

@@ -6,6 +6,7 @@ from smoothwords import (Alphabet, Word, delta, enumerate_smooth, gamma,
                          h_delta, is_smooth, kolakoski_prefix, lift,
                          lift_family, scan_powers, smooth_chain, word_to_text)
 from smoothwords.census import _split_depth
+from smoothwords.search import SHARED_ENUMERATOR, ChainState, walk
 from smoothwords.errors import CertificationError
 
 
@@ -42,6 +43,26 @@ class TestEnumerate:
                 expected = [Word(t) for t in product(ab.letters, repeat=n)
                             if smooth_chain(Word(t), ab).is_smooth]
                 assert enumerate_smooth(ab, n) == expected
+
+    def test_pinned_counts_at_60(self):
+        # Confirmed by bench/oracle.py; "up to" counts include the empty word.
+        for (a, b), at_60, up_to_60 in [((1, 2), 3702, 65895), ((1, 3), 1856, 38577),
+                                        ((2, 5), 506, 12849)]:
+            ab = Alphabet(a, b)
+            per_length = [0] * 61
+
+            def count(path):
+                per_length[len(path)] += 1
+
+            walk(ChainState(ab), [], 60, count)
+            assert (per_length[60], sum(per_length)) == (at_60, up_to_60), ab
+            words = enumerate_smooth(ab, 60)
+            assert len(words) == at_60 and words == sorted(words)
+
+    def test_enumerate_does_not_fill_the_shared_memo(self):
+        before = dict(SHARED_ENUMERATOR._memo)
+        enumerate_smooth(Alphabet(4, 9), 12)
+        assert SHARED_ENUMERATOR._memo == before
 
 
 class TestScanPowers:

@@ -1,10 +1,12 @@
 import json
+from itertools import product
 
 import pytest
 
-from smoothwords import (Alphabet, EPSILON, Word, certify_concat, dsigma_table,
-                         empirical_middle_set, middle_witness, mirror,
-                         power_decomposition, word_to_text)
+from smoothwords import (Alphabet, EPSILON, Word, certify_concat, derivative,
+                         dsigma_table, empirical_middle_set, is_smooth,
+                         middle_witness, mirror, power_decomposition, word_to_text)
+from smoothwords.concat import _scan_x
 from smoothwords.errors import CertificationError
 from smoothwords.search import SmoothEnumerator, fast_derivative, is_smooth_fast
 
@@ -104,6 +106,26 @@ class TestCertify:
         par = certify_concat(ab, 6, jobs=2)
         assert seq == par
 
+    def test_parallel_matches_sequential_with_violations_and_explore(self, ab13):
+        seq = certify_concat(ab13, 6, jobs=1)
+        assert seq.violations
+        assert certify_concat(ab13, 6, jobs=2) == seq
+        explored = certify_concat(ab13, 5, jobs=1, explore=4)
+        assert certify_concat(ab13, 5, jobs=2, explore=4) == explored
+
+    def test_pinned_counts_12(self, ab12):
+        # Confirmed by bench/oracle.py, which shares no code with the package.
+        cert = certify_concat(ab12, 10)
+        assert cert.tested_triples == 54470
+        assert cert.ok
+        assert cert.middle_set == dsigma_table(ab12).sorted_words
+
+    def test_pinned_counts_13(self, ab13):
+        # Confirmed by bench/oracle.py against the stored {1,3} table.
+        cert = certify_concat(ab13, 8)
+        assert cert.tested_triples == 19895
+        assert len(cert.violations) == 268
+
     def test_explore_mode_reports_without_asserting(self, ab12):
         cert = certify_concat(ab12, 4, explore=3)
         assert cert.x_source == "smooth-x<=3"
@@ -115,6 +137,73 @@ class TestCertify:
         assert doc["alphabet"] == [1, 2]
         assert doc["violations"] == []
         json.dumps(doc)
+
+
+class TestScanDifferential:
+    """``_scan_x`` against a brute force over all (u, x, v) built on the
+    literal ``calculus.derivative``."""
+
+    # Bounds keep each case near a second of literal derivatives.
+    CASES = [((1, 2), 6), ((1, 3), 6), ((1, 4), 6), ((2, 3), 8), ((2, 5), 8), ((3, 4), 8)]
+
+    @staticmethod
+    def _xs(ab):
+        a, b = ab.a, ab.b
+        table = sorted(tuple(w) for w in dsigma_table(ab).words)
+        outside = [(b, a, a, b), (a, b, b, a, a), (b, b, a, b, b)]
+        dead = [(a,) * (b + 1), (a, a, a, b) + (b,) * b, (b + 1,)]
+        assert not any(is_smooth(Word(x), ab) for x in dead)
+        return table + outside + dead
+
+    @staticmethod
+    def _brute(ab, L, x):
+        """(u, v, middle or None) for every smooth u·x·v, by the literal calculus.
+
+        v grows one letter at a time while u·x·v stays smooth: factors of
+        smooth words are smooth, so no smooth triple is skipped.
+        """
+        if not all(c in ab.letters for c in x):
+            return []
+        x = Word(x)
+        found = []
+        for n in range(L + 1):
+            for u in map(Word, product(ab.letters, repeat=n)):
+                ux = u + x
+                if not is_smooth(u, ab) or not is_smooth(ux, ab):
+                    continue
+                du = tuple(derivative(u, ab))
+                frontier = [Word()]
+                while frontier:
+                    v = frontier.pop()
+                    dv, df = tuple(derivative(v, ab)), tuple(derivative(ux + v, ab))
+                    mid = None
+                    if len(du) + len(dv) <= len(df) and df[:len(du)] == du \
+                            and df[len(df) - len(dv):] == dv:
+                        mid = df[len(du):len(df) - len(dv)]
+                    found.append((tuple(u), tuple(v), mid))
+                    if len(v) < L:
+                        frontier.extend(v + (c,) for c in ab.letters
+                                        if is_smooth(ux + v + (c,), ab))
+        return found
+
+    @pytest.mark.parametrize("ab_pair,L", CASES)
+    def test_scan_matches_literal_brute_force(self, ab_pair, L):
+        ab = Alphabet(*ab_pair)
+        for x in self._xs(ab):
+            found = self._brute(ab, L, x)
+            middles = {mid for _, _, mid in found if mid is not None}
+            missing = [(u, x, v, "no-middle-decomposition") for u, v, mid in found if mid is None]
+            tested, violations, got_middles = _scan_x(ab, L, x, None)
+            assert (tested, got_middles) == (len(found), middles), (ab, x)
+            assert sorted(violations) == sorted(missing), (ab, x)
+            # The empty table makes every triple a violation.
+            want = sorted(missing + [(u, x, v, "middle-not-in-table")
+                                     for u, v, mid in found if mid is not None])
+            tested, violations, got_middles = _scan_x(ab, L, x, frozenset())
+            assert (tested, got_middles) == (len(found), middles), (ab, x)
+            assert len(violations) == tested
+            for got, expected in zip(sorted(violations), want):
+                assert got == expected, (ab, x)
 
 
 class TestEmpiricalMiddleSet:

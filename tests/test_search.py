@@ -5,7 +5,7 @@ from itertools import product
 
 from smoothwords import Alphabet, Word, is_smooth, scan_powers, smooth_chain
 from smoothwords.search import (ChainState, SmoothEnumerator, fast_derivative,
-                                is_smooth_fast, visit_smooth_extensions)
+                                is_smooth_fast, seeded_state, walk)
 
 
 def test_engine_matches_chain_exhaustively():
@@ -72,22 +72,20 @@ def test_enumerator_orders_and_counts():
     assert len(flat) == 2 + 4 + 6
 
 
-def test_visit_smooth_extensions_completeness():
+def test_seeded_walk_completeness():
     ab = Alphabet(1, 2)
     seed = (2, 2)
     seen = set()
-    visit_smooth_extensions(ab, seed, 5, seen.add)
+    walk(seeded_state(ab, seed), [], 5, lambda path: seen.add(tuple(path)))
     # oracle: plain filter over all suffixes
     expected = {tup for n in range(6) for tup in product(ab.letters, repeat=n)
                 if is_smooth(Word(seed + tup), ab)}
     assert seen == expected
 
 
-def test_visit_smooth_extensions_dead_seed():
-    ab = Alphabet(1, 2)
-    calls = []
-    visit_smooth_extensions(ab, (1, 1, 1), 3, calls.append)
-    assert calls == []
+def test_seeded_walk_dead_seed():
+    # A seed that is not smooth yields no state, so there is nothing to walk.
+    assert seeded_state(Alphabet(1, 2), (1, 1, 1)) is None
 
 
 def test_fused_power_scan_matches_chain():
