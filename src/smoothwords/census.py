@@ -165,7 +165,7 @@ def _power_subtree(args):
 def _split_depth(ab: Alphabet, L: int, tasks: int) -> int:
     """The shallowest depth (at most L) with at least ``tasks`` smooth prefixes."""
     depth = 1
-    while depth < L and len(SHARED_ENUMERATOR.of_length(ab, depth)) < tasks:
+    while depth < L and len(enumerate_smooth(ab, depth)) < tasks:
         depth += 1
     return depth
 
@@ -183,7 +183,7 @@ def scan_powers(ab: Alphabet, n: int, L: int, jobs: int = 1) -> CensusReport:
         raise ValueError("base-length bound must be >= 1")
     if jobs > 1:
         depth = _split_depth(ab, L, 8 * jobs)
-        work = [(ab.a, ab.b, n, L, tuple(p)) for p in SHARED_ENUMERATOR.of_length(ab, depth)]
+        work = [(ab.a, ab.b, n, L, tuple(p)) for p in enumerate_smooth(ab, depth)]
         hits = power_hits(ab, n, depth - 1) + [[] for _ in range(depth, L + 1)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             # Prefix order keeps each length's bases lexicographic.

@@ -255,7 +255,9 @@ def power_hits(ab: Alphabet, n: int, max_len: int, prefix=()) -> list[list[tuple
 
 
 class SmoothEnumerator:
-    """Prefix-pruned smooth-word enumeration with an in-memory memo."""
+    """Prefix-pruned smooth-word enumeration with an in-memory memo, for
+    callers that need every length up to a bound (``gamma`` with n = 1 and
+    ``certify_concat`` in explore mode)."""
 
     def __init__(self):
         self._memo: dict[tuple[int, int], list[list[Word]]] = {}
@@ -277,9 +279,6 @@ class SmoothEnumerator:
              lambda path: by_len[len(path)].append(wrap(tuple(path))))
         self._memo[key] = by_len
         return by_len
-
-    def of_length(self, ab: Alphabet, n: int) -> list[Word]:
-        return self.up_to(ab, n)[n]
 
     def flat(self, ab: Alphabet, max_len: int, min_len: int = 0) -> list[Word]:
         """Smooth words with min_len <= |w| <= max_len in shortlex order."""

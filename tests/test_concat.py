@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from smoothwords import (Alphabet, EPSILON, Word, certify_concat, derivative,
-                         dsigma_table, empirical_middle_set, is_smooth,
+                         dsigma_table, empirical_middle_set, enumerate_smooth, is_smooth,
                          middle_witness, mirror, power_decomposition, word_to_text)
 from smoothwords.concat import _scan_x
 from smoothwords.errors import CertificationError
@@ -150,7 +150,12 @@ class TestScanDifferential:
     def _xs(ab):
         a, b = ab.a, ab.b
         table = sorted(tuple(w) for w in dsigma_table(ab).words)
-        outside = [(b, a, a, b), (a, b, b, a, a), (b, b, a, b, b)]
+        # Smooth words of lengths 4-6 outside the table: first, middle, last.
+        rest = [tuple(w) for n in (4, 5, 6) for w in enumerate_smooth(ab, n)
+                if tuple(w) not in table]
+        outside = [rest[0], rest[len(rest) // 2], rest[-1]]
+        assert len(set(outside)) == 3
+        assert all(is_smooth(Word(x), ab) and x not in table for x in outside)
         dead = [(a,) * (b + 1), (a, a, a, b) + (b,) * b, (b + 1,)]
         assert not any(is_smooth(Word(x), ab) for x in dead)
         return table + outside + dead
