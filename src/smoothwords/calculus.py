@@ -9,7 +9,7 @@ a word is smooth when iterating ``rho`` reaches the empty word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Alphabet, EPSILON, Word, closure, run_lengths, word_to_text
 from .errors import NotDifferentiableError
@@ -26,14 +26,12 @@ REASON_INTERIOR_RUN = "interior-run-not-in-alphabet"
 REASON_BAD_LETTER = "letter-not-in-alphabet"
 
 
-@dataclass(frozen=True)
-class ChainFailure:
+class ChainFailure(NamedTuple):
     level: int
     reason: str
 
 
-@dataclass(frozen=True)
-class DerivativeChain:
+class DerivativeChain(NamedTuple):
     """The words w, rho(w), rho^2(w), ... with a smoothness verdict.
 
     For a smooth word the last level is the empty word.  For a non-smooth

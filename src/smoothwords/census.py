@@ -13,8 +13,7 @@ the constructive evidence for "infinitely many" power claims.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Alphabet, EPSILON, Word, delta_inv, word_to_text
 from .errors import CertificationError
@@ -27,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IndexPair:
+class IndexPair(NamedTuple):
     """Power-freeness threshold h and exact power-free index delta for one alphabet."""
 
     h: int
@@ -74,8 +72,7 @@ def enumerate_smooth(ab: Alphabet, n: int) -> list[Word]:
     return out
 
 
-@dataclass(frozen=True)
-class PowerWitness:
+class PowerWitness(NamedTuple):
     base: Word
     power: Word
     primitive_base: Word
@@ -90,8 +87,7 @@ class PowerWitness:
         }
 
 
-@dataclass(frozen=True)
-class CensusReport:
+class CensusReport(NamedTuple):
     """Witnesses and counts from one power scan.
 
     ``gamma`` counts distinct power words (not bases); each witness also
@@ -182,6 +178,8 @@ def scan_powers(ab: Alphabet, n: int, L: int, jobs: int = 1) -> CensusReport:
     if L < 1:
         raise ValueError("base-length bound must be >= 1")
     if jobs > 1:
+        # Imported here, so that commands run with --jobs 1 skip it at start-up.
+        from concurrent.futures import ProcessPoolExecutor
         depth = _split_depth(ab, L, 8 * jobs)
         work = [(ab.a, ab.b, n, L, tuple(p)) for p in enumerate_smooth(ab, depth)]
         hits = power_hits(ab, n, depth - 1) + [[] for _ in range(depth, L + 1)]

@@ -10,10 +10,9 @@ schema_version field "1".
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .calculus import derivative, rho, smooth_chain
 from .census import enumerate_smooth, gamma, kolakoski_prefix, lift, scan_powers
@@ -38,8 +37,7 @@ def parse_word_text(s: str) -> Word:
     return word_from_text(s)
 
 
-@dataclass
-class CliConfig:
+class CliConfig(NamedTuple):
     alphabet: Alphabet
     command: str
     fmt: str
@@ -145,6 +143,8 @@ def parse_config(argv=None) -> CliConfig:
 
 
 def _print_json(config: CliConfig, payload: dict) -> None:
+    import json  # only JSON output pays for the import
+
     doc = {"schema_version": SCHEMA_VERSION, "command": config.command}
     doc.update(payload)
     print(json.dumps(doc, indent=2))

@@ -11,10 +11,10 @@ powers: D^j(u^n) = (D^j(u) w)^(n-1) D^j(u), checked level by level.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .core import Alphabet, Word, mirror, run_lengths, runs, word_to_text
+from .core import (Alphabet, Word, _FrozenRecord, mirror, run_lengths, runs,
+                   word_to_text)
 from .errors import CertificationError
 from .search import (SHARED_ENUMERATOR, ChainState, derivative_from_runs, fast_derivative,
                      is_smooth_fast, walk)
@@ -38,19 +38,18 @@ def _shortlex(t):
     return (len(t), tuple(t))
 
 
-@dataclass(frozen=True)
-class DsigmaTable:
+class DsigmaTable(_FrozenRecord):
     """The finite set of possible middle words for one alphabet."""
 
-    alphabet: Alphabet
-    words: frozenset[Word]
+    __slots__ = ("alphabet", "words")
 
-    def __post_init__(self):
-        if Word() not in self.words:
+    def __init__(self, alphabet: Alphabet, words: frozenset[Word]):
+        if Word() not in words:
             raise ValueError("middle-word table must contain the empty word")
-        for w in self.words:
-            if mirror(w) not in self.words:
+        for w in words:
+            if mirror(w) not in words:
                 raise ValueError(f"middle-word table is not mirror-closed at {w}")
+        self._init(alphabet, words)
 
     @property
     def sorted_words(self) -> tuple[Word, ...]:
@@ -217,8 +216,7 @@ def _certify_worker(args):
     return _scan_x(Alphabet(a, b), L, x, table_set)
 
 
-@dataclass(frozen=True)
-class ConcatViolation:
+class ConcatViolation(NamedTuple):
     u: Word
     x: Word
     v: Word
@@ -229,8 +227,7 @@ class ConcatViolation:
                 "v": word_to_text(self.v), "reason": self.reason}
 
 
-@dataclass(frozen=True)
-class ConcatCertificate:
+class ConcatCertificate(NamedTuple):
     """Result of exhaustively checking the concatenation splitting at bound L."""
 
     alphabet: Alphabet
@@ -277,6 +274,8 @@ def certify_concat(ab: Alphabet, L: int, jobs: int = 1,
         x_source = f"smooth-x<={explore}"
 
     if jobs > 1:
+        # Imported here, so that commands run with --jobs 1 skip it at start-up.
+        from concurrent.futures import ProcessPoolExecutor
         work = [(ab.a, ab.b, L, x, tuple(check) if check is not None else None)
                 for x in xs]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -326,8 +325,7 @@ def empirical_middle_set(ab: Alphabet, L: int, size_limit: int = 512) -> set[Wor
     return {Word._wrap(t) for t in found}
 
 
-@dataclass(frozen=True)
-class PowerDecomposition:
+class PowerDecomposition(NamedTuple):
     """Per-level middle words of a smooth power: D^j(u^n) = (D^j(u) w_j)^(n-1) D^j(u)."""
 
     base: Word

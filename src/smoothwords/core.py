@@ -13,7 +13,6 @@ safe to share between threads or processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Iterable, Iterator, NamedTuple
 
@@ -26,18 +25,55 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _FrozenRecord:
+    """Base of the records that validate or iterate, which ``NamedTuple``
+    cannot express: the fields are the ``__slots__``, set once in
+    ``__init__``; equality, hash, repr and pickling go by the field values,
+    and assignment raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Alphabet(_FrozenRecord):
     """Ordered two-letter alphabet {a, b} of positive integers with a < b."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if not isinstance(self.a, int) or not isinstance(self.b, int):
-            raise ValueError(f"alphabet letters must be integers, got {self.a!r}, {self.b!r}")
-        if not 1 <= self.a < self.b:
-            raise ValueError(f"alphabet requires 1 <= a < b, got a={self.a}, b={self.b}")
+    def __init__(self, a: int, b: int):
+        if (not isinstance(a, int) or not isinstance(b, int)
+                or isinstance(a, bool) or isinstance(b, bool)):
+            raise ValueError(f"alphabet letters must be integers, got {a!r}, {b!r}")
+        if not 1 <= a < b:
+            raise ValueError(f"alphabet requires 1 <= a < b, got a={a}, b={b}")
+        self._init(a, b)
 
     @classmethod
     def parse(cls, text: str) -> "Alphabet":
@@ -176,11 +212,13 @@ class Run(NamedTuple):
     length: int
 
 
-@dataclass(frozen=True)
-class RunDecomposition:
+class RunDecomposition(_FrozenRecord):
     """The runs of a word, in order; adjacent runs always differ in letter."""
 
-    runs: tuple[Run, ...]
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: tuple[Run, ...]):
+        self._init(runs)
 
     @property
     def r(self) -> int:

@@ -120,7 +120,21 @@ class ChainState:
 
     def pop(self) -> None:
         """Undo the most recent successful push (strictly LIFO)."""
-        self._undo_to(self._marks.pop())
+        # The loop of _undo_to, inlined: pop is as hot as push.
+        mark = self._marks.pop()
+        trail = self._trail
+        levels = self.levels
+        while len(trail) > mark:
+            i, kind, prev_letter, prev_len = trail.pop()
+            if kind == _EXTENDED:
+                levels[i][2] -= 1
+            elif kind == _NEW_RUN:
+                lv = levels[i]
+                lv[0] -= 1
+                lv[1] = prev_letter
+                lv[2] = prev_len
+            else:
+                levels.pop()
 
     def _undo_to(self, mark: int) -> None:
         trail = self._trail

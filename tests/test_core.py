@@ -23,6 +23,12 @@ class TestAlphabet:
         with pytest.raises(ValueError):
             Alphabet(3, 2)
 
+    def test_rejects_bool_letters(self):
+        # bool is an int subclass, but True is no letter (as in Word).
+        for a, b in [(True, 2), (1, True), (False, True)]:
+            with pytest.raises(ValueError, match="must be integers"):
+                Alphabet(a, b)
+
     def test_parse_and_str(self):
         ab = Alphabet.parse("2,5")
         assert (ab.a, ab.b) == (2, 5)
