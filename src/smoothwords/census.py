@@ -3,6 +3,8 @@
 ``scan_powers`` walks every smooth base up to a length bound (bases of smooth
 powers are necessarily smooth, because factors of smooth words are smooth)
 and tests the n-th power inside the walk (:func:`smoothwords.search.power_hits`).
+It walks only the bases that start with a: the complement of a smooth power
+is a smooth power, so the bases starting with b follow from those.
 ``gamma`` counts the distinct power words found and applies a stabilization
 heuristic: a finite count is only reported as stable when no new power word
 appeared in the top quartile of base lengths.
@@ -17,7 +19,8 @@ from typing import NamedTuple
 
 from .core import Alphabet, EPSILON, Word, delta_inv, word_to_text
 from .errors import CertificationError
-from .search import SHARED_ENUMERATOR, ChainState, is_smooth_fast, power_hits, walk
+from .search import (SHARED_ENUMERATOR, complete_by_complement, is_smooth_fast, power_hits,
+                     seeded_state, walk)
 
 __all__ = [
     "IndexPair", "PowerWitness", "CensusReport",
@@ -56,11 +59,15 @@ def h_delta(ab: Alphabet) -> IndexPair:
 def enumerate_smooth(ab: Alphabet, n: int) -> list[Word]:
     """Exactly the smooth words of length n over {a, b}, lexicographic.
 
-    One walk to depth n keeps only the leaves (preorder visits them in
-    lexicographic order); the shorter words are walked through, not kept.
+    One walk to depth n below the letter a keeps only the leaves (preorder
+    visits them in lexicographic order); the shorter words are walked
+    through, not kept.  The words starting with b are their reversed
+    complements.
     """
     if n < 0:
         raise ValueError("length must be >= 0")
+    if n == 0:
+        return [Word()]
     out: list[Word] = []
     wrap = Word._wrap
 
@@ -68,7 +75,8 @@ def enumerate_smooth(ab: Alphabet, n: int) -> list[Word]:
         if len(path) == n:
             out.append(wrap(tuple(path)))
 
-    walk(ChainState(ab), [], n, visit)
+    walk(seeded_state(ab, (ab.a,)), [ab.a], n, visit)
+    complete_by_complement([out], ab, wrap)
     return out
 
 
@@ -169,9 +177,12 @@ def _split_depth(ab: Alphabet, L: int, tasks: int) -> int:
 def scan_powers(ab: Alphabet, n: int, L: int, jobs: int = 1) -> CensusReport:
     """Test u^n for smoothness over every smooth base u with 1 <= |u| <= L.
 
-    With ``jobs`` > 1 the walk is split into the subtrees below the smooth
-    prefixes of one depth, at least 8 per worker; the caller tests the
-    shorter bases itself.  The witnesses are the same for every ``jobs``.
+    Only the bases starting with a are walked; the rest are their reversed
+    complements (:func:`smoothwords.search.complete_by_complement`).  With
+    ``jobs`` > 1 that walk is split into the subtrees below the a-initial
+    smooth prefixes of the depth that has at least 8 smooth prefixes per
+    worker; the caller tests the shorter bases itself.  The witnesses are
+    the same for every ``jobs``.
     """
     if n < 2:
         raise ValueError("exponent must be >= 2")
@@ -181,15 +192,17 @@ def scan_powers(ab: Alphabet, n: int, L: int, jobs: int = 1) -> CensusReport:
         # Imported here, so that commands run with --jobs 1 skip it at start-up.
         from concurrent.futures import ProcessPoolExecutor
         depth = _split_depth(ab, L, 8 * jobs)
-        work = [(ab.a, ab.b, n, L, tuple(p)) for p in enumerate_smooth(ab, depth)]
-        hits = power_hits(ab, n, depth - 1) + [[] for _ in range(depth, L + 1)]
+        work = [(ab.a, ab.b, n, L, tuple(p)) for p in enumerate_smooth(ab, depth)
+                if p[0] == ab.a]
+        hits = power_hits(ab, n, depth - 1, (ab.a,)) + [[] for _ in range(depth, L + 1)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             # Prefix order keeps each length's bases lexicographic.
             for part in pool.map(_power_subtree, work):
                 for level, found in zip(hits[depth:], part[depth:]):
                     level.extend(found)
     else:
-        hits = power_hits(ab, n, L)
+        hits = power_hits(ab, n, L, (ab.a,))
+    complete_by_complement(hits, ab)
 
     witnesses = []
     seen: set[Word] = set()

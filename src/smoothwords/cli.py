@@ -28,15 +28,6 @@ EXIT_BROKEN_PIPE = 141
 _CSV_COMMANDS = {"scan-powers", "gamma", "enumerate"}
 
 
-def parse_word_text(s: str) -> Word:
-    """Parse word text (digit string or comma form) into a Word.
-
-    Letters are not restricted to the command's alphabet: run-length images
-    legitimately leave it.
-    """
-    return word_from_text(s)
-
-
 class CliConfig(NamedTuple):
     alphabet: Alphabet
     command: str
@@ -171,19 +162,19 @@ def run(config: CliConfig) -> int:
         return 2
 
     if config.command == "delta":
-        return _emit_word(config, delta(parse_word_text(config.word)))
+        return _emit_word(config, delta(word_from_text(config.word)))
     if config.command == "closure":
-        return _emit_word(config, closure(parse_word_text(config.word), ab))
+        return _emit_word(config, closure(word_from_text(config.word), ab))
     if config.command == "derive":
-        return _emit_word(config, derivative(parse_word_text(config.word), ab))
+        return _emit_word(config, derivative(word_from_text(config.word), ab))
     if config.command == "rho":
-        return _emit_word(config, rho(parse_word_text(config.word), ab))
+        return _emit_word(config, rho(word_from_text(config.word), ab))
     if config.command == "lift":
-        return _emit_word(config, lift(parse_word_text(config.word),
+        return _emit_word(config, lift(word_from_text(config.word),
                                        config.alpha, config.k, ab))
 
     if config.command == "chain":
-        chain = smooth_chain(parse_word_text(config.word), ab)
+        chain = smooth_chain(word_from_text(config.word), ab)
         if fmt == "json":
             _print_json(config, {"alphabet": str(ab), **chain.to_json()})
         else:
@@ -246,7 +237,7 @@ def run(config: CliConfig) -> int:
         return 0
 
     if config.command == "power-decomp":
-        decomp = power_decomposition(parse_word_text(config.word), config.n, ab)
+        decomp = power_decomposition(word_from_text(config.word), config.n, ab)
         if fmt == "json":
             _print_json(config, decomp.to_json())
         else:

@@ -17,7 +17,7 @@ from .core import (Alphabet, Word, _FrozenRecord, mirror, run_lengths, runs,
                    word_to_text)
 from .errors import CertificationError
 from .search import (SHARED_ENUMERATOR, ChainState, derivative_from_runs, fast_derivative,
-                     is_smooth_fast, walk)
+                     is_power_smooth, is_smooth_fast, walk)
 
 __all__ = [
     "DsigmaTable", "ConcatViolation", "ConcatCertificate", "PowerDecomposition",
@@ -355,9 +355,10 @@ def power_decomposition(u, n: int, ab: Alphabet) -> PowerDecomposition:
         raise ValueError("exponent must be >= 2")
     if runs(u).r < 2:
         raise ValueError(f"base {word_to_text(u)!r} must have at least two runs")
-    power = u * n
-    if not is_smooth_fast(power, ab):
+    # Tested copy by copy first, so a huge n fails without building u^n.
+    if not is_power_smooth(u, n, ab):
         raise ValueError(f"({word_to_text(u)})^{n} must be smooth over {ab}")
+    power = u * n
     b = ab.b
     table_items = frozenset(tuple(w) for w in dsigma_table(ab).words)
 

@@ -34,6 +34,19 @@ pops exactly that many, so u^n is tested without a list of bases and
 without re-deriving u's tower.  The certifier nests two walks on one state:
 at node u of the outer walk it pushes x, runs an inner walk over v from the
 live u·x, and pops the letters of x it pushed.
+
+Enumeration and the power census walk only the words that start with a and
+build the rest by the complement (swapping a and b), which is exact:
+
+* the swap keeps every run length, so it keeps the derivative, smoothness
+  and smooth powers (w^n is smooth exactly when its complement is);
+* it maps the smooth words that start with a one-to-one onto those that
+  start with b;
+* among words of one length it reverses lexicographic order, so the reversed
+  complements of a lexicographic a-list are the b-list, in order, and every
+  b-word sorts after every a-word.
+
+:func:`complete_by_complement` appends that b-half, per length.
 """
 
 from __future__ import annotations
@@ -42,8 +55,9 @@ from itertools import groupby
 
 from .core import Alphabet, Word
 
-__all__ = ["ChainState", "seeded_state", "is_smooth_fast", "fast_derivative",
-           "derivative_from_runs", "walk", "power_hits", "SmoothEnumerator"]
+__all__ = ["ChainState", "seeded_state", "is_smooth_fast", "is_power_smooth",
+           "push_copies", "fast_derivative", "derivative_from_runs", "walk",
+           "complete_by_complement", "power_hits", "SmoothEnumerator"]
 
 # Trail entry kinds for undo.
 _EXTENDED = 0
@@ -173,6 +187,34 @@ def is_smooth_fast(letters, ab: Alphabet) -> bool:
     return seeded_state(ab, letters) is not None
 
 
+def push_copies(state: ChainState, letters, copies: int) -> int:
+    """Push up to ``copies`` more copies of ``letters`` onto ``state``, one
+    letter at a time, stopping at the first push that fails.
+
+    Returns the number of letters pushed, which the caller pops again; all
+    copies went on exactly when that is ``len(letters) * copies``.  No copy
+    is built, so a huge ``copies`` costs only the pushes before the failure.
+    """
+    if not letters:
+        return 0
+    push = state.push
+    pushed = 0
+    for _ in range(copies):
+        for c in letters:
+            if not push(c):
+                return pushed
+            pushed += 1
+    return pushed
+
+
+def is_power_smooth(letters, n: int, ab: Alphabet) -> bool:
+    """Whether ``letters`` repeated n >= 1 times is smooth over ``ab``,
+    without building the power (see :func:`push_copies`)."""
+    state = seeded_state(ab, letters)
+    return (state is not None
+            and push_copies(state, letters, n - 1) == len(letters) * (n - 1))
+
+
 def fast_derivative(letters, b: int) -> tuple[int, ...]:
     """Derivative of a known-differentiable word, as a plain tuple.
 
@@ -234,32 +276,41 @@ def walk(state: ChainState, path: list[int], max_len: int, visit) -> None:
                 pop()
 
 
+def complete_by_complement(by_len: list[list], ab: Alphabet, make=tuple) -> None:
+    """Extend each list of smooth words that start with a, lexicographic and
+    all of one length, by the words that start with b, in place.
+
+    Those are the reversed complements of the list (see the module
+    docstring), built by ``make`` from an iterable of letters.  The empty
+    word is its own complement, so no list may hold it.
+    """
+    swap = (ab.a + ab.b).__sub__
+    for level in by_len:
+        level += [make(map(swap, w)) for w in reversed(level)]
+
+
 def power_hits(ab: Alphabet, n: int, max_len: int, prefix=()) -> list[list[tuple]]:
     """Smooth words u extending ``prefix`` with 1 <= |u| <= max_len and u^n
     smooth, grouped by length (index i holds length i) and lexicographic
     within a length.
 
     The test is fused into the walk: at node u the other n-1 copies of u are
-    pushed onto the live state and popped again, so a base that fails early
-    in its second copy costs a few pushes and no base list is ever built.
+    pushed onto the live state (:func:`push_copies`) and popped again, so a
+    base that fails early in its second copy costs a few pushes and no base
+    list is ever built.
     """
     state = seeded_state(ab, prefix)
     hits: list[list[tuple]] = [[] for _ in range(max_len + 1)]
-    if state is None:
+    if state is None or len(prefix) > max_len:
         return hits
-    push = state.push
     pop = state.pop
     copies = n - 1
 
     def visit(path: list[int]) -> None:
         if not path:
             return
-        pushed = 0
-        for c in path * copies:
-            if not push(c):
-                break
-            pushed += 1
-        else:
+        pushed = push_copies(state, path, copies)
+        if pushed == len(path) * copies:
             hits[len(path)].append(tuple(path))
         for _ in range(pushed):
             pop()
@@ -287,10 +338,12 @@ class SmoothEnumerator:
         have = self._memo.get(key)
         if have is not None and len(have) > n:
             return have
-        by_len: list[list[Word]] = [[] for _ in range(n + 1)]
+        by_len: list[list[Word]] = [[Word()]] + [[] for _ in range(n)]
         wrap = Word._wrap
-        walk(ChainState(ab), [], n,
-             lambda path: by_len[len(path)].append(wrap(tuple(path))))
+        if n:
+            walk(seeded_state(ab, (ab.a,)), [ab.a], n,
+                 lambda path: by_len[len(path)].append(wrap(tuple(path))))
+            complete_by_complement(by_len[1:], ab, wrap)
         self._memo[key] = by_len
         return by_len
 

@@ -102,6 +102,14 @@ class TestScanPowers:
             assert min(lengths) < depth <= max(lengths), (ab, depth, lengths)
             assert scan_powers(ab, n, L, jobs=2) == seq
 
+    def test_parallel_split_at_depth_one(self, ab12):
+        # With L = 1 the split depth is 1, so the caller has no shorter
+        # a-initial bases to test and the one worker task is the prefix "1".
+        assert _split_depth(ab12, 1, 16) == 1
+        seq = scan_powers(ab12, 2, 1, jobs=1)
+        assert [word_to_text(w.base) for w in seq.witnesses] == ["1", "2"]
+        assert scan_powers(ab12, 2, 1, jobs=2) == seq
+
     def test_primitive_base_tracking(self):
         report = scan_powers(Alphabet(2, 4), 2, 4)
         by_base = {word_to_text(w.base): word_to_text(w.primitive_base)

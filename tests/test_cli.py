@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from smoothwords import Word, word_to_text
-from smoothwords.cli import main, parse_word_text
+from smoothwords import Word, word_from_text, word_to_text
+from smoothwords.cli import main
 from smoothwords.errors import WordParseError
 
 
@@ -20,18 +20,18 @@ def run_cli(capsys, *argv):
 
 class TestParseWordText:
     def test_forms(self):
-        assert parse_word_text("31113") == (3, 1, 1, 1, 3)
-        assert parse_word_text("12,1,12") == (12, 1, 12)
-        assert parse_word_text("") == Word()
+        assert word_from_text("31113") == (3, 1, 1, 1, 3)
+        assert word_from_text("12,1,12") == (12, 1, 12)
+        assert word_from_text("") == Word()
 
     def test_zero_digit(self):
         with pytest.raises(WordParseError):
-            parse_word_text("102")
+            word_from_text("102")
 
     @given(st.lists(st.integers(min_value=1, max_value=25), max_size=10))
     def test_round_trip(self, letters):
         w = Word(letters)
-        assert parse_word_text(word_to_text(w)) == w
+        assert word_from_text(word_to_text(w)) == w
 
 
 class TestWordCommands:
@@ -181,6 +181,21 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "power-decomp", "--alphabet", "1,2",
                                "--word", "12", "-n", "3")
         assert code == 2
+
+    # 10**20 overflows a list repetition, so building u^n fails at once; the
+    # power is tested copy by copy instead and is refuted within a few copies.
+    @pytest.mark.parametrize("command", ["scan-powers", "gamma"])
+    def test_huge_exponent_has_no_witnesses(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--alphabet", "1,2",
+                                 "-n", str(10**20), "-L", "3")
+        assert code == 0 and err == ""
+        assert "0 witnesses" in out and "gamma=0 stable=true" in out
+
+    def test_huge_exponent_power_decomp_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "power-decomp", "--alphabet", "1,2",
+                                 "--word", "12", "-n", str(10**20))
+        assert code == 2 and out == ""
+        assert err == f"error: (12)^{10**20} must be smooth over 1,2\n"
 
     def test_help_exits_zero(self, capsys):
         code, _, _ = run_cli(capsys, "--help")

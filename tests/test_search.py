@@ -3,9 +3,13 @@
 import sys
 from itertools import product
 
-from smoothwords import Alphabet, Word, is_smooth, scan_powers, smooth_chain
-from smoothwords.search import (ChainState, SmoothEnumerator, fast_derivative,
-                                is_smooth_fast, seeded_state, walk)
+from hypothesis import given, strategies as st
+
+from smoothwords import (Alphabet, Word, complement, enumerate_smooth, gamma, is_smooth,
+                         scan_powers, smooth_chain)
+from smoothwords.search import (ChainState, SmoothEnumerator, complete_by_complement,
+                                fast_derivative, is_power_smooth, is_smooth_fast,
+                                power_hits, seeded_state, walk)
 
 
 def test_engine_matches_chain_exhaustively():
@@ -122,3 +126,71 @@ def test_enumeration_depth_is_not_bounded_by_recursion():
     assert len(by_len) == 151
     assert sum(map(len, by_len)) == 44785
     assert by_len[150] and all(is_smooth_fast(w, Alphabet(7, 9)) for w in by_len[150][:20])
+
+
+# The bulk walks visit only the words that start with a and build the rest
+# by the complement, so they are checked here against lists built without
+# the walker: every word of each length, filtered by the literal calculus.
+SYMMETRY_CASES = [((1, 2), 12), ((1, 3), 12), ((2, 3), 11), ((2, 5), 10),
+                  ((3, 4), 10), ((1, 5), 11)]
+
+
+def _oracle_smooth_by_length(ab: Alphabet, max_len: int) -> list[list[Word]]:
+    # product() yields each length's words in lexicographic order.
+    return [[w for w in map(Word, product(ab.letters, repeat=k)) if is_smooth(w, ab)]
+            for k in range(max_len + 1)]
+
+
+def test_halved_walks_match_literal_oracle():
+    for (a, b), max_len in SYMMETRY_CASES:
+        ab = Alphabet(a, b)
+        by_len = _oracle_smooth_by_length(ab, max_len)
+        for k in range(max_len + 1):
+            assert enumerate_smooth(ab, k) == by_len[k], (ab, k)
+        assert SmoothEnumerator().up_to(ab, max_len) == by_len, ab
+        bases = [w for level in by_len[1:] for w in level]
+        _, report = gamma(ab, 1, max_len)
+        assert [w.base for w in report.witnesses] == bases, ab
+        for n in range(2, 6):
+            expected = [u for u in bases if smooth_chain(u * n, ab).is_smooth]
+            for jobs in (1, 2):
+                got = [w.base for w in scan_powers(ab, n, max_len, jobs=jobs).witnesses]
+                assert got == expected, (ab, n, jobs)
+
+
+def test_complete_by_complement_appends_reversed_complements():
+    ab = Alphabet(1, 3)
+    by_len = [[(1,)], [(1, 1), (1, 3)], [], [(1, 1, 3), (1, 3, 3)]]
+    complete_by_complement(by_len, ab)
+    assert by_len == [[(1,), (3,)], [(1, 1), (1, 3), (3, 1), (3, 3)], [],
+                      [(1, 1, 3), (1, 3, 3), (3, 1, 1), (3, 3, 1)]]
+    words = [[Word("12")]]
+    complete_by_complement(words, Alphabet(1, 2), Word._wrap)
+    assert words == [[Word("12"), Word("21")]] and type(words[0][1]) is Word
+
+
+@given(st.data())
+def test_complement_keeps_smoothness(data):
+    a = data.draw(st.integers(min_value=1, max_value=6), label="a")
+    b = data.draw(st.integers(min_value=a + 1, max_value=9), label="b")
+    ab = Alphabet(a, b)
+    w = data.draw(st.lists(st.sampled_from(ab.letters), max_size=60), label="w")
+    assert is_smooth_fast(complement(w, ab), ab) == is_smooth_fast(w, ab)
+
+
+def test_power_test_matches_literal_power():
+    ab = Alphabet(2, 3)
+    for u in ("2233322233", "23", "22", "3", ""):
+        for n in range(1, 5):
+            w = Word(u)
+            assert is_power_smooth(w, n, ab) == is_smooth(w * n, ab), (u, n)
+    assert not is_power_smooth((1,), 2, ab)  # a letter outside the alphabet
+
+
+def test_huge_exponent_stops_at_the_first_failed_copy():
+    # 10**20 copies cannot be built; the copies are pushed one at a time and
+    # the first failure ends the test.
+    ab = Alphabet(1, 2)
+    assert not is_power_smooth(Word("1211"), 10**20, ab)
+    assert power_hits(ab, 10**20, 6, (1,)) == [[] for _ in range(7)]
+    assert scan_powers(ab, 10**20, 4).witnesses == ()
