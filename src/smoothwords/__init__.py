@@ -22,7 +22,7 @@ from .census import (CensusReport, IndexPair, PowerWitness, enumerate_smooth,
                      scan_powers)
 from .errors import (CertificationError, NotClosableError,
                      NotDifferentiableError, WordParseError)
-from .search import SmoothEnumerator, is_smooth_fast
+from .search import is_smooth_fast
 
 __all__ = [
     "__version__",
@@ -38,7 +38,7 @@ __all__ = [
     "power_decomposition",
     "CensusReport", "IndexPair", "PowerWitness", "enumerate_smooth", "gamma",
     "h_delta", "kolakoski_prefix", "lift", "lift_family", "scan_powers",
-    "SmoothEnumerator", "is_smooth_fast",
+    "is_smooth_fast",
     "CertificationError", "NotClosableError", "NotDifferentiableError",
     "WordParseError",
 ]

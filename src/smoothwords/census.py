@@ -1,5 +1,8 @@
 """Power census: exhaustive scans for smooth powers, counts, and witnesses.
 
+``enumerate_smooth`` lists the smooth words of a range of lengths with one
+walk; it serves the ``enumerate`` command, ``gamma`` with n = 1 and the
+x words of ``certify-concat --explore``.
 ``scan_powers`` walks every smooth base up to a length bound (bases of smooth
 powers are necessarily smooth, because factors of smooth words are smooth)
 and tests the n-th power inside the walk (:func:`smoothwords.search.power_hits`).
@@ -19,8 +22,7 @@ from typing import NamedTuple
 
 from .core import Alphabet, EPSILON, Word, delta_inv, word_to_text
 from .errors import CertificationError
-from .search import (SHARED_ENUMERATOR, complete_by_complement, is_smooth_fast, power_hits,
-                     seeded_state, walk)
+from .search import complete_by_complement, is_power_smooth, power_hits, seeded_state, walk
 
 __all__ = [
     "IndexPair", "PowerWitness", "CensusReport",
@@ -56,28 +58,31 @@ def h_delta(ab: Alphabet) -> IndexPair:
     return IndexPair(h=h, delta=delta_index)
 
 
-def enumerate_smooth(ab: Alphabet, n: int) -> list[Word]:
-    """Exactly the smooth words of length n over {a, b}, lexicographic.
+def enumerate_smooth(ab: Alphabet, n: int, min_len: int | None = None) -> list[Word]:
+    """The smooth words w over {a, b} with min_len <= |w| <= n, in shortlex
+    order; ``min_len`` defaults to n, which gives exactly the length n.
 
-    One walk to depth n below the letter a keeps only the leaves (preorder
-    visits them in lexicographic order); the shorter words are walked
-    through, not kept.  The words starting with b are their reversed
-    complements.
+    One walk to depth n below the letter a keeps the words of the lengths
+    asked for (preorder visits each length in lexicographic order); shorter
+    words are walked through, not kept.  The words starting with b are their
+    reversed complements, per length.
     """
     if n < 0:
         raise ValueError("length must be >= 0")
-    if n == 0:
-        return [Word()]
-    out: list[Word] = []
+    low = n if min_len is None else min_len
+    by_len: list[list[Word]] = [[] for _ in range(n + 1)]
     wrap = Word._wrap
 
     def visit(path: list[int]) -> None:
-        if len(path) == n:
-            out.append(wrap(tuple(path)))
+        if len(path) >= low:
+            by_len[len(path)].append(wrap(tuple(path)))
 
-    walk(seeded_state(ab, (ab.a,)), [ab.a], n, visit)
-    complete_by_complement([out], ab, wrap)
-    return out
+    if n:
+        walk(seeded_state(ab, (ab.a,)), [ab.a], n, visit)
+        complete_by_complement(by_len[1:], ab, wrap)
+    if low <= 0:
+        by_len[0].append(Word())
+    return [w for level in by_len for w in level]
 
 
 class PowerWitness(NamedTuple):
@@ -230,7 +235,7 @@ def gamma(ab: Alphabet, n: int, L: int, jobs: int = 1) -> tuple[int, CensusRepor
     if L < 1:
         raise ValueError("base-length bound must be >= 1")
     if n == 1:
-        words = SHARED_ENUMERATOR.flat(ab, L, min_len=1)
+        words = enumerate_smooth(ab, L, min_len=1)
         witnesses = tuple(PowerWitness(base=u, power=u, primitive_base=_primitive_root(u))
                           for u in words)
         report = CensusReport(alphabet=ab, exponent=1, bound=L,
@@ -260,13 +265,16 @@ def lift(u, alpha: int, k: int, ab: Alphabet) -> Word:
 def lift_family(u, n: int, alpha: int, K: int, ab: Alphabet) -> list[Word]:
     """The bases lift(u, alpha, k) for k = 0..K-1, each certified.
 
-    Requires |u| even, a and b of the same parity, and u^n smooth: then every
-    lift has even length and its n-th power stays smooth.  A lift violating
-    that raises :class:`CertificationError` (a certified-claim failure, never
-    silently dropped); the same applies if the K bases are not distinct.
+    Requires n >= 1, |u| even, a and b of the same parity, and u^n smooth
+    (tested copy by copy, without building u^n): then every lift has even
+    length and its n-th power stays smooth.  A lift violating that raises
+    :class:`CertificationError` (a certified-claim failure, never silently
+    dropped); the same applies if the K bases are not distinct.
     """
     u = Word(u)
     a, b = ab.a, ab.b
+    if n < 1:
+        raise ValueError("exponent must be >= 1")
     if K < 1:
         raise ValueError("family size must be >= 1")
     if len(u) % 2:
@@ -275,7 +283,7 @@ def lift_family(u, n: int, alpha: int, K: int, ab: Alphabet) -> list[Word]:
         raise ValueError(f"alphabet letters {a},{b} must have the same parity")
     if alpha not in ab:
         raise ValueError(f"starting letter {alpha} is not in alphabet {ab}")
-    if not is_smooth_fast(u * n, ab):
+    if not is_power_smooth(u, n, ab):
         raise ValueError(f"({word_to_text(u)})^{n} must be smooth over {ab}")
     family: list[Word] = []
     for k in range(K):
@@ -284,7 +292,7 @@ def lift_family(u, n: int, alpha: int, K: int, ab: Alphabet) -> list[Word]:
             raise CertificationError(
                 f"lift depth {k} of {word_to_text(u)!r} has odd length {len(v)}",
                 level=k, actual=v)
-        if not is_smooth_fast(v * n, ab):
+        if not is_power_smooth(v, n, ab):
             raise CertificationError(
                 f"lift depth {k}: ({word_to_text(v)})^{n} is not smooth over {ab}",
                 level=k, actual=v)

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .census import enumerate_smooth
 from .core import (Alphabet, Word, _FrozenRecord, mirror, run_lengths, runs,
                    word_to_text)
 from .errors import CertificationError
-from .search import (SHARED_ENUMERATOR, ChainState, derivative_from_runs, fast_derivative,
-                     is_power_smooth, is_smooth_fast, walk)
+from .search import (ChainState, derivative_from_runs, fast_derivative, is_power_smooth,
+                     is_smooth_fast, push_copies, walk)
 
 __all__ = [
     "DsigmaTable", "ConcatViolation", "ConcatCertificate", "PowerDecomposition",
@@ -141,7 +142,6 @@ def _scan_x(ab: Alphabet, L: int, x: tuple, table_set: frozenset | None):
     if any(c != a and c != b for c in x):
         return tested, violations, middles
     state = ChainState(ab)
-    push = state.push
     pop = state.pop
     # At the node d letters into the inner walk, v's runs are
     # vruns[:top[d] + 1] and the last of them has length last[d].  A sibling
@@ -152,12 +152,8 @@ def _scan_x(ab: Alphabet, L: int, x: tuple, table_set: frozenset | None):
     last = [0] * (L + 1)
 
     def visit_u(upath: list[int]) -> None:
-        pushed = 0
-        for c in x:
-            if not push(c):
-                break
-            pushed += 1
-        else:
+        pushed = push_copies(state, x, 1)
+        if pushed == len(x):
             scan_v(tuple(upath))
         for _ in range(pushed):
             pop()
@@ -269,7 +265,9 @@ def certify_concat(ab: Alphabet, L: int, jobs: int = 1,
         check: frozenset | None = table_items
         x_source = "table"
     else:
-        xs = [tuple(w) for w in SHARED_ENUMERATOR.flat(ab, explore)]
+        if explore < 0:
+            raise ValueError("length bound must be >= 0")
+        xs = [tuple(w) for w in enumerate_smooth(ab, explore, min_len=0)]
         check = None
         x_source = f"smooth-x<={explore}"
 

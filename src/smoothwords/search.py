@@ -25,15 +25,14 @@ Every bulk workload runs on one walker, :func:`walk`: a preorder,
 explicit-stack walk of the smooth words extending a seed (letter a before b),
 calling a visitor at every node, the seed included.  Preorder visits the
 words of one length in lexicographic order, so collecting per length gives
-shortlex order.  Enumeration (:class:`SmoothEnumerator`,
-``census.enumerate_smooth``), the power census (:func:`power_hits`) and the
-concatenation certifier (``concat._scan_x``) are visitors on it.  The power
-visitor fuses the n-th power test into the walk: at node u it pushes n-1
-more copies of u onto the live state, counts the pushes that succeed and
-pops exactly that many, so u^n is tested without a list of bases and
-without re-deriving u's tower.  The certifier nests two walks on one state:
-at node u of the outer walk it pushes x, runs an inner walk over v from the
-live u·x, and pops the letters of x it pushed.
+shortlex order.  Enumeration (``census.enumerate_smooth``), the power census
+(:func:`power_hits`) and the concatenation certifier (``concat._scan_x``)
+are visitors on it.  The power visitor fuses the n-th power test into the
+walk: at node u it pushes n-1 more copies of u onto the live state, counts
+the pushes that succeed and pops exactly that many, so u^n is tested
+without a list of bases and without re-deriving u's tower.  The certifier
+nests two walks on one state: at node u of the outer walk it pushes x, runs
+an inner walk over v from the live u·x, and pops the letters of x it pushed.
 
 Enumeration and the power census walk only the words that start with a and
 build the rest by the complement (swapping a and b), which is exact:
@@ -51,13 +50,11 @@ build the rest by the complement (swapping a and b), which is exact:
 
 from __future__ import annotations
 
-from itertools import groupby
-
-from .core import Alphabet, Word
+from .core import Alphabet, run_lengths
 
 __all__ = ["ChainState", "seeded_state", "is_smooth_fast", "is_power_smooth",
            "push_copies", "fast_derivative", "derivative_from_runs", "walk",
-           "complete_by_complement", "power_hits", "SmoothEnumerator"]
+           "complete_by_complement", "power_hits"]
 
 # Trail entry kinds for undo.
 _EXTENDED = 0
@@ -88,7 +85,8 @@ class ChainState:
         b = self.b
         levels = self.levels
         trail = self._trail
-        mark = len(trail)
+        # Marked before the update, so that a failing push undoes itself with pop.
+        self._marks.append(len(trail))
         i = 0
         x = letter
         while True:
@@ -100,7 +98,7 @@ class ChainState:
             if x == lv[1]:
                 n = lv[2] + 1
                 if n > b:
-                    self._undo_to(mark)
+                    self.pop()
                     return False
                 lv[2] = n
                 trail.append((i, _EXTENDED, 0, 0))
@@ -118,7 +116,7 @@ class ChainState:
                     if closed_len == a:
                         emit = a
                     elif closed_len != b:
-                        self._undo_to(mark)
+                        self.pop()
                         return False
                 lv[0] = run_count + 1
                 lv[1] = x
@@ -129,28 +127,11 @@ class ChainState:
                     i += 1
                     continue
                 break
-        self._marks.append(mark)
         return True
 
     def pop(self) -> None:
         """Undo the most recent successful push (strictly LIFO)."""
-        # The loop of _undo_to, inlined: pop is as hot as push.
         mark = self._marks.pop()
-        trail = self._trail
-        levels = self.levels
-        while len(trail) > mark:
-            i, kind, prev_letter, prev_len = trail.pop()
-            if kind == _EXTENDED:
-                levels[i][2] -= 1
-            elif kind == _NEW_RUN:
-                lv = levels[i]
-                lv[0] -= 1
-                lv[1] = prev_letter
-                lv[2] = prev_len
-            else:
-                levels.pop()
-
-    def _undo_to(self, mark: int) -> None:
         trail = self._trail
         levels = self.levels
         while len(trail) > mark:
@@ -221,7 +202,7 @@ def fast_derivative(letters, b: int) -> tuple[int, ...]:
     No validation: callers must only pass words whose smoothness (hence
     differentiability) is already established.
     """
-    return derivative_from_runs([sum(1 for _ in group) for _, group in groupby(letters)], b)
+    return derivative_from_runs(run_lengths(letters), b)
 
 
 def derivative_from_runs(lens: list[int], b: int) -> tuple[int, ...]:
@@ -318,40 +299,3 @@ def power_hits(ab: Alphabet, n: int, max_len: int, prefix=()) -> list[list[tuple
     walk(state, list(prefix), max_len, visit)
     return hits
 
-
-class SmoothEnumerator:
-    """Prefix-pruned smooth-word enumeration with an in-memory memo, for
-    callers that need every length up to a bound (``gamma`` with n = 1 and
-    ``certify_concat`` in explore mode)."""
-
-    def __init__(self):
-        self._memo: dict[tuple[int, int], list[list[Word]]] = {}
-
-    def up_to(self, ab: Alphabet, n: int) -> list[list[Word]]:
-        """Smooth words grouped by length; index i holds exactly length i.
-
-        The returned list may extend beyond n when more was already computed.
-        """
-        if n < 0:
-            raise ValueError("length bound must be >= 0")
-        key = (ab.a, ab.b)
-        have = self._memo.get(key)
-        if have is not None and len(have) > n:
-            return have
-        by_len: list[list[Word]] = [[Word()]] + [[] for _ in range(n)]
-        wrap = Word._wrap
-        if n:
-            walk(seeded_state(ab, (ab.a,)), [ab.a], n,
-                 lambda path: by_len[len(path)].append(wrap(tuple(path))))
-            complete_by_complement(by_len[1:], ab, wrap)
-        self._memo[key] = by_len
-        return by_len
-
-    def flat(self, ab: Alphabet, max_len: int, min_len: int = 0) -> list[Word]:
-        """Smooth words with min_len <= |w| <= max_len in shortlex order."""
-        by_len = self.up_to(ab, max_len)
-        return [w for length in range(min_len, max_len + 1) for w in by_len[length]]
-
-
-# The process-wide memo behind every function that takes no enumerator.
-SHARED_ENUMERATOR = SmoothEnumerator()

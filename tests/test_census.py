@@ -6,7 +6,7 @@ from smoothwords import (Alphabet, Word, delta, enumerate_smooth, gamma,
                          h_delta, is_smooth, kolakoski_prefix, lift,
                          lift_family, scan_powers, smooth_chain, word_to_text)
 from smoothwords.census import _split_depth
-from smoothwords.search import SHARED_ENUMERATOR, ChainState, walk
+from smoothwords.search import ChainState, walk
 from smoothwords.errors import CertificationError
 
 
@@ -58,11 +58,6 @@ class TestEnumerate:
             assert (per_length[60], sum(per_length)) == (at_60, up_to_60), ab
             words = enumerate_smooth(ab, 60)
             assert len(words) == at_60 and words == sorted(words)
-
-    def test_enumerate_does_not_fill_the_shared_memo(self):
-        before = dict(SHARED_ENUMERATOR._memo)
-        enumerate_smooth(Alphabet(4, 9), 12)
-        assert SHARED_ENUMERATOR._memo == before
 
 
 class TestScanPowers:
@@ -226,6 +221,17 @@ class TestLiftFamily:
     def test_non_smooth_power_rejected(self, ab13):
         with pytest.raises(ValueError):
             lift_family(Word("13"), 5, 1, 2, ab13)
+
+    def test_huge_exponent_is_refuted_without_building_the_power(self):
+        # 10**20 copies overflow a list repetition; the power is tested copy
+        # by copy and fails within a few copies.
+        with pytest.raises(ValueError, match="must be smooth"):
+            lift_family(Word("2244"), 10**20, 2, 2, Alphabet(2, 4))
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_exponent_below_one_rejected(self, n):
+        with pytest.raises(ValueError, match="exponent must be >= 1"):
+            lift_family(Word("2244"), n, 2, 2, Alphabet(2, 4))
 
 
 class TestKolakoski:

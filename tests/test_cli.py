@@ -197,6 +197,12 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == f"error: (12)^{10**20} must be smooth over 1,2\n"
 
+    def test_negative_explore_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "certify-concat", "--alphabet", "1,2",
+                                 "-L", "2", "--explore", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: length bound must be >= 0\n"
+
     def test_help_exits_zero(self, capsys):
         code, _, _ = run_cli(capsys, "--help")
         assert code == 0

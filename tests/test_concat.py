@@ -8,7 +8,7 @@ from smoothwords import (Alphabet, EPSILON, Word, certify_concat, derivative,
                          middle_witness, mirror, power_decomposition, word_to_text)
 from smoothwords.concat import _scan_x
 from smoothwords.errors import CertificationError
-from smoothwords.search import SmoothEnumerator, fast_derivative, is_smooth_fast
+from smoothwords.search import fast_derivative, is_smooth_fast
 
 
 def words(texts):
@@ -231,8 +231,7 @@ class TestTripleSplitting:
     def test_three_part_decomposition(self):
         # D(u1 u2 u3) = D(u1) w1 D(u2) w2 D(u3) with both middles in the table.
         for ab, max_len in [(Alphabet(1, 2), 6), (Alphabet(1, 3), 6), (Alphabet(2, 4), 5)]:
-            enum = SmoothEnumerator()
-            pool = [tuple(w) for w in enum.flat(ab, max_len)]
+            pool = [tuple(w) for w in enumerate_smooth(ab, max_len, min_len=0)]
             table = {tuple(w) for w in dsigma_table(ab).words}
             b = ab.b
             derivs = {w: fast_derivative(w, b) for w in pool}

@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 
 from smoothwords import (Alphabet, Word, complement, enumerate_smooth, gamma, is_smooth,
                          scan_powers, smooth_chain)
-from smoothwords.search import (ChainState, SmoothEnumerator, complete_by_complement,
-                                fast_derivative, is_power_smooth, is_smooth_fast,
-                                power_hits, seeded_state, walk)
+from smoothwords.search import (ChainState, complete_by_complement, fast_derivative,
+                                is_power_smooth, is_smooth_fast, power_hits, seeded_state,
+                                walk)
 
 
 def test_engine_matches_chain_exhaustively():
@@ -61,19 +61,17 @@ def test_fast_derivative_matches_public():
 
 
 def test_enumerator_orders_and_counts():
-    enum = SmoothEnumerator()
     ab = Alphabet(1, 2)
-    by_len = enum.up_to(ab, 4)
+    words = enumerate_smooth(ab, 4, min_len=0)
+    by_len = [[w for w in words if len(w) == k] for k in range(5)]
     assert by_len[0] == [Word()]
     assert by_len[1] == [Word("1"), Word("2")]
     assert by_len[2] == [Word("11"), Word("12"), Word("21"), Word("22")]
     assert len(by_len[3]) == 6
-    for words in by_len:
-        assert words == sorted(words)
+    assert words == sorted(words, key=lambda w: (len(w), w))  # shortlex
     # a deeper call keeps the shorter lengths consistent
-    assert enum.up_to(ab, 6)[:5] == by_len
-    flat = enum.flat(ab, 3, min_len=1)
-    assert len(flat) == 2 + 4 + 6
+    assert enumerate_smooth(ab, 6, min_len=0)[:len(words)] == words
+    assert len(enumerate_smooth(ab, 3, min_len=1)) == 2 + 4 + 6
 
 
 def test_seeded_walk_completeness():
@@ -95,10 +93,9 @@ def test_seeded_walk_dead_seed():
 def test_fused_power_scan_matches_chain():
     # Differential check of the power test fused into the walk against the
     # literal chain of each whole power.
-    enum = SmoothEnumerator()
     for a, b in [(1, 2), (1, 3), (2, 3), (2, 5), (3, 4)]:
         ab = Alphabet(a, b)
-        bases = enum.flat(ab, 14, min_len=1)
+        bases = enumerate_smooth(ab, 14, min_len=1)
         for n in range(2, 6):
             expected = [u for u in bases if smooth_chain(u * n, ab).is_smooth]
             got = [w.base for w in scan_powers(ab, n, 14).witnesses]
@@ -120,12 +117,12 @@ def test_enumeration_depth_is_not_bounded_by_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_current_depth() + 100)
     try:
-        by_len = SmoothEnumerator().up_to(Alphabet(7, 9), 150)
+        words = enumerate_smooth(Alphabet(7, 9), 150, min_len=0)
     finally:
         sys.setrecursionlimit(limit)
-    assert len(by_len) == 151
-    assert sum(map(len, by_len)) == 44785
-    assert by_len[150] and all(is_smooth_fast(w, Alphabet(7, 9)) for w in by_len[150][:20])
+    assert len(words) == 44785
+    longest = [w for w in words if len(w) == 150]
+    assert longest and all(is_smooth_fast(w, Alphabet(7, 9)) for w in longest[:20])
 
 
 # The bulk walks visit only the words that start with a and build the rest
@@ -147,7 +144,9 @@ def test_halved_walks_match_literal_oracle():
         by_len = _oracle_smooth_by_length(ab, max_len)
         for k in range(max_len + 1):
             assert enumerate_smooth(ab, k) == by_len[k], (ab, k)
-        assert SmoothEnumerator().up_to(ab, max_len) == by_len, ab
+        for low in (0, 1, max_len):
+            expected = [w for level in by_len[low:] for w in level]
+            assert enumerate_smooth(ab, max_len, min_len=low) == expected, (ab, low)
         bases = [w for level in by_len[1:] for w in level]
         _, report = gamma(ab, 1, max_len)
         assert [w.base for w in report.witnesses] == bases, ab
