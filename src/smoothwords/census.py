@@ -1,16 +1,18 @@
 """Power census: exhaustive scans for smooth powers, counts, and witnesses.
 
 ``enumerate_smooth`` lists the smooth words of a range of lengths with one
-walk; it serves the ``enumerate`` command, ``gamma`` with n = 1 and the
+walk; it serves the ``enumerate`` command, the ``--jobs`` split and the
 x words of ``certify-concat --explore``.
 ``scan_powers`` walks every smooth base up to a length bound (bases of smooth
 powers are necessarily smooth, because factors of smooth words are smooth)
 and tests the n-th power inside the walk (:func:`smoothwords.search.power_hits`).
 It walks only the bases that start with a: the complement of a smooth power
-is a smooth power, so the bases starting with b follow from those.
+is a smooth power, so the bases starting with b follow from those.  The walk
+is one task list, whatever ``jobs`` is; only the map over it changes.
 ``gamma`` counts the distinct power words found and applies a stabilization
 heuristic: a finite count is only reported as stable when no new power word
-appeared in the top quartile of base lengths.
+appeared in the top quartile of base lengths.  With n = 1 it runs the same
+scan, which keeps every base, and reports the count as unbounded.
 ``lift_family`` manufactures families of distinct smooth n-power bases by
 repeatedly pulling an even-length base back through ``delta_inv``, which is
 the constructive evidence for "infinitely many" power claims.
@@ -18,11 +20,13 @@ the constructive evidence for "infinitely many" power claims.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 from .core import Alphabet, EPSILON, Word, delta_inv, word_to_text
 from .errors import CertificationError
-from .search import complete_by_complement, is_power_smooth, power_hits, seeded_state, walk
+from .search import (complete_by_complement, is_power_smooth, map_tasks, power_hits,
+                     seeded_state, walk)
 
 __all__ = [
     "IndexPair", "PowerWitness", "CensusReport",
@@ -166,11 +170,6 @@ def _stability(bound: int, last_new: int | None) -> tuple[bool, str]:
                    f"length {last_new}, inside the top quartile {start}..{bound}")
 
 
-def _power_subtree(args):
-    a, b, n, L, prefix = args
-    return power_hits(Alphabet(a, b), n, L, prefix)
-
-
 def _split_depth(ab: Alphabet, L: int, tasks: int) -> int:
     """The shallowest depth (at most L) with at least ``tasks`` smooth prefixes."""
     depth = 1
@@ -183,30 +182,29 @@ def scan_powers(ab: Alphabet, n: int, L: int, jobs: int = 1) -> CensusReport:
     """Test u^n for smoothness over every smooth base u with 1 <= |u| <= L.
 
     Only the bases starting with a are walked; the rest are their reversed
-    complements (:func:`smoothwords.search.complete_by_complement`).  With
-    ``jobs`` > 1 that walk is split into the subtrees below the a-initial
-    smooth prefixes of the depth that has at least 8 smooth prefixes per
-    worker; the caller tests the shorter bases itself.  The witnesses are
-    the same for every ``jobs``.
+    complements (:func:`smoothwords.search.complete_by_complement`).  The walk
+    is split into the subtrees below the a-initial smooth prefixes of the
+    shallowest depth with at least ``8 * jobs`` smooth prefixes, after the
+    shorter bases; only the map over those tasks depends on ``jobs``
+    (:func:`smoothwords.search.map_tasks`), so the witnesses do not.
     """
     if n < 2:
         raise ValueError("exponent must be >= 2")
+    return _census(ab, n, L, jobs)
+
+
+def _census(ab: Alphabet, n: int, L: int, jobs: int) -> CensusReport:
+    """The report on u^n over every smooth base u with 1 <= |u| <= L, for
+    any n >= 1 (n = 1 keeps every base)."""
     if L < 1:
         raise ValueError("base-length bound must be >= 1")
-    if jobs > 1:
-        # Imported here, so that commands run with --jobs 1 skip it at start-up.
-        from concurrent.futures import ProcessPoolExecutor
-        depth = _split_depth(ab, L, 8 * jobs)
-        work = [(ab.a, ab.b, n, L, tuple(p)) for p in enumerate_smooth(ab, depth)
-                if p[0] == ab.a]
-        hits = power_hits(ab, n, depth - 1, (ab.a,)) + [[] for _ in range(depth, L + 1)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            # Prefix order keeps each length's bases lexicographic.
-            for part in pool.map(_power_subtree, work):
-                for level, found in zip(hits[depth:], part[depth:]):
-                    level.extend(found)
-    else:
-        hits = power_hits(ab, n, L, (ab.a,))
+    depth = _split_depth(ab, L, 8 * jobs)
+    prefixes = [tuple(p) for p in enumerate_smooth(ab, depth) if p[0] == ab.a]
+    hits = power_hits(ab, n, depth - 1, (ab.a,)) + [[] for _ in range(depth, L + 1)]
+    # Prefix order keeps each length's bases lexicographic.
+    for part in map_tasks(partial(power_hits, ab, n, L), prefixes, jobs):
+        for level, found in zip(hits[depth:], part[depth:]):
+            level.extend(found)
     complete_by_complement(hits, ab)
 
     witnesses = []
@@ -232,18 +230,11 @@ def gamma(ab: Alphabet, n: int, L: int, jobs: int = 1) -> tuple[int, CensusRepor
     """
     if n < 1:
         raise ValueError("exponent must be >= 1")
-    if L < 1:
-        raise ValueError("base-length bound must be >= 1")
     if n == 1:
-        words = enumerate_smooth(ab, L, min_len=1)
-        witnesses = tuple(PowerWitness(base=u, power=u, primitive_base=_primitive_root(u))
-                          for u in words)
-        report = CensusReport(alphabet=ab, exponent=1, bound=L,
-                              witnesses=witnesses, gamma=len(words),
-                              last_new_base_length=L if words else None,
-                              stable=False, note="unbounded at this bound")
-        return len(words), report
-    report = scan_powers(ab, n, L, jobs=jobs)
+        report = _census(ab, 1, L, jobs)._replace(stable=False,
+                                                   note="unbounded at this bound")
+    else:
+        report = scan_powers(ab, n, L, jobs=jobs)
     return report.gamma, report
 
 

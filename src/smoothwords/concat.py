@@ -11,6 +11,7 @@ powers: D^j(u^n) = (D^j(u) w)^(n-1) D^j(u), checked level by level.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 from .census import enumerate_smooth
@@ -18,7 +19,7 @@ from .core import (Alphabet, Word, _FrozenRecord, mirror, run_lengths, runs,
                    word_to_text)
 from .errors import CertificationError
 from .search import (ChainState, derivative_from_runs, fast_derivative, is_power_smooth,
-                     is_smooth_fast, push_copies, walk)
+                     is_smooth_fast, map_tasks, push_copies, walk)
 
 __all__ = [
     "DsigmaTable", "ConcatViolation", "ConcatCertificate", "PowerDecomposition",
@@ -206,12 +207,6 @@ def _scan_x(ab: Alphabet, L: int, x: tuple, table_set: frozenset | None):
     return tested, violations, middles
 
 
-def _certify_worker(args):
-    a, b, L, x, table_items = args
-    table_set = frozenset(table_items) if table_items is not None else None
-    return _scan_x(Alphabet(a, b), L, x, table_set)
-
-
 class ConcatViolation(NamedTuple):
     u: Word
     x: Word
@@ -254,7 +249,8 @@ def certify_concat(ab: Alphabet, L: int, jobs: int = 1,
 
     ``x`` ranges over the alphabet's table; with ``explore`` set it ranges
     over all smooth words up to that length instead, and middles are reported
-    without being asserted against the table.
+    without being asserted against the table.  Each x is one task, mapped
+    over ``jobs`` workers; the certificate is the same for every ``jobs``.
     """
     if L < 1:
         raise ValueError("length bound must be >= 1")
@@ -271,20 +267,10 @@ def certify_concat(ab: Alphabet, L: int, jobs: int = 1,
         check = None
         x_source = f"smooth-x<={explore}"
 
-    if jobs > 1:
-        # Imported here, so that commands run with --jobs 1 skip it at start-up.
-        from concurrent.futures import ProcessPoolExecutor
-        work = [(ab.a, ab.b, L, x, tuple(check) if check is not None else None)
-                for x in xs]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_certify_worker, work))
-    else:
-        results = [_scan_x(ab, L, x, check) for x in xs]
-
     tested = 0
     violations: list[tuple] = []
     middles: set[tuple] = set()
-    for t, vio, mids in results:
+    for t, vio, mids in map_tasks(partial(_scan_x, ab, L, table_set=check), xs, jobs):
         tested += t
         violations.extend(vio)
         middles |= mids

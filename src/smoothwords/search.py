@@ -54,7 +54,7 @@ from .core import Alphabet, run_lengths
 
 __all__ = ["ChainState", "seeded_state", "is_smooth_fast", "is_power_smooth",
            "push_copies", "fast_derivative", "derivative_from_runs", "walk",
-           "complete_by_complement", "power_hits"]
+           "complete_by_complement", "power_hits", "map_tasks"]
 
 # Trail entry kinds for undo.
 _EXTENDED = 0
@@ -299,3 +299,16 @@ def power_hits(ab: Alphabet, n: int, max_len: int, prefix=()) -> list[list[tuple
     walk(state, list(prefix), max_len, visit)
     return hits
 
+
+
+def map_tasks(fn, tasks: list, jobs: int) -> list:
+    """``[fn(t) for t in tasks]`` in task order, on ``min(jobs, len(tasks))``
+    worker processes, or in this process when that is 1.  The pool module is
+    imported only when a pool starts (and then ``fn`` and the tasks must
+    pickle), so a run that starts none skips it at start-up."""
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, tasks))

@@ -147,8 +147,11 @@ class TestCensusCommands:
                                "-L", "4", "--explore", "4")
         assert code == 0
 
-    def test_jobs_deterministic(self, capsys):
-        args = ("scan-powers", "--alphabet", "1,2", "-n", "2", "-L", "10")
+    @pytest.mark.parametrize("args", [("scan-powers", "-n", "2", "-L", "10"),
+                                      ("gamma", "-n", "1", "-L", "8")],
+                             ids=["scan-powers", "gamma-n1"])
+    def test_jobs_deterministic(self, capsys, args):
+        args = (*args, "--alphabet", "1,2")
         _, out1, _ = run_cli(capsys, *args, "--jobs", "1")
         _, out2, _ = run_cli(capsys, *args, "--jobs", "2")
         assert out1 == out2

@@ -1,12 +1,13 @@
 """The incremental engine must agree exactly with the literal chain."""
 
+import concurrent.futures
 import sys
 from itertools import product
 
 from hypothesis import given, strategies as st
 
-from smoothwords import (Alphabet, Word, complement, enumerate_smooth, gamma, is_smooth,
-                         scan_powers, smooth_chain)
+from smoothwords import (Alphabet, Word, certify_concat, complement, enumerate_smooth, gamma,
+                         is_smooth, scan_powers, smooth_chain)
 from smoothwords.search import (ChainState, complete_by_complement, fast_derivative,
                                 is_power_smooth, is_smooth_fast, power_hits, seeded_state,
                                 walk)
@@ -193,3 +194,30 @@ def test_huge_exponent_stops_at_the_first_failed_copy():
     assert not is_power_smooth(Word("1211"), 10**20, ab)
     assert power_hits(ab, 10**20, 6, (1,)) == [[] for _ in range(7)]
     assert scan_powers(ab, 10**20, 4).witnesses == ()
+
+
+def test_pool_never_has_more_workers_than_tasks(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Records max_workers and maps in this process: no worker starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    # {3,4} has seven middle words, so seven tasks for sixteen jobs.
+    assert certify_concat(Alphabet(3, 4), 4, jobs=16) == certify_concat(Alphabet(3, 4), 4)
+    assert sizes == [7]
+    # With L = 1 the only task is the prefix "1": no pool at all.
+    assert scan_powers(Alphabet(1, 2), 2, 1, jobs=3) == scan_powers(Alphabet(1, 2), 2, 1)
+    assert sizes == [7]

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Imported only by the branches that need them (--jobs > 1, JSON output),
@@ -34,9 +36,17 @@ def run_fresh(*argv):
     return lines[:-2], added
 
 
-def test_chain_command_skips_deferred_imports():
-    out, added = run_fresh("chain", "--alphabet", "1,2", "--word", "1211")
-    assert out[-1] == "verdict: smooth"
+@pytest.mark.parametrize("argv, line", [
+    (("chain", "--alphabet", "1,2", "--word", "1211"), "verdict: smooth"),
+    # The scans run through search.map_tasks, which starts no pool here.
+    (("gamma", "--alphabet", "1,2", "-n", "2", "-L", "8", "--jobs", "1"),
+     "gamma=10 stable=true"),
+    (("certify-concat", "--alphabet", "1,2", "-L", "4", "--jobs", "1"),
+     "2654 smooth triples tested, 0 violations"),
+], ids=["chain", "gamma", "certify-concat"])
+def test_chain_command_skips_deferred_imports(argv, line):
+    out, added = run_fresh(*argv)
+    assert line in out
     assert {name.split(".")[0] for name in added} & DEFERRED == set()
 
 
