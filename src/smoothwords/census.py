@@ -1,8 +1,8 @@
 """Power census: exhaustive scans for smooth powers, counts, and witnesses.
 
 ``enumerate_smooth`` lists the smooth words of a range of lengths with one
-walk; it serves the ``enumerate`` command, the ``--jobs`` split and the
-x words of ``certify-concat --explore``.
+walk; it serves the ``enumerate`` command and the x words of
+``certify-concat --explore``.
 ``scan_powers`` walks every smooth base up to a length bound (bases of smooth
 powers are necessarily smooth, because factors of smooth words are smooth)
 and tests the n-th power inside the walk (:func:`smoothwords.search.power_hits`).
@@ -170,12 +170,27 @@ def _stability(bound: int, last_new: int | None) -> tuple[bool, str]:
                    f"length {last_new}, inside the top quartile {start}..{bound}")
 
 
-def _split_depth(ab: Alphabet, L: int, tasks: int) -> int:
-    """The shallowest depth (at most L) with at least ``tasks`` smooth prefixes."""
-    depth = 1
-    while depth < L and len(enumerate_smooth(ab, depth)) < tasks:
+def _split(ab: Alphabet, L: int, tasks: int) -> tuple[int, list[tuple]]:
+    """The shallowest depth (at most L) with at least ``tasks`` smooth
+    prefixes, and the prefixes of that depth that start with a, in
+    lexicographic order.
+
+    One breadth-first walk below the letter a, a level at a time, stops at
+    that depth; each length has as many smooth words starting with b.
+    """
+    a, b = ab.a, ab.b
+    depth, level = 1, [(a,)]
+    while depth < L and 2 * len(level) < tasks:
         depth += 1
-    return depth
+        longer = []
+        for p in level:
+            state = seeded_state(ab, p)
+            for c in (a, b):
+                if state.push(c):
+                    longer.append(p + (c,))
+                    state.pop()
+        level = longer
+    return depth, level
 
 
 def scan_powers(ab: Alphabet, n: int, L: int, jobs: int = 1) -> CensusReport:
@@ -198,8 +213,7 @@ def _census(ab: Alphabet, n: int, L: int, jobs: int) -> CensusReport:
     any n >= 1 (n = 1 keeps every base)."""
     if L < 1:
         raise ValueError("base-length bound must be >= 1")
-    depth = _split_depth(ab, L, 8 * jobs)
-    prefixes = [tuple(p) for p in enumerate_smooth(ab, depth) if p[0] == ab.a]
+    depth, prefixes = _split(ab, L, 8 * jobs)
     hits = power_hits(ab, n, depth - 1, (ab.a,)) + [[] for _ in range(depth, L + 1)]
     # Prefix order keeps each length's bases lexicographic.
     for part in map_tasks(partial(power_hits, ab, n, L), prefixes, jobs):

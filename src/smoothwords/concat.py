@@ -7,6 +7,13 @@ splitting exhaustively at bounded length, and :func:`empirical_middle_set`
 rebuilds the table from scratch as a least fixpoint, independent of the
 stored literals.  :func:`power_decomposition` applies the same splitting to
 powers: D^j(u^n) = (D^j(u) w)^(n-1) D^j(u), checked level by level.
+
+Both certifiers use the complement symmetry.  Swapping a and b keeps every
+run length, so (u, x, v) and its complement (ū, x̄, v̄) are smooth together
+and have the same derivatives and the same middle.  Of a complement pair of
+x words only the one starting with a is scanned, and x = ε, its own
+complement, is scanned over the triples whose u·v is empty or starts with
+a; the other triples are their complements.
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ from functools import partial
 from typing import NamedTuple
 
 from .census import enumerate_smooth
-from .core import (Alphabet, Word, _FrozenRecord, mirror, run_lengths, runs,
-                   word_to_text)
+from .core import (Alphabet, Word, _FrozenRecord, complement, mirror, run_lengths,
+                   runs, word_to_text)
 from .errors import CertificationError
 from .search import (ChainState, derivative_from_runs, fast_derivative, is_power_smooth,
                      is_smooth_fast, map_tasks, push_copies, walk)
@@ -121,12 +128,16 @@ def middle_witness(u, x, v, ab: Alphabet) -> Word | None:
     return Word._wrap(mid) if mid is not None else None
 
 
-def _scan_x(ab: Alphabet, L: int, x: tuple, table_set: frozenset | None):
+def _scan_x(ab: Alphabet, L: int, x: tuple, table_set: frozenset | None,
+            half: bool = False):
     """Certify every (u, x, v) with u, v smooth, |u|,|v| <= L, uxv smooth.
 
     Returns (tested count, violations, set of extracted middles).  When
     ``table_set`` is None only the middles are collected (exploratory /
     fixpoint use); otherwise membership failures are recorded as violations.
+    With ``half`` (x = ε only) just the triples whose u·v is empty or starts
+    with a are certified; the others are their complements (see
+    :func:`certify_concat`).
 
     One state serves the whole scan.  An outer walk runs over u; at each node
     the letters of x are pushed onto the live state, and when u·x is smooth
@@ -152,14 +163,18 @@ def _scan_x(ab: Alphabet, L: int, x: tuple, table_set: frozenset | None):
     top = [0] * (L + 1)
     last = [0] * (L + 1)
 
+    # With ``half`` the walk over u, and the walk over v at u = ε, keep only
+    # the empty word and the words below a.
+    first_walk = _walk_below_a if half else walk
+
     def visit_u(upath: list[int]) -> None:
         pushed = push_copies(state, x, 1)
         if pushed == len(x):
-            scan_v(tuple(upath))
+            scan_v(tuple(upath), walk if upath else first_walk)
         for _ in range(pushed):
             pop()
 
-    def scan_v(u: tuple) -> None:
+    def scan_v(u: tuple, v_walk) -> None:
         du = fast_derivative(u, b)
         ux = u + x
         uxruns = run_lengths(ux)
@@ -201,10 +216,23 @@ def _scan_x(ab: Alphabet, L: int, x: tuple, table_set: frozenset | None):
                 if table_set is not None and mid not in table_set:
                     violations.append((u, x, tuple(path), "middle-not-in-table"))
 
-        walk(state, [], L, visit_v)
+        v_walk(state, [], L, visit_v)
 
-    walk(state, [], L, visit_u)
+    first_walk(state, [], L, visit_u)
     return tested, violations, middles
+
+
+def _walk_below_a(state: ChainState, path: list[int], max_len: int, visit) -> None:
+    """:func:`~smoothwords.search.walk` from the empty ``path`` and an empty
+    ``state``, restricted to the empty word and the smooth words that start
+    with a; ``max_len`` must be at least 1."""
+    visit(path)
+    a = state.a
+    state.push(a)
+    path.append(a)
+    walk(state, path, max_len, visit)
+    path.pop()
+    state.pop()
 
 
 class ConcatViolation(NamedTuple):
@@ -243,14 +271,26 @@ class ConcatCertificate(NamedTuple):
         }
 
 
+def _scan_domain(ab: Alphabet, L: int, table_set: frozenset | None, x: tuple):
+    """:func:`_scan_x` over the triples that :func:`certify_concat` scans for
+    x: half of them for x = ε, all of them for any other x."""
+    return _scan_x(ab, L, x, table_set, half=not x)
+
+
 def certify_concat(ab: Alphabet, L: int, jobs: int = 1,
                    explore: int | None = None) -> ConcatCertificate:
     """Check D(uxv) = D(u) w D(v) with w in the table, exhaustively to bound L.
 
     ``x`` ranges over the alphabet's table; with ``explore`` set it ranges
     over all smooth words up to that length instead, and middles are reported
-    without being asserted against the table.  Each x is one task, mapped
-    over ``jobs`` workers; the certificate is the same for every ``jobs``.
+    without being asserted against the table.
+
+    Of x and its complement x̄ both in the set, only the one starting with a
+    is scanned; x̄ gets its count and middles and the complements of its
+    violations.  x = ε counts 2·t - 1 for the t triples of its scanned half,
+    since (ε, ε, ε) is its own complement.  Each scanned x is one task,
+    mapped over ``jobs`` workers; the certificate is the same for every
+    ``jobs``.
     """
     if L < 1:
         raise ValueError("length bound must be >= 1")
@@ -267,13 +307,24 @@ def certify_concat(ab: Alphabet, L: int, jobs: int = 1,
         check = None
         x_source = f"smooth-x<={explore}"
 
+    have = set(xs)
+    # One task per x, except that of a complement pair only the member that
+    # starts with a is scanned.
+    tasks = [x for x in xs if not (x and x[0] == ab.b and complement(x, ab) in have)]
     tested = 0
     violations: list[tuple] = []
     middles: set[tuple] = set()
-    for t, vio, mids in map_tasks(partial(_scan_x, ab, L, table_set=check), xs, jobs):
+    scans = map_tasks(partial(_scan_domain, ab, L, check), tasks, jobs)
+    for x, (t, vio, mids) in zip(tasks, scans):
         tested += t
         violations.extend(vio)
         middles |= mids
+        xbar = complement(x, ab)
+        if xbar in have:
+            # The complements (ū, x̄, v̄) of the scanned triples; (ε, ε, ε) is its own.
+            tested += t - (not x)
+            violations.extend((complement(u, ab), xbar, complement(v, ab), reason)
+                              for u, _, v, reason in vio if u or x or v)
     violations.sort(key=lambda r: (_shortlex(r[0]), _shortlex(r[1]), _shortlex(r[2])))
     return ConcatCertificate(
         alphabet=ab,
@@ -290,15 +341,21 @@ def empirical_middle_set(ab: Alphabet, L: int, size_limit: int = 512) -> set[Wor
     """Least fixpoint of middle extraction, seeded with the empty word.
 
     This is the independent oracle for the stored tables: it never reads
-    them, it only slices derivatives of smooth concatenations.
+    them, it only slices derivatives of smooth concatenations.  x and its
+    complement have the same middles, so x is not scanned once its
+    complement has been, and x = ε is scanned over half its triples.
     """
     if L < 1:
         raise ValueError("length bound must be >= 1")
     found: set[tuple] = {()}
     queue: list[tuple] = [()]
+    scanned: set[tuple] = set()
     while queue:
         x = queue.pop(0)
-        _, _, mids = _scan_x(ab, L, x, None)
+        if complement(x, ab) in scanned:
+            continue
+        scanned.add(x)
+        _, _, mids = _scan_domain(ab, L, None, x)
         new = mids - found
         found |= new
         queue.extend(sorted(new, key=_shortlex))

@@ -45,7 +45,9 @@ build the rest by the complement (swapping a and b), which is exact:
   complements of a lexicographic a-list are the b-list, in order, and every
   b-word sorts after every a-word.
 
-:func:`complete_by_complement` appends that b-half, per length.
+:func:`complete_by_complement` appends that b-half, per length.  The
+concatenation certifier halves its triples by the same swap
+(``smoothwords.concat``).
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import pytest
 from smoothwords import (Alphabet, Word, delta, enumerate_smooth, gamma,
                          h_delta, is_smooth, kolakoski_prefix, lift,
                          lift_family, scan_powers, smooth_chain, word_to_text)
-from smoothwords.census import _split_depth
+from smoothwords.census import _split
 from smoothwords.search import ChainState, walk
 from smoothwords.errors import CertificationError
 
@@ -89,9 +89,10 @@ class TestScanPowers:
         # must straddle that depth so both the caller's part and the merged
         # subtrees are compared.
         for ab, n, L in [(ab12, 2, 14), (Alphabet(2, 3), 3, 12)]:
-            depth = _split_depth(ab, L, 16)
+            depth, prefixes = _split(ab, L, 16)
             assert 1 < depth < L
-            assert len(enumerate_smooth(ab, depth)) >= 16
+            assert len(enumerate_smooth(ab, depth - 1)) < 16 <= len(enumerate_smooth(ab, depth))
+            assert prefixes == [tuple(w) for w in enumerate_smooth(ab, depth) if w[0] == ab.a]
             seq = scan_powers(ab, n, L, jobs=1)
             lengths = {len(w.base) for w in seq.witnesses}
             assert min(lengths) < depth <= max(lengths), (ab, depth, lengths)
@@ -100,7 +101,7 @@ class TestScanPowers:
     def test_parallel_split_at_depth_one(self, ab12):
         # With L = 1 the split depth is 1, so the caller has no shorter
         # a-initial bases to test and the one worker task is the prefix "1".
-        assert _split_depth(ab12, 1, 16) == 1
+        assert _split(ab12, 1, 16) == (1, [(1,)])
         seq = scan_powers(ab12, 2, 1, jobs=1)
         assert [word_to_text(w.base) for w in seq.witnesses] == ["1", "2"]
         assert scan_powers(ab12, 2, 1, jobs=2) == seq

@@ -6,7 +6,8 @@ import pytest
 from smoothwords import (Alphabet, EPSILON, Word, certify_concat, derivative,
                          dsigma_table, empirical_middle_set, enumerate_smooth, is_smooth,
                          middle_witness, mirror, power_decomposition, word_to_text)
-from smoothwords.concat import _scan_x
+from smoothwords import concat
+from smoothwords.concat import DsigmaTable, _scan_x
 from smoothwords.errors import CertificationError
 from smoothwords.search import fast_derivative, is_smooth_fast
 
@@ -209,6 +210,58 @@ class TestScanDifferential:
             assert len(violations) == tested
             for got, expected in zip(sorted(violations), want):
                 assert got == expected, (ab, x)
+
+
+class TestComplementHalving:
+    """``certify_concat`` scans one x of each complement pair and half of the
+    triples of x = ε, then adds the complements; the reference merges full
+    ``_scan_x`` scans over every x."""
+
+    # (alphabet, L, explore, truncated table or None).  The stored tables put
+    # violations only on x whose complement is outside the table ({1,3}:
+    # 1113, 3111); a truncated table puts them on ε and on complement pairs.
+    CASES = [((1, 2), 7, None, None), ((1, 3), 8, None, None), ((1, 4), 7, None, None),
+             ((2, 5), 9, None, None), ((3, 4), 9, None, None), ((1, 5), 8, None, None),
+             ((1, 2), 6, 4, None), ((2, 4), 7, 4, None),
+             ((1, 2), 7, None, ("", "1", "2", "12", "21")),
+             ((2, 5), 8, None, ("", "2", "5"))]
+
+    @staticmethod
+    def _reference(ab, L, explore):
+        if explore is None:
+            xs = [tuple(w) for w in concat.dsigma_table(ab).words]
+            check = frozenset(xs)
+        else:
+            xs = [tuple(w) for w in enumerate_smooth(ab, explore, min_len=0)]
+            check = None
+        tested, violations, middles = 0, [], set()
+        for x in xs:
+            t, vio, mids = _scan_x(ab, L, x, check)
+            tested += t
+            violations += vio
+            middles |= mids
+        def shortlex(w):
+            return len(w), w
+
+        violations.sort(key=lambda r: (shortlex(r[0]), shortlex(r[1]), shortlex(r[2])))
+        return tested, violations, sorted(middles, key=shortlex)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("ab_pair,L,explore,table", CASES)
+    def test_matches_full_scans(self, monkeypatch, ab_pair, L, explore, table, jobs):
+        ab = Alphabet(*ab_pair)
+        if table is not None:
+            monkeypatch.setattr(concat, "dsigma_table",
+                                lambda ab: DsigmaTable(ab, frozenset(map(Word, table))))
+        tested, violations, middles = self._reference(ab, L, explore)
+        cert = certify_concat(ab, L, jobs=jobs, explore=explore)
+        assert cert.tested_triples == tested
+        assert [tuple(v) for v in cert.violations] == violations
+        assert [tuple(w) for w in cert.middle_set] == middles
+        if table is not None:
+            # Violations on ε and on both members of a complement pair.
+            xs = {word_to_text(v.x) for v in cert.violations}
+            assert {"", table[1], table[2]} <= xs, xs
 
 
 class TestEmpiricalMiddleSet:

@@ -215,9 +215,10 @@ def test_pool_never_has_more_workers_than_tasks(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    # {3,4} has seven middle words, so seven tasks for sixteen jobs.
+    # {3,4} has seven middle words; one of each complement pair is scanned,
+    # so four tasks (ε, 3, 33, 34) for sixteen jobs.
     assert certify_concat(Alphabet(3, 4), 4, jobs=16) == certify_concat(Alphabet(3, 4), 4)
-    assert sizes == [7]
+    assert sizes == [4]
     # With L = 1 the only task is the prefix "1": no pool at all.
     assert scan_powers(Alphabet(1, 2), 2, 1, jobs=3) == scan_powers(Alphabet(1, 2), 2, 1)
-    assert sizes == [7]
+    assert sizes == [4]
