@@ -23,9 +23,9 @@ from __future__ import annotations
 from functools import partial
 from typing import NamedTuple
 
-from .core import Alphabet, EPSILON, Word, delta_inv, word_to_text
+from .core import Alphabet, EPSILON, Word, delta_inv, word_to_csv, word_to_text
 from .errors import CertificationError
-from .search import (complete_by_complement, is_power_smooth, map_tasks, power_hits,
+from .search import (complete_by_complement, is_power_smooth, map_tasks, power_hits, push,
                      seeded_state, walk)
 
 __all__ = [
@@ -77,12 +77,12 @@ def enumerate_smooth(ab: Alphabet, n: int, min_len: int | None = None) -> list[W
     by_len: list[list[Word]] = [[] for _ in range(n + 1)]
     wrap = Word._wrap
 
-    def visit(path: list[int]) -> None:
+    def visit(tower: tuple, path: list[int]) -> None:
         if len(path) >= low:
             by_len[len(path)].append(wrap(tuple(path)))
 
     if n:
-        walk(seeded_state(ab, (ab.a,)), [ab.a], n, visit)
+        walk(ab, seeded_state(ab, (ab.a,)), [ab.a], n, visit)
         complete_by_complement(by_len[1:], ab, wrap)
     if low <= 0:
         by_len[0].append(Word())
@@ -146,7 +146,7 @@ class CensusReport(NamedTuple):
     def to_csv(self) -> str:
         lines = ["base,base_length,power_length"]
         for w in self.witnesses:
-            lines.append(f"{word_to_text(w.base)},{len(w.base)},{len(w.power)}")
+            lines.append(f"{word_to_csv(w.base)},{len(w.base)},{len(w.power)}")
         return "\n".join(lines) + "\n"
 
 
@@ -175,22 +175,22 @@ def _split(ab: Alphabet, L: int, tasks: int) -> tuple[int, list[tuple]]:
     prefixes, and the prefixes of that depth that start with a, in
     lexicographic order.
 
-    One breadth-first walk below the letter a, a level at a time, stops at
-    that depth; each length has as many smooth words starting with b.
+    One breadth-first walk below the letter a, a level at a time, each prefix
+    with its tower, stops at that depth; each length has as many smooth
+    words starting with b.
     """
     a, b = ab.a, ab.b
-    depth, level = 1, [(a,)]
+    depth, level = 1, [((a,), seeded_state(ab, (a,)))]
     while depth < L and 2 * len(level) < tasks:
         depth += 1
         longer = []
-        for p in level:
-            state = seeded_state(ab, p)
+        for p, tower in level:
             for c in (a, b):
-                if state.push(c):
-                    longer.append(p + (c,))
-                    state.pop()
+                child = push(tower, c, a, b)
+                if child is not None:
+                    longer.append((p + (c,), child))
         level = longer
-    return depth, level
+    return depth, [p for p, _ in level]
 
 
 def scan_powers(ab: Alphabet, n: int, L: int, jobs: int = 1) -> CensusReport:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 from .calculus import derivative, rho, smooth_chain
 from .census import enumerate_smooth, gamma, kolakoski_prefix, lift, scan_powers
 from .concat import certify_concat, dsigma_table, power_decomposition
-from .core import Alphabet, Word, closure, delta, word_from_text, word_to_text
+from .core import Alphabet, Word, closure, delta, word_from_text, word_to_csv, word_to_text
 from .errors import CertificationError, WordParseError
 
 SCHEMA_VERSION = "1"
@@ -194,7 +194,7 @@ def run(config: CliConfig) -> int:
         elif fmt == "csv":
             print("word")
             for w in words:
-                print(word_to_text(w))
+                print(word_to_csv(w))
         else:
             for w in words:
                 print(word_to_text(w))

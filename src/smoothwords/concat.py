@@ -25,8 +25,8 @@ from .census import enumerate_smooth
 from .core import (Alphabet, Word, _FrozenRecord, complement, mirror, run_lengths,
                    runs, word_to_text)
 from .errors import CertificationError
-from .search import (ChainState, derivative_from_runs, fast_derivative, is_power_smooth,
-                     is_smooth_fast, map_tasks, push_copies, walk)
+from .search import (derivative_from_runs, fast_derivative, is_power_smooth, is_smooth_fast,
+                     map_tasks, push, push_copies, walk)
 
 __all__ = [
     "DsigmaTable", "ConcatViolation", "ConcatCertificate", "PowerDecomposition",
@@ -139,13 +139,13 @@ def _scan_x(ab: Alphabet, L: int, x: tuple, table_set: frozenset | None,
     with a are certified; the others are their complements (see
     :func:`certify_concat`).
 
-    One state serves the whole scan.  An outer walk runs over u; at each node
-    the letters of x are pushed onto the live state, and when u·x is smooth
-    an inner walk over v runs from that same state before x is popped again.
-    The inner walk keeps the run lengths of v, updated in O(1) per node from
-    the parent's, so D(v) and D(u·x·v) are slices of run lengths (the runs of
-    u·x and v merge when v starts with the last letter of u·x) rather than
-    re-derivations of whole words.  Every triple is still sliced and tested.
+    An outer walk runs over u; at each node the letters of x are pushed onto
+    u's tower, and when u·x is smooth an inner walk over v runs from the
+    tower of u·x.  The inner walk keeps the run lengths of v, updated in O(1)
+    per node from the parent's, so D(v) and D(u·x·v) are slices of run
+    lengths (the runs of u·x and v merge when v starts with the last letter
+    of u·x) rather than re-derivations of whole words.  Every triple is still
+    sliced and tested.
     """
     a, b = ab.a, ab.b
     tested = 0
@@ -153,8 +153,6 @@ def _scan_x(ab: Alphabet, L: int, x: tuple, table_set: frozenset | None,
     middles: set[tuple] = set()
     if any(c != a and c != b for c in x):
         return tested, violations, middles
-    state = ChainState(ab)
-    pop = state.pop
     # At the node d letters into the inner walk, v's runs are
     # vruns[:top[d] + 1] and the last of them has length last[d].  A sibling
     # subtree may have lengthened the parent's last run in place, so a node
@@ -167,14 +165,12 @@ def _scan_x(ab: Alphabet, L: int, x: tuple, table_set: frozenset | None,
     # the empty word and the words below a.
     first_walk = _walk_below_a if half else walk
 
-    def visit_u(upath: list[int]) -> None:
-        pushed = push_copies(state, x, 1)
-        if pushed == len(x):
-            scan_v(tuple(upath), walk if upath else first_walk)
-        for _ in range(pushed):
-            pop()
+    def visit_u(tower: tuple, upath: list[int]) -> None:
+        ux_tower = push_copies(ab, tower, x, 1)
+        if ux_tower is not None:
+            scan_v(ux_tower, tuple(upath), walk if upath else first_walk)
 
-    def scan_v(u: tuple, v_walk) -> None:
+    def scan_v(ux_tower: tuple, u: tuple, v_walk) -> None:
         du = fast_derivative(u, b)
         ux = u + x
         uxruns = run_lengths(ux)
@@ -183,7 +179,7 @@ def _scan_x(ab: Alphabet, L: int, x: tuple, table_set: frozenset | None,
         tail = uxruns[-1] if ux else 0
         d_ux = derivative_from_runs(uxruns, b)
 
-        def visit_v(path: list[int]) -> None:
+        def visit_v(tower: tuple, path: list[int]) -> None:
             nonlocal tested
             depth = len(path)
             if depth:
@@ -216,23 +212,19 @@ def _scan_x(ab: Alphabet, L: int, x: tuple, table_set: frozenset | None,
                 if table_set is not None and mid not in table_set:
                     violations.append((u, x, tuple(path), "middle-not-in-table"))
 
-        v_walk(state, [], L, visit_v)
+        v_walk(ab, ux_tower, [], L, visit_v)
 
-    first_walk(state, [], L, visit_u)
+    first_walk(ab, (), [], L, visit_u)
     return tested, violations, middles
 
 
-def _walk_below_a(state: ChainState, path: list[int], max_len: int, visit) -> None:
-    """:func:`~smoothwords.search.walk` from the empty ``path`` and an empty
-    ``state``, restricted to the empty word and the smooth words that start
+def _walk_below_a(ab: Alphabet, tower: tuple, path: list[int], max_len: int, visit) -> None:
+    """:func:`~smoothwords.search.walk` from the empty ``path`` and the empty
+    ``tower``, restricted to the empty word and the smooth words that start
     with a; ``max_len`` must be at least 1."""
-    visit(path)
-    a = state.a
-    state.push(a)
-    path.append(a)
-    walk(state, path, max_len, visit)
-    path.pop()
-    state.pop()
+    visit(tower, path)
+    a = ab.a
+    walk(ab, push(tower, a, a, ab.b), [a], max_len, visit)
 
 
 class ConcatViolation(NamedTuple):

@@ -21,7 +21,7 @@ from .errors import NotClosableError, WordParseError
 __all__ = [
     "Alphabet", "Word", "EPSILON", "Run", "RunDecomposition",
     "runs", "delta", "delta_inv", "mirror", "complement", "closure",
-    "word_to_text", "word_from_text",
+    "word_to_text", "word_to_csv", "word_from_text",
 ]
 
 
@@ -176,6 +176,13 @@ def word_to_text(w: Iterable[int]) -> str:
     if len(letters) == 1:
         return f"{letters[0]},"
     return ",".join(map(str, letters))
+
+
+def word_to_csv(w: Iterable[int]) -> str:
+    """:func:`word_to_text` as one CSV field: quoted when the comma form makes
+    it hold a comma (the text never holds a quote)."""
+    text = word_to_text(w)
+    return f'"{text}"' if "," in text else text
 
 
 def word_from_text(text: str) -> Word:

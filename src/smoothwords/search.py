@@ -1,15 +1,19 @@
 """Incremental derivative-chain engine for bulk smoothness work.
 
 The whole tower w, rho(w), rho(rho(w)), ... is kept as one small tail state
-per level, so appending a letter costs O(tower height) and is exactly
-undoable.  That makes prefix-pruned enumeration and the concatenation
-certifier run orders of magnitude faster than re-deriving every candidate
-from scratch.
+per level, so appending a letter costs O(tower height).  A tower is
+immutable: a chain of nodes ``(run_count, last_letter, last_run_length,
+upper)``, one per level, where ``upper`` is the tower of the level above and
+``()`` is the empty tower.  :func:`push` returns a new tower and shares every
+level it does not touch with the old one, so a walk keeps the tower of each
+of its nodes and nothing is ever undone.  That makes prefix-pruned
+enumeration and the concatenation certifier run orders of magnitude faster
+than re-deriving every candidate from scratch.
 
-The state update uses the fact that rho(w) is the interior run lengths of w
-framed by a ``b`` on each side where the corresponding boundary run is longer
-than ``a``.  Only the last run of a level ever changes, and each change
-touches at most one letter of the level above:
+The update uses the fact that rho(w) is the interior run lengths of w framed
+by a ``b`` on each side where the corresponding boundary run is longer than
+``a``.  Only the last run of a level ever changes, and each change touches at
+most one letter of the level above:
 
 * a run growing past length ``a`` emits ``b`` upward (the boundary pad);
 * a run closing at length ``a`` emits ``a`` upward (it just became interior);
@@ -23,16 +27,16 @@ composition is enforced by exhaustive tests at small lengths.
 
 Every bulk workload runs on one walker, :func:`walk`: a preorder,
 explicit-stack walk of the smooth words extending a seed (letter a before b),
-calling a visitor at every node, the seed included.  Preorder visits the
-words of one length in lexicographic order, so collecting per length gives
-shortlex order.  Enumeration (``census.enumerate_smooth``), the power census
-(:func:`power_hits`) and the concatenation certifier (``concat._scan_x``)
-are visitors on it.  The power visitor fuses the n-th power test into the
-walk: at node u it pushes n-1 more copies of u onto the live state, counts
-the pushes that succeed and pops exactly that many, so u^n is tested
-without a list of bases and without re-deriving u's tower.  The certifier
-nests two walks on one state: at node u of the outer walk it pushes x, runs
-an inner walk over v from the live u·x, and pops the letters of x it pushed.
+calling a visitor with the tower and the letters of every node, the seed
+included.  Preorder visits the words of one length in lexicographic order, so
+collecting per length gives shortlex order.  Enumeration
+(``census.enumerate_smooth``), the power census (:func:`power_hits`) and the
+concatenation certifier (``concat._scan_x``) are visitors on it.  The power
+visitor fuses the n-th power test into the walk: at node u it pushes n-1
+more copies of u onto u's tower, so u^n is tested without a list of bases
+and without re-deriving u's tower.  The certifier nests two walks: at node u
+of the outer walk it pushes x onto u's tower and, when u·x is smooth, runs an
+inner walk over v from the tower of u·x.
 
 Enumeration and the power census walk only the words that start with a and
 build the rest by the complement (swapping a and b), which is exact:
@@ -54,115 +58,54 @@ from __future__ import annotations
 
 from .core import Alphabet, run_lengths
 
-__all__ = ["ChainState", "seeded_state", "is_smooth_fast", "is_power_smooth",
+__all__ = ["push", "seeded_state", "is_smooth_fast", "is_power_smooth",
            "push_copies", "fast_derivative", "derivative_from_runs", "walk",
            "complete_by_complement", "power_hits", "map_tasks"]
 
-# Trail entry kinds for undo.
-_EXTENDED = 0
-_NEW_RUN = 1
-_NEW_LEVEL = 2
+
+def push(tower: tuple, letter: int, a: int, b: int) -> tuple | None:
+    """The tower of the word in ``tower`` followed by ``letter``, over {a, b},
+    or None when no smooth word extends the word that way.
+
+    Only the levels that change are rebuilt, one call per level, so the
+    recursion is as deep as the tower is high.
+    """
+    if not tower:
+        return (1, letter, 1, ())
+    run_count, last, length, upper = tower
+    if letter == last:
+        if length == b:
+            return None
+        if length == a:
+            # The run crosses a: its boundary pad (or eventual interior b) goes up.
+            upper = push(upper, b, a, b)
+            if upper is None:
+                return None
+        return (run_count, last, length + 1, upper)
+    if run_count > 1:
+        # The closing run becomes interior; only lengths a and b survive.
+        if length == a:
+            upper = push(upper, a, a, b)
+            if upper is None:
+                return None
+        elif length != b:
+            return None
+    return (run_count + 1, letter, 1, upper)
 
 
-class ChainState:
-    """Mutable derivative tower supporting push(letter) / pop() in LIFO order."""
-
-    __slots__ = ("a", "b", "levels", "_trail", "_marks")
-
-    def __init__(self, ab: Alphabet):
-        self.a = ab.a
-        self.b = ab.b
-        # One [run_count, last_letter, last_run_length] per level.
-        self.levels: list[list[int]] = []
-        self._trail: list[tuple[int, int, int, int]] = []
-        self._marks: list[int] = []
-
-    def push(self, letter: int) -> bool:
-        """Append ``letter`` at level 0; update the tower.
-
-        Returns False and leaves the state untouched when no smooth word
-        extends the current one by ``letter``.
-        """
-        a = self.a
-        b = self.b
-        levels = self.levels
-        trail = self._trail
-        # Marked before the update, so that a failing push undoes itself with pop.
-        self._marks.append(len(trail))
-        i = 0
-        x = letter
-        while True:
-            if i == len(levels):
-                levels.append([1, x, 1])
-                trail.append((i, _NEW_LEVEL, 0, 0))
-                break
-            lv = levels[i]
-            if x == lv[1]:
-                n = lv[2] + 1
-                if n > b:
-                    self.pop()
-                    return False
-                lv[2] = n
-                trail.append((i, _EXTENDED, 0, 0))
-                if n == a + 1:
-                    # Run crossed a: its boundary pad (or eventual interior b) goes up.
-                    x = b
-                    i += 1
-                    continue
-                break
-            else:
-                run_count, closed_letter, closed_len = lv
-                emit = 0
-                if run_count >= 2:
-                    # The closing run becomes interior; only lengths a and b survive.
-                    if closed_len == a:
-                        emit = a
-                    elif closed_len != b:
-                        self.pop()
-                        return False
-                lv[0] = run_count + 1
-                lv[1] = x
-                lv[2] = 1
-                trail.append((i, _NEW_RUN, closed_letter, closed_len))
-                if emit:
-                    x = emit
-                    i += 1
-                    continue
-                break
-        return True
-
-    def pop(self) -> None:
-        """Undo the most recent successful push (strictly LIFO)."""
-        mark = self._marks.pop()
-        trail = self._trail
-        levels = self.levels
-        while len(trail) > mark:
-            i, kind, prev_letter, prev_len = trail.pop()
-            if kind == _EXTENDED:
-                levels[i][2] -= 1
-            elif kind == _NEW_RUN:
-                lv = levels[i]
-                lv[0] -= 1
-                lv[1] = prev_letter
-                lv[2] = prev_len
-            else:
-                levels.pop()
-
-    def depth(self) -> int:
-        return len(self.levels)
-
-
-def seeded_state(ab: Alphabet, letters) -> ChainState | None:
-    """A state with ``letters`` pushed, or None if they do not form a smooth
-    word over ``ab`` (letters outside {a, b} fail)."""
+def seeded_state(ab: Alphabet, letters) -> tuple | None:
+    """The tower of ``letters``, or None if they do not form a smooth word
+    over ``ab`` (letters outside {a, b} fail)."""
     a = ab.a
     b = ab.b
-    state = ChainState(ab)
-    push = state.push
+    tower = ()
     for c in letters:
-        if (c != a and c != b) or not push(c):
+        if c != a and c != b:
             return None
-    return state
+        tower = push(tower, c, a, b)
+        if tower is None:
+            return None
+    return tower
 
 
 def is_smooth_fast(letters, ab: Alphabet) -> bool:
@@ -170,32 +113,30 @@ def is_smooth_fast(letters, ab: Alphabet) -> bool:
     return seeded_state(ab, letters) is not None
 
 
-def push_copies(state: ChainState, letters, copies: int) -> int:
-    """Push up to ``copies`` more copies of ``letters`` onto ``state``, one
-    letter at a time, stopping at the first push that fails.
+def push_copies(ab: Alphabet, tower: tuple, letters, copies: int) -> tuple | None:
+    """The tower after ``copies`` more copies of ``letters`` are pushed onto
+    ``tower``, one letter at a time, or None at the first push that fails.
 
-    Returns the number of letters pushed, which the caller pops again; all
-    copies went on exactly when that is ``len(letters) * copies``.  No copy
-    is built, so a huge ``copies`` costs only the pushes before the failure.
+    No copy is built, so a huge ``copies`` costs only the pushes before the
+    failure.
     """
     if not letters:
-        return 0
-    push = state.push
-    pushed = 0
+        return tower
+    a = ab.a
+    b = ab.b
     for _ in range(copies):
         for c in letters:
-            if not push(c):
-                return pushed
-            pushed += 1
-    return pushed
+            tower = push(tower, c, a, b)
+            if tower is None:
+                return None
+    return tower
 
 
 def is_power_smooth(letters, n: int, ab: Alphabet) -> bool:
     """Whether ``letters`` repeated n >= 1 times is smooth over ``ab``,
     without building the power (see :func:`push_copies`)."""
-    state = seeded_state(ab, letters)
-    return (state is not None
-            and push_copies(state, letters, n - 1) == len(letters) * (n - 1))
+    tower = seeded_state(ab, letters)
+    return tower is not None and push_copies(ab, tower, letters, n - 1) is not None
 
 
 def fast_derivative(letters, b: int) -> tuple[int, ...]:
@@ -216,47 +157,47 @@ def derivative_from_runs(lens: list[int], b: int) -> tuple[int, ...]:
     return tuple(lens[0 if lens[0] == b else 1:n if lens[-1] == b else n - 1])
 
 
-def walk(state: ChainState, path: list[int], max_len: int, visit) -> None:
-    """Call ``visit(path)`` for every smooth extension of ``path`` up to
-    ``max_len`` letters, in preorder with letter a tried before b.
+def walk(ab: Alphabet, tower: tuple, path: list[int], max_len: int, visit) -> None:
+    """Call ``visit(tower, path)`` for every smooth extension of ``path`` up
+    to ``max_len`` letters, in preorder with letter a tried before b, where
+    ``tower`` is the extension's tower.
 
-    ``state`` must hold ``path`` already pushed.  The walk appends to and pops
-    from ``path`` and ``state`` in place and leaves both as it found them; the
-    visitor sees the live list and may push onto ``state`` provided it pops
-    the same number of letters before returning.  The root ``path`` itself is
-    visited first.  An explicit stack replaces recursion, so depth is bounded
-    by memory, not by the interpreter's recursion limit.
+    ``tower`` must be the tower of ``path``.  The walk appends to and pops
+    from ``path`` in place and leaves it as it found it; the visitor sees the
+    live list.  The root ``path`` itself is visited first.  An explicit stack
+    replaces recursion, so depth is bounded by memory, not by the
+    interpreter's recursion limit.
     """
-    a = state.a
-    b = state.b
-    push = state.push
-    pop = state.pop
+    a = ab.a
+    b = ab.b
     append = path.append
     retract = path.pop
-    visit(path)
+    visit(tower, path)
     room = max_len - len(path)
     if room <= 0:
         return
-    # nxt[d] is the next letter to try below the node d letters into the
-    # walk; 0 once both letters have been tried.
+    # towers[d] is the tower of the node d letters into the walk, and nxt[d]
+    # the next letter to try below it; 0 once both letters have been tried.
+    towers = [tower]
     nxt = [a]
     while nxt:
         c = nxt[-1]
         if c:
             nxt[-1] = b if c == a else 0
-            if push(c):
+            tower = push(towers[-1], c, a, b)
+            if tower is not None:
                 append(c)
-                visit(path)
+                visit(tower, path)
                 if len(nxt) < room:
+                    towers.append(tower)
                     nxt.append(a)
                 else:
                     retract()
-                    pop()
         else:
+            towers.pop()
             nxt.pop()
             if nxt:
                 retract()
-                pop()
 
 
 def complete_by_complement(by_len: list[list], ab: Alphabet, make=tuple) -> None:
@@ -278,29 +219,21 @@ def power_hits(ab: Alphabet, n: int, max_len: int, prefix=()) -> list[list[tuple
     within a length.
 
     The test is fused into the walk: at node u the other n-1 copies of u are
-    pushed onto the live state (:func:`push_copies`) and popped again, so a
-    base that fails early in its second copy costs a few pushes and no base
-    list is ever built.
+    pushed onto u's tower (:func:`push_copies`), so a base that fails early in
+    its second copy costs a few pushes and no base list is ever built.
     """
-    state = seeded_state(ab, prefix)
+    tower = seeded_state(ab, prefix)
     hits: list[list[tuple]] = [[] for _ in range(max_len + 1)]
-    if state is None or len(prefix) > max_len:
+    if tower is None or len(prefix) > max_len:
         return hits
-    pop = state.pop
     copies = n - 1
 
-    def visit(path: list[int]) -> None:
-        if not path:
-            return
-        pushed = push_copies(state, path, copies)
-        if pushed == len(path) * copies:
+    def visit(tower: tuple, path: list[int]) -> None:
+        if path and push_copies(ab, tower, path, copies) is not None:
             hits[len(path)].append(tuple(path))
-        for _ in range(pushed):
-            pop()
 
-    walk(state, list(prefix), max_len, visit)
+    walk(ab, tower, list(prefix), max_len, visit)
     return hits
-
 
 
 def map_tasks(fn, tasks: list, jobs: int) -> list:

@@ -6,7 +6,7 @@ from smoothwords import (Alphabet, Word, delta, enumerate_smooth, gamma,
                          h_delta, is_smooth, kolakoski_prefix, lift,
                          lift_family, scan_powers, smooth_chain, word_to_text)
 from smoothwords.census import _split
-from smoothwords.search import ChainState, walk
+from smoothwords.search import walk
 from smoothwords.errors import CertificationError
 
 
@@ -51,10 +51,10 @@ class TestEnumerate:
             ab = Alphabet(a, b)
             per_length = [0] * 61
 
-            def count(path):
+            def count(tower, path):
                 per_length[len(path)] += 1
 
-            walk(ChainState(ab), [], 60, count)
+            walk(ab, (), [], 60, count)
             assert (per_length[60], sum(per_length)) == (at_60, up_to_60), ab
             words = enumerate_smooth(ab, 60)
             assert len(words) == at_60 and words == sorted(words)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -112,6 +114,22 @@ class TestCensusCommands:
         lines = out.strip().splitlines()
         assert lines[0] == "base,base_length,power_length"
         assert all(len(line.split(",")) == 3 for line in lines[1:])
+
+    def test_csv_keeps_comma_form_words_in_one_field(self, capsys):
+        # Letters above 9 render as "10,12"; such a word must stay one field.
+        code, out, _ = run_cli(capsys, "scan-powers", "--alphabet", "10,12", "-n", "2",
+                               "-L", "24", "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["base", "base_length", "power_length"] and len(rows) > 1
+        assert all(len(row) == 3 for row in rows)
+        assert all(len(word_from_text(base)) == int(n) for base, n, _ in rows[1:])
+        code, out, _ = run_cli(capsys, "enumerate", "--alphabet", "10,12", "-n", "12",
+                               "--format", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["word"] and len(rows) > 1
+        assert all(len(row) == 1 and len(word_from_text(row[0])) == 12 for row in rows[1:])
 
     def test_gamma_json_schema(self, capsys):
         code, out, _ = run_cli(capsys, "gamma", "--alphabet", "2,4", "-n", "4",

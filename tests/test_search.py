@@ -7,10 +7,9 @@ from itertools import product
 from hypothesis import given, strategies as st
 
 from smoothwords import (Alphabet, Word, certify_concat, complement, enumerate_smooth, gamma,
-                         is_smooth, scan_powers, smooth_chain)
-from smoothwords.search import (ChainState, complete_by_complement, fast_derivative,
-                                is_power_smooth, is_smooth_fast, power_hits, seeded_state,
-                                walk)
+                         is_smooth, kolakoski_prefix, scan_powers, smooth_chain)
+from smoothwords.search import (complete_by_complement, fast_derivative, is_power_smooth,
+                                is_smooth_fast, power_hits, push, seeded_state, walk)
 
 
 def test_engine_matches_chain_exhaustively():
@@ -28,27 +27,39 @@ def test_engine_rejects_foreign_letters():
     assert not is_smooth_fast((1, 9, 1), Alphabet(1, 2))
 
 
-def test_push_pop_restores_state():
-    ab = Alphabet(1, 2)
-    state = ChainState(ab)
-    for c in (1, 2, 2, 1, 1, 2):
-        assert state.push(c)
-    snapshot = [list(lv) for lv in state.levels]
-    depth = state.depth()
-    assert state.push(1)
-    state.pop()
-    assert [list(lv) for lv in state.levels] == snapshot
-    assert state.depth() == depth
+@given(st.data())
+def test_first_failed_push_is_at_the_shortest_non_smooth_prefix(data):
+    a = data.draw(st.integers(min_value=1, max_value=11), label="a")
+    b = data.draw(st.integers(min_value=a + 1, max_value=12), label="b")
+    ab = Alphabet(a, b)
+    # Runs of length a or b keep most words smooth for long; any other
+    # length up to b + 1 breaks them somewhere.
+    lengths = data.draw(st.lists(st.one_of(st.sampled_from(ab.letters),
+                                           st.integers(min_value=1, max_value=b + 1)),
+                                 max_size=200), label="run lengths")
+    letter = data.draw(st.sampled_from(ab.letters), label="first letter")
+    w = []
+    for n in lengths:
+        w += [letter] * n
+        letter = ab.complement_of(letter)
+    w = w[:200]
+    tower, pushed = (), 0
+    for c in w:
+        tower = push(tower, c, a, b)
+        pushed += 1
+        if tower is None:
+            break
+    # Smooth words are closed under prefixes, so the first failure must come
+    # at the shortest prefix that is not smooth, and only there.
+    assert (tower is None) == (not smooth_chain(Word(w[:pushed]), ab).is_smooth), (ab, w)
+    assert smooth_chain(Word(w[:pushed - (tower is None)]), ab).is_smooth, (ab, w)
 
 
-def test_rejected_push_leaves_state_untouched():
-    ab = Alphabet(1, 2)
-    state = ChainState(ab)
-    for c in (1, 1):
-        assert state.push(c)
-    snapshot = [list(lv) for lv in state.levels]
-    assert not state.push(1)  # run of three 1s is too long
-    assert [list(lv) for lv in state.levels] == snapshot
+def test_third_letter_of_a_run_over_12_fails():
+    tower = seeded_state(Alphabet(1, 2), (1, 1))
+    assert tower is not None
+    assert push(tower, 1, 1, 2) is None
+    assert push(tower, 2, 1, 2) is not None
 
 
 def test_fast_derivative_matches_public():
@@ -79,7 +90,7 @@ def test_seeded_walk_completeness():
     ab = Alphabet(1, 2)
     seed = (2, 2)
     seen = set()
-    walk(seeded_state(ab, seed), [], 5, lambda path: seen.add(tuple(path)))
+    walk(ab, seeded_state(ab, seed), [], 5, lambda tower, path: seen.add(tuple(path)))
     # oracle: plain filter over all suffixes
     expected = {tup for n in range(6) for tup in product(ab.letters, repeat=n)
                 if is_smooth(Word(seed + tup), ab)}
@@ -124,6 +135,19 @@ def test_enumeration_depth_is_not_bounded_by_recursion():
     assert len(words) == 44785
     longest = [w for w in words if len(w) == 150]
     assert longest and all(is_smooth_fast(w, Alphabet(7, 9)) for w in longest[:20])
+
+
+def test_push_depth_is_bounded_by_tower_height():
+    # push recurses once per level it rebuilds; the 100,000-letter prefixes
+    # have towers 27 ({1,2}) and 15 ({1,3}) levels high, so 50 frames suffice.
+    words = [(ab, kolakoski_prefix(ab, 1, 100_000)) for ab in (Alphabet(1, 2), Alphabet(1, 3))]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_current_depth() + 50)
+    try:
+        verdicts = [is_smooth_fast(w, ab) for ab, w in words]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verdicts == [True, True]
 
 
 # The bulk walks visit only the words that start with a and build the rest
