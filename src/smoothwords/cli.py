@@ -1,5 +1,10 @@
 """Command-line interface over the whole calculus.
 
+Each process runs one command, so start-up counts.  Only ``core`` and
+``errors`` load at the top; each branch of :func:`run` imports the modules its
+command runs (``calculus``, ``census`` with ``search``, or ``concat`` with
+both), so ``delta``, ``closure`` and ``--help`` load none of the engines.
+
 Exit codes: 0 = success (findings such as census witnesses are data, not
 errors), 1 = a certified identity failed (certification violation), 2 =
 usage error, 141 = stdout was closed early (128 + SIGPIPE, as a shell
@@ -14,9 +19,6 @@ import os
 import sys
 from typing import NamedTuple
 
-from .calculus import derivative, rho, smooth_chain
-from .census import enumerate_smooth, gamma, kolakoski_prefix, lift, scan_powers
-from .concat import certify_concat, dsigma_table, power_decomposition
 from .core import Alphabet, Word, closure, delta, word_from_text, word_to_csv, word_to_text
 from .errors import CertificationError, WordParseError
 
@@ -166,14 +168,18 @@ def run(config: CliConfig) -> int:
     if config.command == "closure":
         return _emit_word(config, closure(word_from_text(config.word), ab))
     if config.command == "derive":
+        from .calculus import derivative
         return _emit_word(config, derivative(word_from_text(config.word), ab))
     if config.command == "rho":
+        from .calculus import rho
         return _emit_word(config, rho(word_from_text(config.word), ab))
     if config.command == "lift":
+        from .census import lift
         return _emit_word(config, lift(word_from_text(config.word),
                                        config.alpha, config.k, ab))
 
     if config.command == "chain":
+        from .calculus import smooth_chain
         chain = smooth_chain(word_from_text(config.word), ab)
         if fmt == "json":
             _print_json(config, {"alphabet": str(ab), **chain.to_json()})
@@ -186,6 +192,7 @@ def run(config: CliConfig) -> int:
         return 0
 
     if config.command == "enumerate":
+        from .census import enumerate_smooth
         words = enumerate_smooth(ab, config.n)
         if fmt == "json":
             _print_json(config, {"alphabet": str(ab), "length": config.n,
@@ -201,6 +208,7 @@ def run(config: CliConfig) -> int:
         return 0
 
     if config.command == "kolakoski":
+        from .census import kolakoski_prefix
         w = kolakoski_prefix(ab, config.alpha, config.n)
         if fmt == "json":
             _print_json(config, {"alphabet": str(ab), "first": config.alpha,
@@ -210,6 +218,7 @@ def run(config: CliConfig) -> int:
         return 0
 
     if config.command == "dsigma":
+        from .concat import dsigma_table
         table = dsigma_table(ab)
         if fmt == "json":
             _print_json(config, table.to_json())
@@ -219,6 +228,7 @@ def run(config: CliConfig) -> int:
         return 0
 
     if config.command == "certify-concat":
+        from .concat import certify_concat
         cert = certify_concat(ab, config.bound, jobs=config.jobs,
                               explore=config.explore)
         if fmt == "json":
@@ -237,6 +247,7 @@ def run(config: CliConfig) -> int:
         return 0
 
     if config.command == "power-decomp":
+        from .concat import power_decomposition
         decomp = power_decomposition(word_from_text(config.word), config.n, ab)
         if fmt == "json":
             _print_json(config, decomp.to_json())
@@ -247,6 +258,7 @@ def run(config: CliConfig) -> int:
         return 0
 
     if config.command in ("scan-powers", "gamma"):
+        from .census import gamma, scan_powers
         if config.command == "gamma":
             count, report = gamma(ab, config.n, config.bound, jobs=config.jobs)
         else:

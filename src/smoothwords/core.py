@@ -179,10 +179,11 @@ def word_to_text(w: Iterable[int]) -> str:
 
 
 def word_to_csv(w: Iterable[int]) -> str:
-    """:func:`word_to_text` as one CSV field: quoted when the comma form makes
+    """:func:`word_to_text` as one CSV field: quoted when it is empty (an
+    empty line would read as a row of no fields) or when the comma form makes
     it hold a comma (the text never holds a quote)."""
     text = word_to_text(w)
-    return f'"{text}"' if "," in text else text
+    return f'"{text}"' if not text or "," in text else text
 
 
 def word_from_text(text: str) -> Word:

@@ -131,6 +131,13 @@ class TestCensusCommands:
         assert rows[0] == ["word"] and len(rows) > 1
         assert all(len(row) == 1 and len(word_from_text(row[0])) == 12 for row in rows[1:])
 
+    def test_csv_keeps_the_empty_word(self, capsys):
+        # An empty line would read as a row of no fields, or be skipped.
+        code, out, _ = run_cli(capsys, "enumerate", "--alphabet", "1,2", "-n", "0",
+                               "--format", "csv")
+        assert code == 0
+        assert list(csv.reader(io.StringIO(out))) == [["word"], [""]]
+
     def test_gamma_json_schema(self, capsys):
         code, out, _ = run_cli(capsys, "gamma", "--alphabet", "2,4", "-n", "4",
                                "-L", "6", "--format", "json")

@@ -4,7 +4,7 @@ import concurrent.futures
 import sys
 from itertools import product
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from smoothwords import (Alphabet, Word, certify_concat, complement, enumerate_smooth, gamma,
                          is_smooth, kolakoski_prefix, scan_powers, smooth_chain)
@@ -100,6 +100,28 @@ def test_seeded_walk_completeness():
 def test_seeded_walk_dead_seed():
     # A seed that is not smooth yields no state, so there is nothing to walk.
     assert seeded_state(Alphabet(1, 2), (1, 1, 1)) is None
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_walk_visits_the_smooth_extensions_in_preorder(data):
+    a = data.draw(st.integers(min_value=1, max_value=8), label="a")
+    b = data.draw(st.integers(min_value=a + 1, max_value=9), label="b")
+    ab = Alphabet(a, b)
+    seed = data.draw(st.lists(st.sampled_from(ab.letters), max_size=3), label="seed")
+    max_len = data.draw(st.integers(min_value=len(seed), max_value=12), label="max_len")
+    visited = []
+    tower = seeded_state(ab, seed)
+    if tower is not None:
+        path = list(seed)
+        walk(ab, tower, path, max_len, lambda tower, path: visited.append(tuple(path)))
+        assert path == seed
+    # Preorder with a tried before b is the lexicographic order of the words,
+    # since a < b and a prefix sorts before its extensions.
+    expected = [w for n in range(len(seed), max_len + 1)
+                for w in product(ab.letters, repeat=n)
+                if list(w[:len(seed)]) == seed and smooth_chain(Word(w), ab).is_smooth]
+    assert visited == sorted(expected), (ab, seed, max_len)
 
 
 def test_fused_power_scan_matches_chain():

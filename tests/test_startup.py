@@ -1,7 +1,7 @@
-"""Import hygiene: what a single CLI command loads in a fresh interpreter."""
+"""Import hygiene: what a single CLI command, or the bare package, loads in a
+fresh interpreter."""
 
 import os
-import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -24,38 +24,78 @@ print("added", *sorted(set(sys.modules) - bare))
 """
 
 
-def run_fresh(*argv):
+def python_fresh(code, *argv):
+    """Run ``code`` in a new interpreter; its stdout lines.  It must write
+    nothing to stderr."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.stderr == ""
-    lines = proc.stdout.splitlines()
+    return proc.stdout.splitlines()
+
+
+def run_fresh(*argv):
+    lines = python_fresh(CHILD, *argv)
     assert lines[-2] == "exit 0"
     added = set(lines[-1].split()[1:])
     return lines[:-2], added
 
 
-@pytest.mark.parametrize("argv, line", [
-    (("chain", "--alphabet", "1,2", "--word", "1211"), "verdict: smooth"),
+# The modules behind the word calculus, the scans and the certifier.  Each
+# command loads only those it runs, so with bytecode writing off it compiles
+# no other.
+ENGINES = {"calculus", "census", "concat", "search"}
+WORD = ("--alphabet", "1,2", "--word", "1211")
+
+
+@pytest.mark.parametrize("argv, line, engines", [
+    (("chain", *WORD), "verdict: smooth", {"calculus"}),
+    (("derive", *WORD), "12", {"calculus"}),
+    (("rho", *WORD), "12", {"calculus"}),
+    (("delta", *WORD), "112", set()),
+    (("closure", *WORD), "1211", set()),
+    (("--help",), "positional arguments:", set()),
     # The scans run through search.map_tasks, which starts no pool here.
     (("gamma", "--alphabet", "1,2", "-n", "2", "-L", "8", "--jobs", "1"),
-     "gamma=10 stable=true"),
+     "gamma=10 stable=true", {"census", "search"}),
     (("certify-concat", "--alphabet", "1,2", "-L", "4", "--jobs", "1"),
-     "2654 smooth triples tested, 0 violations"),
-], ids=["chain", "gamma", "certify-concat"])
-def test_chain_command_skips_deferred_imports(argv, line):
+     "2654 smooth triples tested, 0 violations", {"concat", "census", "search"}),
+], ids=["chain", "derive", "rho", "delta", "closure", "help", "gamma", "certify-concat"])
+def test_chain_command_skips_deferred_imports(argv, line, engines):
     out, added = run_fresh(*argv)
     assert line in out
     assert {name.split(".")[0] for name in added} & DEFERRED == set()
+    assert {name.split(".")[1] for name in added
+            if name.startswith("smoothwords.")} & ENGINES == engines
 
 
-def test_every_submodule_is_loaded():
-    # The benchmark's tracing shim finds the layers it wraps in sys.modules
-    # right after importing smoothwords.cli, so no submodule may be lazy.
-    submodules = {f"smoothwords.{info.name}"
-                  for info in pkgutil.iter_modules([str(SRC / "smoothwords")])}
-    assert {"smoothwords.search", "smoothwords.census", "smoothwords.concat"} <= submodules
-    _, added = run_fresh("chain", "--alphabet", "1,2", "--word", "1211")
-    assert submodules <= added
+API_CHILD = """
+import sys
+import smoothwords
+print(sorted(m for m in sys.modules if m.startswith("smoothwords.")))
+print(set(smoothwords.__all__) <= set(dir(smoothwords)))
+star = {}
+exec("from smoothwords import *", star)
+print(sorted(set(smoothwords.__all__) - set(star)))
+print(sorted(["__version__", *smoothwords._SUBMODULE]) == sorted(smoothwords.__all__))
+print([name for name, module in smoothwords._SUBMODULE.items()
+       if star[name] is not getattr(sys.modules["smoothwords." + module], name)])
+print(smoothwords.gamma is smoothwords.census.gamma)
+try:
+    smoothwords.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
 
+
+def test_lazy_package_names_are_complete():
+    assert python_fresh(API_CHILD) == [
+        "[]",  # importing the package loads no submodule
+        "True",  # dir() lists every public name before any is loaded
+        "[]",  # import * binds every name in __all__
+        "True",  # the name table and __all__ agree
+        "[]",  # each name is the object its submodule defines
+        "True",
+        "module 'smoothwords' has no attribute 'no_such_name'",
+    ]
