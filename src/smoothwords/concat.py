@@ -140,12 +140,15 @@ def _scan_x(ab: Alphabet, L: int, x: tuple, table_set: frozenset | None,
     :func:`certify_concat`).
 
     An outer walk runs over u; at each node the letters of x are pushed onto
-    u's tower, and when u·x is smooth an inner walk over v runs from the
-    tower of u·x.  The inner walk keeps the run lengths of v, updated in O(1)
-    per node from the parent's, so D(v) and D(u·x·v) are slices of run
-    lengths (the runs of u·x and v merge when v starts with the last letter
-    of u·x) rather than re-derivations of whole words.  Every triple is still
-    sliced and tested.
+    u's tower, and the u with a smooth u·x are grouped by the tower of u·x.
+    A walk reads nothing but its tower, so the u of one group have the same
+    smooth v, and their u·x the same last letter and last run length, the
+    only part of u·x that v's runs can merge with.  One inner walk over v
+    runs per group.  It keeps the run lengths of v, updated in O(1) per node
+    from the parent's, so D(v) is sliced once per node and D(u·x·v) is a
+    slice of the run lengths of u·x and v (merged when v starts with the
+    last letter of u·x) rather than a re-derivation of whole words.  Every
+    triple is still sliced and tested, against each u of the group.
     """
     a, b = ab.a, ab.b
     tested = 0
@@ -153,36 +156,57 @@ def _scan_x(ab: Alphabet, L: int, x: tuple, table_set: frozenset | None,
     middles: set[tuple] = set()
     if any(c != a and c != b for c in x):
         return tested, violations, middles
-    # At the node d letters into the inner walk, v's runs are
-    # vruns[:top[d] + 1] and the last of them has length last[d].  A sibling
-    # subtree may have lengthened the parent's last run in place, so a node
-    # that opens a new run first writes that length back.
-    vruns = [0] * (L + 1)
-    top = [0] * (L + 1)
-    last = [0] * (L + 1)
-
     # With ``half`` the walk over u, and the walk over v at u = ε, keep only
     # the empty word and the words below a.
     first_walk = _walk_below_a if half else walk
+    groups: dict[tuple, list[tuple]] = {}
+    # The u are held as linked lists (last letter, the rest of u), so a walk
+    # down a deep path holds one pair per word, not every prefix in full;
+    # links[d] is the word d letters into the walk.
+    links = [()]
 
     def visit_u(tower: tuple, upath: list[int]) -> None:
+        depth = len(upath)
+        if depth:
+            if depth == len(links):
+                links.append(())
+            links[depth] = (upath[-1], links[depth - 1])
         ux_tower = push_copies(ab, tower, x, 1)
         if ux_tower is not None:
-            scan_v(ux_tower, tuple(upath), walk if upath else first_walk)
+            groups.setdefault(ux_tower, []).append(links[depth])
 
-    def scan_v(ux_tower: tuple, u: tuple, v_walk) -> None:
-        du = fast_derivative(u, b)
-        ux = u + x
-        uxruns = run_lengths(ux)
+    first_walk(ab, (), [], L, visit_u)
+
+    # At the node d letters into the inner walk, v's runs are
+    # vruns[:top[d] + 1] and the last of them has length last[d].  A sibling
+    # subtree may have lengthened the parent's last run in place, so a node
+    # that opens a new run first writes that length back.  The lists grow
+    # with the depth the walk reaches, not with L.
+    vruns = [0]
+    top = [0]
+    last = [0]
+
+    for ux_tower, linked in groups.items():
+        us = [_unlink(node) for node in linked]
+        ux = us[0] + x
         joint = ux[-1] if ux else 0
-        head = uxruns[:-1]
-        tail = uxruns[-1] if ux else 0
-        d_ux = derivative_from_runs(uxruns, b)
+        tail = run_lengths(ux)[-1] if ux else 0
+        # Per u: D(u), and the runs of u·x, whole and without the last run
+        # (indexed by ``merge`` below).
+        cases = []
+        for u in us:
+            uxruns = run_lengths(u + x)
+            cases.append((u, fast_derivative(u, b), (uxruns, uxruns[:-1])))
 
         def visit_v(tower: tuple, path: list[int]) -> None:
             nonlocal tested
             depth = len(path)
+            merge = 0
             if depth:
+                if depth == len(top):
+                    vruns.append(0)
+                    top.append(0)
+                    last.append(0)
                 if depth == 1:
                     slot, length = 0, 1
                 elif path[-1] == path[-2]:
@@ -196,26 +220,34 @@ def _scan_x(ab: Alphabet, L: int, x: tuple, table_set: frozenset | None,
                 vr = vruns[:slot + 1]
                 dv = derivative_from_runs(vr, b)
                 if path[0] == joint:
+                    # v's first run continues the last run of u·x.
                     vr[0] += tail
-                    dfull = derivative_from_runs(head + vr, b)
-                else:
-                    dfull = derivative_from_runs(uxruns + vr, b)
+                    merge = 1
             else:
+                vr = []
                 dv = ()
-                dfull = d_ux
-            mid = _extract_middle(du, dv, dfull)
-            tested += 1
-            if mid is None:
-                violations.append((u, x, tuple(path), "no-middle-decomposition"))
-            else:
-                middles.add(mid)
-                if table_set is not None and mid not in table_set:
-                    violations.append((u, x, tuple(path), "middle-not-in-table"))
+            tested += len(cases)
+            for u, du, uxruns in cases:
+                mid = _extract_middle(du, dv, derivative_from_runs(uxruns[merge] + vr, b))
+                if mid is None:
+                    violations.append((u, x, tuple(path), "no-middle-decomposition"))
+                else:
+                    middles.add(mid)
+                    if table_set is not None and mid not in table_set:
+                        violations.append((u, x, tuple(path), "middle-not-in-table"))
 
-        v_walk(ab, ux_tower, [], L, visit_v)
-
-    first_walk(ab, (), [], L, visit_u)
+        # u·x = ε is u = x = ε, whose walk over v ``half`` restricts too.
+        (walk if ux else first_walk)(ab, ux_tower, [], L, visit_v)
     return tested, violations, middles
+
+
+def _unlink(node: tuple) -> tuple:
+    """The letters of a word held as nested pairs (last letter, the rest)."""
+    letters = []
+    while node:
+        c, node = node
+        letters.append(c)
+    return tuple(reversed(letters))
 
 
 def _walk_below_a(ab: Alphabet, tower: tuple, path: list[int], max_len: int, visit) -> None:

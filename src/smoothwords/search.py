@@ -2,11 +2,14 @@
 
 The whole tower w, rho(w), rho(rho(w)), ... is kept as one small tail state
 per level, so appending a letter costs O(tower height).  A tower is
-immutable: a chain of nodes ``(run_count, last_letter, last_run_length,
-upper)``, one per level, where ``upper`` is the tower of the level above and
-``()`` is the empty tower.  :func:`push` returns a new tower and shares every
-level it does not touch with the old one, so a walk keeps the tower of each
-of its nodes and nothing is ever undone.  That makes prefix-pruned
+immutable: a chain of nodes ``(runs, last_letter, last_run_length, upper)``,
+one per level, where ``runs`` is 1 while the level is a single run and 2 once
+it has more (the rules below never need an exact count), ``upper`` is the
+tower of the level above and ``()`` is the empty tower.  :func:`push` returns a new
+tower and shares every level it does not touch with the old one, so a walk
+keeps the tower of each of its nodes and nothing is ever undone.  Towers are
+hashable, and :func:`push` reads nothing else, so words with equal towers
+have the same smooth extensions.  That makes prefix-pruned
 enumeration and the concatenation certifier run orders of magnitude faster
 than re-deriving every candidate from scratch.
 
@@ -34,9 +37,10 @@ collecting per length gives shortlex order.  Enumeration
 concatenation certifier (``concat._scan_x``) are visitors on it.  The power
 visitor fuses the n-th power test into the walk: at node u it pushes n-1
 more copies of u onto u's tower, so u^n is tested without a list of bases
-and without re-deriving u's tower.  The certifier nests two walks: at node u
-of the outer walk it pushes x onto u's tower and, when u·x is smooth, runs an
-inner walk over v from the tower of u·x.
+and without re-deriving u's tower.  The certifier nests two walks: the outer
+walk over u pushes x onto each u's tower and groups the u with a smooth u·x
+by the tower of u·x; then one inner walk over v runs from each distinct
+tower, and every u of its group is tested at each v.
 
 Enumeration and the power census walk only the words that start with a and
 build the rest by the complement (swapping a and b), which is exact:
@@ -72,7 +76,7 @@ def push(tower: tuple, letter: int, a: int, b: int) -> tuple | None:
     """
     if not tower:
         return (1, letter, 1, ())
-    run_count, last, length, upper = tower
+    runs, last, length, upper = tower
     if letter == last:
         if length == b:
             return None
@@ -81,8 +85,8 @@ def push(tower: tuple, letter: int, a: int, b: int) -> tuple | None:
             upper = push(upper, b, a, b)
             if upper is None:
                 return None
-        return (run_count, last, length + 1, upper)
-    if run_count > 1:
+        return (runs, last, length + 1, upper)
+    if runs > 1:
         # The closing run becomes interior; only lengths a and b survive.
         if length == a:
             upper = push(upper, a, a, b)
@@ -90,7 +94,7 @@ def push(tower: tuple, letter: int, a: int, b: int) -> tuple | None:
                 return None
         elif length != b:
             return None
-    return (run_count + 1, letter, 1, upper)
+    return (2, letter, 1, upper)
 
 
 def seeded_state(ab: Alphabet, letters) -> tuple | None:

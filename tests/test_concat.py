@@ -9,7 +9,7 @@ from smoothwords import (Alphabet, EPSILON, Word, certify_concat, derivative,
 from smoothwords import concat
 from smoothwords.concat import DsigmaTable, _scan_x
 from smoothwords.errors import CertificationError
-from smoothwords.search import fast_derivative, is_smooth_fast
+from smoothwords.search import fast_derivative, is_smooth_fast, walk
 
 
 def words(texts):
@@ -210,6 +210,42 @@ class TestScanDifferential:
             assert len(violations) == tested
             for got, expected in zip(sorted(violations), want):
                 assert got == expected, (ab, x)
+
+    def test_one_v_walk_per_tower_of_ux(self, monkeypatch, ab12):
+        # u with equal towers of u·x share one walk over v; every triple is
+        # still tested.
+        starts = []
+
+        def counting_walk(ab, tower, path, max_len, visit):
+            starts.append(tower)
+            walk(ab, tower, path, max_len, visit)
+
+        monkeypatch.setattr(concat, "walk", counting_walk)
+        x = (1, 2)
+        tested, violations, middles = _scan_x(ab12, 8, x, None)
+        smooth_ux = [u for u in enumerate_smooth(ab12, 8, min_len=0)
+                     if is_smooth_fast(tuple(u) + x, ab12)]
+        # The walk over u starts from the empty tower, each walk over v from
+        # the non-empty tower of u·x.
+        v_walks = [t for t in starts if t]
+        assert len(starts) == len(v_walks) + 1
+        assert len(v_walks) < len(smooth_ux)
+        found = self._brute(ab12, 8, x)
+        assert tested == len(found)
+        assert middles == {mid for _, _, mid in found if mid is not None}
+        assert sorted(violations) == sorted((u, x, v, "no-middle-decomposition")
+                                            for u, v, mid in found if mid is None)
+
+    def test_huge_bound_needs_no_arrays_of_that_size(self, monkeypatch, ab12):
+        # Stubbed walks visit only their root, so 10**20 is never walked.
+        def root_only(ab, tower, path, max_len, visit):
+            visit(tower, path)
+
+        monkeypatch.setattr(concat, "walk", root_only)
+        monkeypatch.setattr(concat, "_walk_below_a", root_only)
+        # Only (ε, x, ε) is visited, and D(12) is empty.
+        for x in [(), (1, 2)]:
+            assert _scan_x(ab12, 10**20, x, None, half=not x) == (1, [], {()})
 
 
 class TestComplementHalving:

@@ -7,7 +7,7 @@ from itertools import product
 from hypothesis import given, settings, strategies as st
 
 from smoothwords import (Alphabet, Word, certify_concat, complement, enumerate_smooth, gamma,
-                         is_smooth, kolakoski_prefix, scan_powers, smooth_chain)
+                         is_smooth, kolakoski_prefix, runs, scan_powers, smooth_chain)
 from smoothwords.search import (complete_by_complement, fast_derivative, is_power_smooth,
                                 is_smooth_fast, power_hits, push, seeded_state, walk)
 
@@ -122,6 +122,26 @@ def test_walk_visits_the_smooth_extensions_in_preorder(data):
                 for w in product(ab.letters, repeat=n)
                 if list(w[:len(seed)]) == seed and smooth_chain(Word(w), ab).is_smooth]
     assert visited == sorted(expected), (ab, seed, max_len)
+
+
+def test_equal_towers_have_equal_smooth_extensions():
+    # The certifier walks v once per tower of u·x, which is exact only if
+    # the tower alone decides which words extend a smooth word smoothly.
+    for a, b in [(1, 2), (1, 3), (2, 5), (3, 4)]:
+        ab = Alphabet(a, b)
+        groups = {}
+        for w in enumerate_smooth(ab, 9, min_len=0):
+            groups.setdefault(seeded_state(ab, w), []).append(w)
+        tails = [t for n in range(1, 5) for t in product(ab.letters, repeat=n)]
+        for words in groups.values():
+            extensions = {frozenset(t for t in tails if smooth_chain(w + t, ab).is_smooth)
+                          for w in words}
+            assert len(extensions) == 1, (ab, words)
+        assert len(groups) < sum(map(len, groups.values())), ab
+        if (a, b) == (1, 2):
+            # Over {1,2} words share a tower only because it keeps a flag
+            # "more than one run", not a run count.
+            assert any(len({runs(w).r for w in words}) > 1 for words in groups.values())
 
 
 def test_fused_power_scan_matches_chain():
