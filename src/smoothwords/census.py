@@ -74,11 +74,14 @@ def enumerate_smooth(ab: Alphabet, n: int, min_len: int | None = None) -> list[W
     if n < 0:
         raise ValueError("length must be >= 0")
     low = n if min_len is None else min_len
-    by_len: list[list[Word]] = [[] for _ in range(n + 1)]
+    # The lists grow only on a hit, so a huge n allocates nothing up front.
+    by_len: list[list[Word]] = [[]]
     wrap = Word._wrap
 
     def visit(tower: tuple, path: list[int]) -> None:
         if len(path) >= low:
+            while len(by_len) <= len(path):
+                by_len.append([])
             by_len[len(path)].append(wrap(tuple(path)))
 
     if n:
@@ -214,9 +217,10 @@ def _census(ab: Alphabet, n: int, L: int, jobs: int) -> CensusReport:
     if L < 1:
         raise ValueError("base-length bound must be >= 1")
     depth, prefixes = _split(ab, L, 8 * jobs)
-    hits = power_hits(ab, n, depth - 1, (ab.a,)) + [[] for _ in range(depth, L + 1)]
+    hits = power_hits(ab, n, depth - 1, (ab.a,))
     # Prefix order keeps each length's bases lexicographic.
     for part in map_tasks(partial(power_hits, ab, n, L), prefixes, jobs):
+        hits.extend([] for _ in range(len(hits), len(part)))
         for level, found in zip(hits[depth:], part[depth:]):
             level.extend(found)
     complete_by_complement(hits, ab)

@@ -14,6 +14,11 @@ and have the same derivatives and the same middle.  Of a complement pair of
 x words only the one starting with a is scanned, and x = ε, its own
 complement, is scanned over the triples whose u·v is empty or starts with
 a; the other triples are their complements.
+
+Both run on one scan (:func:`_scan`) over a list of x words: one walk over
+u, one walk over v per distinct tower of u·x whatever the x, and at each v
+one test per class of pairs (u, x) that the identity
+D(u·x·v) = R[s:] + V[:e] of :func:`_scan_group` gives the same verdict.
 """
 
 from __future__ import annotations
@@ -103,11 +108,7 @@ def dsigma_table(ab: Alphabet) -> DsigmaTable:
 def _extract_middle(du: tuple, dv: tuple, dfull: tuple) -> tuple | None:
     """The middle slice of dfull between a literal du prefix and dv suffix."""
     nu, nv, nf = len(du), len(dv), len(dfull)
-    if nu + nv > nf:
-        return None
-    if dfull[:nu] != du:
-        return None
-    if nv and dfull[nf - nv:] != dv:
+    if nu + nv > nf or dfull[:nu] != du or (nv and dfull[nf - nv:] != dv):
         return None
     return dfull[nu:nf - nv]
 
@@ -128,37 +129,26 @@ def middle_witness(u, x, v, ab: Alphabet) -> Word | None:
     return Word._wrap(mid) if mid is not None else None
 
 
-def _scan_x(ab: Alphabet, L: int, x: tuple, table_set: frozenset | None,
-            half: bool = False):
-    """Certify every (u, x, v) with u, v smooth, |u|,|v| <= L, uxv smooth.
+def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int = 1):
+    """Certify every (u, x, v) with x in ``xs``, u, v smooth, |u|,|v| <= L
+    and uxv smooth; for x = ε only its scanned half, the triples whose u·v
+    is empty or starts with a (see :func:`certify_concat`).  Returns (tested
+    count per x, violations, set of extracted middles); with ``table_set``
+    None only the middles are collected, otherwise a middle outside it is a
+    violation.
 
-    Returns (tested count, violations, set of extracted middles).  When
-    ``table_set`` is None only the middles are collected (exploratory /
-    fixpoint use); otherwise membership failures are recorded as violations.
-    With ``half`` (x = ε only) just the triples whose u·v is empty or starts
-    with a are certified; the others are their complements (see
-    :func:`certify_concat`).
-
-    An outer walk runs over u; at each node the letters of x are pushed onto
-    u's tower, and the u with a smooth u·x are grouped by the tower of u·x.
-    A walk reads nothing but its tower, so the u of one group have the same
-    smooth v, and their u·x the same last letter and last run length, the
-    only part of u·x that v's runs can merge with.  One inner walk over v
-    runs per group.  It keeps the run lengths of v, updated in O(1) per node
-    from the parent's, so D(v) is sliced once per node and D(u·x·v) is a
-    slice of the run lengths of u·x and v (merged when v starts with the
-    last letter of u·x) rather than a re-derivation of whole words.  Every
-    triple is still sliced and tested, against each u of the group.
+    One walk over u pushes every x onto each u's tower and groups the pairs
+    (u, x) with a smooth u·x by the tower of u·x.  A walk reads nothing but
+    its tower, so the pairs of a group have the same smooth v, and their u·x
+    the same last letter and last run length, all that v's runs can merge
+    with.  Each group is one task (:func:`_scan_group`), in first-seen
+    order, mapped over ``jobs`` workers.
     """
     a, b = ab.a, ab.b
-    tested = 0
-    violations: list[tuple[tuple, tuple, tuple, str]] = []
-    middles: set[tuple] = set()
-    if any(c != a and c != b for c in x):
-        return tested, violations, middles
-    # With ``half`` the walk over u, and the walk over v at u = ε, keep only
-    # the empty word and the words below a.
-    first_walk = _walk_below_a if half else walk
+    counts = dict.fromkeys(xs, 0)
+    # An x with a letter outside {a, b} has no triple; push does not check.
+    xs = [x for x in xs if all(c == a or c == b for c in x)]
+    below_b = [x for x in xs if x]
     groups: dict[tuple, list[tuple]] = {}
     # The u are held as linked lists (last letter, the rest of u), so a walk
     # down a deep path holds one pair per word, not every prefix in full;
@@ -168,77 +158,105 @@ def _scan_x(ab: Alphabet, L: int, x: tuple, table_set: frozenset | None,
     def visit_u(tower: tuple, upath: list[int]) -> None:
         depth = len(upath)
         if depth:
-            if depth == len(links):
-                links.append(())
-            links[depth] = (upath[-1], links[depth - 1])
-        ux_tower = push_copies(ab, tower, x, 1)
-        if ux_tower is not None:
-            groups.setdefault(ux_tower, []).append(links[depth])
+            links[depth:] = [(upath[-1], links[depth - 1])]
+        link = links[depth]
+        for x in (xs if not depth or upath[0] == a else below_b):
+            ux_tower = push_copies(ab, tower, x, 1)
+            if ux_tower is not None:
+                groups.setdefault(ux_tower, []).append((link, x))
 
-    first_walk(ab, (), [], L, visit_u)
+    walk(ab, (), [], L, visit_u)
+    tasks = list(groups.items())
+    violations: list[tuple[tuple, tuple, tuple, str]] = []
+    middles: set[tuple] = set()
+    for (_, members), (nodes, vio, mids) in zip(
+            tasks, map_tasks(partial(_scan_group, ab, L, table_set), tasks, jobs)):
+        for _, x in members:
+            counts[x] += nodes
+        violations += vio
+        middles |= mids
+    return counts, violations, middles
 
-    # At the node d letters into the inner walk, v's runs are
-    # vruns[:top[d] + 1] and the last of them has length last[d].  A sibling
-    # subtree may have lengthened the parent's last run in place, so a node
-    # that opens a new run first writes that length back.  The lists grow
-    # with the depth the walk reaches, not with L.
-    vruns = [0]
-    top = [0]
-    last = [0]
 
-    for ux_tower, linked in groups.items():
-        us = [_unlink(node) for node in linked]
-        ux = us[0] + x
-        joint = ux[-1] if ux else 0
-        tail = run_lengths(ux)[-1] if ux else 0
-        # Per u: D(u), and the runs of u·x, whole and without the last run
-        # (indexed by ``merge`` below).
-        cases = []
-        for u in us:
-            uxruns = run_lengths(u + x)
-            cases.append((u, fast_derivative(u, b), (uxruns, uxruns[:-1])))
+def _scan_group(ab: Alphabet, L: int, table_set: frozenset | None, task: tuple):
+    """One walk over v from the tower shared by a group of pairs (u, x);
+    returns (v nodes walked, violations, middles).
 
-        def visit_v(tower: tuple, path: list[int]) -> None:
-            nonlocal tested
-            depth = len(path)
-            merge = 0
-            if depth:
-                if depth == len(top):
-                    vruns.append(0)
-                    top.append(0)
-                    last.append(0)
-                if depth == 1:
-                    slot, length = 0, 1
-                elif path[-1] == path[-2]:
-                    slot, length = top[depth - 1], last[depth - 1] + 1
-                else:
-                    slot, length = top[depth - 1] + 1, 1
-                    vruns[slot - 1] = last[depth - 1]
-                vruns[slot] = length
-                top[depth] = slot
-                last[depth] = length
-                vr = vruns[:slot + 1]
-                dv = derivative_from_runs(vr, b)
-                if path[0] == joint:
-                    # v's first run continues the last run of u·x.
-                    vr[0] += tail
-                    merge = 1
+    The walk keeps the run lengths of v per depth, so D(v) and D(u·x·v) are
+    slices of run lengths.  Let R be the runs of u·x, without its last run
+    when v starts with the last letter of u·x, and V the runs of v, the
+    first then lengthened by that last run.  For R and V not empty,
+    ``derivative_from_runs`` gives
+
+        D(u·x·v) = R[s:] + V[:e],  s = (R[0] != b),  e = |V| - (V[-1] != b).
+
+    So when |R[s:]| >= |D(u)|, the verdict and middle at v depend on (u, x)
+    only through whether R[s:] starts with D(u) and, if so, the rest of
+    R[s:]: pairs with equal keys form a class, tested once per v, and a
+    failing class gives a violation per pair.  At v = ε, and for pairs with
+    an empty or shorter R[s:], each triple is tested by itself.
+    """
+    ux_tower, members = task
+    b = ab.b
+    violations: list[tuple[tuple, tuple, tuple, str]] = []
+    middles: set[tuple] = set()
+    # Indexed by ``merge`` below: the classes by key (None when R[s:] does
+    # not start with D(u)), and the pairs tested one triple at a time.
+    classes, single, at_root = ({}, {}), ([], []), []
+    for link, x in members:
+        u = _unlink(link)
+        du = fast_derivative(u, b)
+        uxruns = tuple(run_lengths(u + x))
+        at_root.append((u, x, du, uxruns))
+        for merge, r in enumerate((uxruns, uxruns[:-1])):
+            rest = r[r[0] != b:] if r else ()
+            if not r or len(rest) < len(du):
+                single[merge].append((u, x, du, r))
             else:
-                vr = []
-                dv = ()
-            tested += len(cases)
-            for u, du, uxruns in cases:
-                mid = _extract_middle(du, dv, derivative_from_runs(uxruns[merge] + vr, b))
-                if mid is None:
-                    violations.append((u, x, tuple(path), "no-middle-decomposition"))
-                else:
-                    middles.add(mid)
-                    if table_set is not None and mid not in table_set:
-                        violations.append((u, x, tuple(path), "middle-not-in-table"))
+                key = rest[len(du):] if rest[:len(du)] == du else None
+                classes[merge].setdefault(key, []).append((u, x))
+    # Every u·x of the group ends in the same letter and last run length.
+    joint, tail = ((u + x)[-1], uxruns[-1]) if uxruns else (0, 0)
 
-        # u·x = ε is u = x = ε, whose walk over v ``half`` restricts too.
-        (walk if ux else first_walk)(ab, ux_tower, [], L, visit_v)
-    return tested, violations, middles
+    def record(mid: tuple | None, group, path: list[int]) -> None:
+        if mid is not None:
+            middles.add(mid)
+            if table_set is None or mid in table_set:
+                return
+        reason = "no-middle-decomposition" if mid is None else "middle-not-in-table"
+        v = tuple(path)
+        violations.extend((u, x, v, reason) for u, x in group)
+
+    # vruns[d] holds the run lengths of the v that is d letters into the
+    # walk; the list grows with the depth the walk reaches, not with L.
+    vruns = [()]
+    nodes = 0
+
+    def visit_v(tower: tuple, path: list[int]) -> None:
+        nonlocal nodes
+        nodes += 1
+        depth = len(path)
+        if depth:
+            vr = vruns[depth - 1]
+            vr = vr[:-1] + (vr[-1] + 1,) if depth > 1 and path[-1] == path[-2] else vr + (1,)
+            vruns[depth:] = [vr]
+            dv = derivative_from_runs(vr, b)
+            merge = path[0] == joint
+            if merge:
+                # v's first run continues the last run of u·x.
+                vr = (vr[0] + tail,) + vr[1:]
+            head = vr[:len(vr) - (vr[-1] != b)]
+            for key, group in classes[merge].items():
+                record(None if key is None else _extract_middle((), dv, key + head), group, path)
+            one_by_one = single[merge]
+        else:
+            vr, dv, one_by_one = (), (), at_root
+        for u, x, du, r in one_by_one:
+            record(_extract_middle(du, dv, derivative_from_runs(r + vr, b)), ((u, x),), path)
+
+    # u·x = ε is u = x = ε, whose walk over v keeps its scanned half.
+    (walk if ux_tower else _walk_below_a)(ab, ux_tower, [], L, visit_v)
+    return nodes, violations, middles
 
 
 def _unlink(node: tuple) -> tuple:
@@ -295,12 +313,6 @@ class ConcatCertificate(NamedTuple):
         }
 
 
-def _scan_domain(ab: Alphabet, L: int, table_set: frozenset | None, x: tuple):
-    """:func:`_scan_x` over the triples that :func:`certify_concat` scans for
-    x: half of them for x = ε, all of them for any other x."""
-    return _scan_x(ab, L, x, table_set, half=not x)
-
-
 def certify_concat(ab: Alphabet, L: int, jobs: int = 1,
                    explore: int | None = None) -> ConcatCertificate:
     """Check D(uxv) = D(u) w D(v) with w in the table, exhaustively to bound L.
@@ -312,17 +324,16 @@ def certify_concat(ab: Alphabet, L: int, jobs: int = 1,
     Of x and its complement x̄ both in the set, only the one starting with a
     is scanned; x̄ gets its count and middles and the complements of its
     violations.  x = ε counts 2·t - 1 for the t triples of its scanned half,
-    since (ε, ε, ε) is its own complement.  Each scanned x is one task,
-    mapped over ``jobs`` workers; the certificate is the same for every
-    ``jobs``.
+    since (ε, ε, ε) is its own complement.  All scanned x share one walk
+    over u; each group of (u, x) with one tower of u·x is one task, mapped
+    over ``jobs`` workers (:func:`_scan`); the certificate is the same for
+    every ``jobs``.
     """
     if L < 1:
         raise ValueError("length bound must be >= 1")
-    table = dsigma_table(ab)
-    table_items = frozenset(tuple(w) for w in table.words)
     if explore is None:
-        xs = sorted((tuple(w) for w in table.words), key=_shortlex)
-        check: frozenset | None = table_items
+        check: frozenset | None = frozenset(tuple(w) for w in dsigma_table(ab).words)
+        xs = sorted(check, key=_shortlex)
         x_source = "table"
     else:
         if explore < 0:
@@ -332,33 +343,22 @@ def certify_concat(ab: Alphabet, L: int, jobs: int = 1,
         x_source = f"smooth-x<={explore}"
 
     have = set(xs)
-    # One task per x, except that of a complement pair only the member that
-    # starts with a is scanned.
-    tasks = [x for x in xs if not (x and x[0] == ab.b and complement(x, ab) in have)]
-    tested = 0
-    violations: list[tuple] = []
-    middles: set[tuple] = set()
-    scans = map_tasks(partial(_scan_domain, ab, L, check), tasks, jobs)
-    for x, (t, vio, mids) in zip(tasks, scans):
-        tested += t
-        violations.extend(vio)
-        middles |= mids
-        xbar = complement(x, ab)
-        if xbar in have:
-            # The complements (ū, x̄, v̄) of the scanned triples; (ε, ε, ε) is its own.
-            tested += t - (not x)
-            violations.extend((complement(u, ab), xbar, complement(v, ab), reason)
-                              for u, _, v, reason in vio if u or x or v)
+    # Of a complement pair only the member that starts with a is scanned.
+    scanned = [x for x in xs if not (x and x[0] == ab.b and complement(x, ab) in have)]
+    counts, violations, middles = _scan(ab, L, scanned, check, jobs)
+    # The complements (ū, x̄, v̄) of the scanned triples; (ε, ε, ε) is its own.
+    tested = sum(counts.values()) + sum(t - (not x) for x, t in counts.items()
+                                        if complement(x, ab) in have)
+    violations += [(complement(u, ab), complement(x, ab), complement(v, ab), reason)
+                   for u, x, v, reason in violations
+                   if complement(x, ab) in have and (u or x or v)]
     violations.sort(key=lambda r: (_shortlex(r[0]), _shortlex(r[1]), _shortlex(r[2])))
     return ConcatCertificate(
-        alphabet=ab,
-        bound=L,
-        tested_triples=tested,
+        alphabet=ab, bound=L, tested_triples=tested,
         violations=tuple(ConcatViolation(Word._wrap(u), Word._wrap(x), Word._wrap(v), reason)
                          for u, x, v, reason in violations),
         middle_set=tuple(Word._wrap(m) for m in sorted(middles, key=_shortlex)),
-        x_source=x_source,
-    )
+        x_source=x_source)
 
 
 def empirical_middle_set(ab: Alphabet, L: int, size_limit: int = 512) -> set[Word]:
@@ -379,7 +379,7 @@ def empirical_middle_set(ab: Alphabet, L: int, size_limit: int = 512) -> set[Wor
         if complement(x, ab) in scanned:
             continue
         scanned.add(x)
-        _, _, mids = _scan_domain(ab, L, None, x)
+        _, _, mids = _scan(ab, L, [x], None)
         new = mids - found
         found |= new
         queue.extend(sorted(new, key=_shortlex))

@@ -13,7 +13,6 @@ safe to share between threads or processes.
 
 from __future__ import annotations
 
-from itertools import groupby
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NotClosableError, WordParseError
@@ -278,14 +277,30 @@ class RunDecomposition(_FrozenRecord):
 
 def runs(w: Iterable[int]) -> RunDecomposition:
     """Decompose a word into its maximal runs."""
-    return RunDecomposition(tuple(
-        Run(letter, sum(1 for _ in group)) for letter, group in groupby(w)
-    ))
+    w = tuple(w)
+    out, start = [], 0
+    for length in run_lengths(w):
+        out.append(Run(w[start], length))
+        start += length
+    return RunDecomposition(tuple(out))
 
 
 def run_lengths(w: Iterable[int]) -> list[int]:
     """The run lengths of ``w`` as a plain list (cheap form of ``delta``)."""
-    return [sum(1 for _ in group) for _, group in groupby(w)]
+    lens = []
+    letters = iter(w)
+    # The outer loop takes only the first letter; the inner one the rest.
+    for last in letters:
+        n = 1
+        for c in letters:
+            if c == last:
+                n += 1
+            else:
+                lens.append(n)
+                last = c
+                n = 1
+        lens.append(n)
+    return lens
 
 
 def delta(w: Iterable[int]) -> Word:

@@ -34,13 +34,14 @@ calling a visitor with the tower and the letters of every node, the seed
 included.  Preorder visits the words of one length in lexicographic order, so
 collecting per length gives shortlex order.  Enumeration
 (``census.enumerate_smooth``), the power census (:func:`power_hits`) and the
-concatenation certifier (``concat._scan_x``) are visitors on it.  The power
+concatenation certifier (``concat._scan``) are visitors on it.  The power
 visitor fuses the n-th power test into the walk: at node u it pushes n-1
 more copies of u onto u's tower, so u^n is tested without a list of bases
-and without re-deriving u's tower.  The certifier nests two walks: the outer
-walk over u pushes x onto each u's tower and groups the u with a smooth u·x
-by the tower of u·x; then one inner walk over v runs from each distinct
-tower, and every u of its group is tested at each v.
+and without re-deriving u's tower.  The certifier nests two walks: one walk
+over u pushes every x onto each u's tower and groups the pairs (u, x) with a
+smooth u·x by the tower of u·x, whatever the x; then one walk over v runs
+from each distinct tower, and at each v the pairs of its group are tested
+one class of equal verdicts at a time.
 
 Enumeration and the power census walk only the words that start with a and
 build the rest by the complement (swapping a and b), which is exact:
@@ -219,35 +220,42 @@ def complete_by_complement(by_len: list[list], ab: Alphabet, make=tuple) -> None
 
 def power_hits(ab: Alphabet, n: int, max_len: int, prefix=()) -> list[list[tuple]]:
     """Smooth words u extending ``prefix`` with 1 <= |u| <= max_len and u^n
-    smooth, grouped by length (index i holds length i) and lexicographic
-    within a length.
+    smooth, grouped by length (index i holds length i, up to the longest
+    hit) and lexicographic within a length.
 
     The test is fused into the walk: at node u the other n-1 copies of u are
     pushed onto u's tower (:func:`push_copies`), so a base that fails early in
-    its second copy costs a few pushes and no base list is ever built.
+    its second copy costs a few pushes and no base list is ever built.  The
+    lists grow only on a hit, so a huge ``max_len`` allocates nothing.
     """
     tower = seeded_state(ab, prefix)
-    hits: list[list[tuple]] = [[] for _ in range(max_len + 1)]
+    hits: list[list[tuple]] = []
     if tower is None or len(prefix) > max_len:
         return hits
     copies = n - 1
 
     def visit(tower: tuple, path: list[int]) -> None:
         if path and push_copies(ab, tower, path, copies) is not None:
+            while len(hits) <= len(path):
+                hits.append([])
             hits[len(path)].append(tuple(path))
 
     walk(ab, tower, list(prefix), max_len, visit)
     return hits
 
 
-def map_tasks(fn, tasks: list, jobs: int) -> list:
-    """``[fn(t) for t in tasks]`` in task order, on ``min(jobs, len(tasks))``
-    worker processes, or in this process when that is 1.  The pool module is
-    imported only when a pool starts (and then ``fn`` and the tasks must
-    pickle), so a run that starts none skips it at start-up."""
+def map_tasks(fn, tasks: list, jobs: int):
+    """``fn(t)`` for each task, yielded in task order, on
+    ``min(jobs, len(tasks))`` worker processes, or in this process when that
+    is 1.  Yielding lets the caller merge each result and drop it before the
+    next.  The pool module is imported only when a pool starts (and then
+    ``fn`` and the tasks must pickle), so a run that starts none skips it at
+    start-up.  Tasks travel in about eight chunks per worker, so a long list
+    of small tasks does not pay one round trip each."""
     workers = min(jobs, len(tasks))
     if workers <= 1:
-        return [fn(t) for t in tasks]
+        yield from map(fn, tasks)
+        return
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        yield from pool.map(fn, tasks, chunksize=-(-len(tasks) // (8 * workers)))

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from smoothwords import (Alphabet, Word, delta, enumerate_smooth, gamma,
                          h_delta, is_smooth, kolakoski_prefix, lift,
                          lift_family, scan_powers, smooth_chain, word_to_text)
+from smoothwords import census, search
 from smoothwords.census import _split
 from smoothwords.search import walk
 from smoothwords.errors import CertificationError
@@ -168,6 +170,45 @@ class TestGamma:
         lines = report.to_csv().strip().splitlines()
         assert lines[0] == "base,base_length,power_length"
         assert len(lines) == 1 + len(report.witnesses)
+
+
+class TestHugeBounds:
+    """The per-length lists grow with the lengths the walk finds, not with
+    the bound.  Stubbed walks visit only their root, so no bound is walked."""
+
+    @pytest.fixture(autouse=True)
+    def root_only(self, monkeypatch):
+        def walk_root(ab, tower, path, max_len, visit):
+            visit(tower, path)
+
+        monkeypatch.setattr(search, "walk", walk_root)
+        monkeypatch.setattr(census, "walk", walk_root)
+
+    @staticmethod
+    def _run(L):
+        ab = Alphabet(1, 2)
+        return (scan_powers(ab, 2, L), gamma(ab, 1, L)[0], enumerate_smooth(ab, L),
+                enumerate_smooth(ab, L, min_len=0))
+
+    def test_a_million_allocates_under_a_megabyte(self):
+        tracemalloc.start()
+        try:
+            self._run(10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+    def test_huge_bound(self):
+        report, count, words, up_to = self._run(10**20)
+        # The roots are "1" (the shorter bases) and the four-letter prefixes
+        # of _split; of their squares only 11 is smooth.
+        assert [word_to_text(w.base) for w in report.witnesses] == ["1", "2"]
+        assert report.stable and report.last_new_base_length == 1
+        # n = 1 keeps every root: 1, 1121, 1122, 1211, 1212, 1221 and complements.
+        assert count == 12
+        assert words == []
+        assert up_to == [Word(), Word("1"), Word("2")]
 
 
 class TestLift:

@@ -7,9 +7,9 @@ from smoothwords import (Alphabet, EPSILON, Word, certify_concat, derivative,
                          dsigma_table, empirical_middle_set, enumerate_smooth, is_smooth,
                          middle_witness, mirror, power_decomposition, word_to_text)
 from smoothwords import concat
-from smoothwords.concat import DsigmaTable, _scan_x
+from smoothwords.concat import DsigmaTable, _extract_middle, _scan
 from smoothwords.errors import CertificationError
-from smoothwords.search import fast_derivative, is_smooth_fast, walk
+from smoothwords.search import fast_derivative, is_smooth_fast, seeded_state, walk
 
 
 def words(texts):
@@ -141,11 +141,12 @@ class TestCertify:
 
 
 class TestScanDifferential:
-    """``_scan_x`` against a brute force over all (u, x, v) built on the
+    """``_scan`` against a brute force over all (u, x, v) built on the
     literal ``calculus.derivative``."""
 
     # Bounds keep each case near a second of literal derivatives.
     CASES = [((1, 2), 6), ((1, 3), 6), ((1, 4), 6), ((2, 3), 8), ((2, 5), 8), ((3, 4), 8)]
+    _found: dict = {}
 
     @staticmethod
     def _xs(ab):
@@ -161,35 +162,40 @@ class TestScanDifferential:
         assert not any(is_smooth(Word(x), ab) for x in dead)
         return table + outside + dead
 
-    @staticmethod
-    def _brute(ab, L, x):
-        """(u, v, middle or None) for every smooth u·x·v, by the literal calculus.
+    @classmethod
+    def _brute(cls, ab, L, x):
+        """(u, v, middle or None) for every smooth u·x·v, by the literal
+        calculus; for x = ε only the triples whose u·v is empty or starts
+        with a, the half that ``_scan`` certifies.
 
         v grows one letter at a time while u·x·v stays smooth: factors of
         smooth words are smooth, so no smooth triple is skipped.
         """
-        if not all(c in ab.letters for c in x):
-            return []
-        x = Word(x)
+        if (ab, L, x) in cls._found:
+            return cls._found[ab, L, x]
         found = []
-        for n in range(L + 1):
-            for u in map(Word, product(ab.letters, repeat=n)):
-                ux = u + x
-                if not is_smooth(u, ab) or not is_smooth(ux, ab):
-                    continue
-                du = tuple(derivative(u, ab))
-                frontier = [Word()]
-                while frontier:
-                    v = frontier.pop()
-                    dv, df = tuple(derivative(v, ab)), tuple(derivative(ux + v, ab))
-                    mid = None
-                    if len(du) + len(dv) <= len(df) and df[:len(du)] == du \
-                            and df[len(df) - len(dv):] == dv:
-                        mid = df[len(du):len(df) - len(dv)]
-                    found.append((tuple(u), tuple(v), mid))
-                    if len(v) < L:
-                        frontier.extend(v + (c,) for c in ab.letters
-                                        if is_smooth(ux + v + (c,), ab))
+        if all(c in ab.letters for c in x):
+            x = Word(x)
+            for n in range(L + 1):
+                for u in map(Word, product(ab.letters, repeat=n)):
+                    ux = u + x
+                    if not is_smooth(u, ab) or not is_smooth(ux, ab):
+                        continue
+                    du = tuple(derivative(u, ab))
+                    frontier = [Word()]
+                    while frontier:
+                        v = frontier.pop()
+                        dv, df = tuple(derivative(v, ab)), tuple(derivative(ux + v, ab))
+                        mid = None
+                        if len(du) + len(dv) <= len(df) and df[:len(du)] == du \
+                                and df[len(df) - len(dv):] == dv:
+                            mid = df[len(du):len(df) - len(dv)]
+                        if x or not u + v or (u + v)[0] == ab.a:
+                            found.append((tuple(u), tuple(v), mid))
+                        if len(v) < L:
+                            frontier.extend(v + (c,) for c in ab.letters
+                                            if is_smooth(ux + v + (c,), ab))
+        cls._found[ab, L, tuple(x)] = found
         return found
 
     @pytest.mark.parametrize("ab_pair,L", CASES)
@@ -199,42 +205,64 @@ class TestScanDifferential:
             found = self._brute(ab, L, x)
             middles = {mid for _, _, mid in found if mid is not None}
             missing = [(u, x, v, "no-middle-decomposition") for u, v, mid in found if mid is None]
-            tested, violations, got_middles = _scan_x(ab, L, x, None)
-            assert (tested, got_middles) == (len(found), middles), (ab, x)
+            counts, violations, got_middles = _scan(ab, L, [x], None)
+            assert (counts, got_middles) == ({x: len(found)}, middles), (ab, x)
             assert sorted(violations) == sorted(missing), (ab, x)
             # The empty table makes every triple a violation.
             want = sorted(missing + [(u, x, v, "middle-not-in-table")
                                      for u, v, mid in found if mid is not None])
-            tested, violations, got_middles = _scan_x(ab, L, x, frozenset())
-            assert (tested, got_middles) == (len(found), middles), (ab, x)
-            assert len(violations) == tested
+            counts, violations, got_middles = _scan(ab, L, [x], frozenset())
+            assert (counts, got_middles) == ({x: len(found)}, middles), (ab, x)
+            assert len(violations) == counts[x]
             for got, expected in zip(sorted(violations), want):
                 assert got == expected, (ab, x)
 
+    @pytest.mark.parametrize("ab_pair,L", CASES)
+    def test_one_scan_over_every_x_matches_the_union(self, ab_pair, L):
+        # Pairs (u, x) of different x share towers, walks over v and classes;
+        # every x still gets its own count, violations and middles.
+        ab = Alphabet(*ab_pair)
+        xs = self._xs(ab)
+        found = {x: self._brute(ab, L, x) for x in xs}
+        middles = {mid for x in xs for _, _, mid in found[x] if mid is not None}
+        counts, violations, got_middles = _scan(ab, L, xs, None)
+        assert counts == {x: len(found[x]) for x in xs}
+        assert got_middles == middles
+        assert sorted(violations) == sorted((u, x, v, "no-middle-decomposition")
+                                            for x in xs for u, v, mid in found[x]
+                                            if mid is None)
+        # The empty table fails every class, so each expands to all its members.
+        counts, violations, got_middles = _scan(ab, L, xs, frozenset())
+        assert got_middles == middles
+        assert sorted(violations) == sorted(
+            (u, x, v, "no-middle-decomposition" if mid is None else "middle-not-in-table")
+            for x in xs for u, v, mid in found[x])
+        assert len(violations) == sum(counts.values())
+
     def test_one_v_walk_per_tower_of_ux(self, monkeypatch, ab12):
-        # u with equal towers of u·x share one walk over v; every triple is
-        # still tested.
+        # Pairs (u, x) with equal towers of u·x share one walk over v, across
+        # all x; one walk over u serves every x.
         starts = []
 
         def counting_walk(ab, tower, path, max_len, visit):
             starts.append(tower)
             walk(ab, tower, path, max_len, visit)
 
+        xs = [tuple(w) for w in dsigma_table(ab12).words]
+        singles = [_scan(ab12, 8, [x], None) for x in xs]
         monkeypatch.setattr(concat, "walk", counting_walk)
-        x = (1, 2)
-        tested, violations, middles = _scan_x(ab12, 8, x, None)
-        smooth_ux = [u for u in enumerate_smooth(ab12, 8, min_len=0)
-                     if is_smooth_fast(tuple(u) + x, ab12)]
-        # The walk over u starts from the empty tower, each walk over v from
-        # the non-empty tower of u·x.
-        v_walks = [t for t in starts if t]
-        assert len(starts) == len(v_walks) + 1
-        assert len(v_walks) < len(smooth_ux)
-        found = self._brute(ab12, 8, x)
-        assert tested == len(found)
-        assert middles == {mid for _, _, mid in found if mid is not None}
-        assert sorted(violations) == sorted((u, x, v, "no-middle-decomposition")
-                                            for u, v, mid in found if mid is None)
+        counts, violations, middles = _scan(ab12, 8, xs, None)
+        words = [tuple(u) for u in enumerate_smooth(ab12, 8, min_len=0)]
+        # x = ε takes only the empty u and the u that start with a.
+        towers = {x: {seeded_state(ab12, u + x) for u in words if x or not u or u[0] == 1}
+                  - {None} for x in xs}
+        everywhere = set().union(*towers.values())
+        # One walk over u, then one walk over v per distinct tower of u·x.
+        assert len(starts) == 1 + len(everywhere)
+        assert len(everywhere) < sum(map(len, towers.values()))
+        assert counts == {x: t for x, (c, _, _) in zip(xs, singles) for t in c.values()}
+        assert sorted(violations) == sorted(v for _, vio, _ in singles for v in vio)
+        assert middles == set().union(*(m for _, _, m in singles))
 
     def test_huge_bound_needs_no_arrays_of_that_size(self, monkeypatch, ab12):
         # Stubbed walks visit only their root, so 10**20 is never walked.
@@ -245,13 +273,14 @@ class TestScanDifferential:
         monkeypatch.setattr(concat, "_walk_below_a", root_only)
         # Only (ε, x, ε) is visited, and D(12) is empty.
         for x in [(), (1, 2)]:
-            assert _scan_x(ab12, 10**20, x, None, half=not x) == (1, [], {()})
+            assert _scan(ab12, 10**20, [x], None) == ({x: 1}, [], {()})
 
 
 class TestComplementHalving:
     """``certify_concat`` scans one x of each complement pair and half of the
-    triples of x = ε, then adds the complements; the reference merges full
-    ``_scan_x`` scans over every x."""
+    triples of x = ε, then adds the complements; the reference merges
+    ``_scan`` over every other x with all triples of x = ε, listed by pairs
+    of smooth words without a walk."""
 
     # (alphabet, L, explore, truncated table or None).  The stored tables put
     # violations only on x whose complement is outside the table ({1,3}:
@@ -263,19 +292,40 @@ class TestComplementHalving:
              ((2, 5), 8, None, ("", "2", "5"))]
 
     @staticmethod
-    def _reference(ab, L, explore):
+    def _epsilon(ab, L, check):
+        """(tested, violations, middles) over every (u, ε, v)."""
+        words = [tuple(w) for w in enumerate_smooth(ab, L, min_len=0)]
+        derivs = {w: fast_derivative(w, ab.b) for w in words}
+        tested, violations, middles = 0, [], set()
+        for u in words:
+            for v in words:
+                if not is_smooth_fast(u + v, ab):
+                    continue
+                tested += 1
+                mid = _extract_middle(derivs[u], derivs[v], fast_derivative(u + v, ab.b))
+                if mid is None:
+                    violations.append((u, (), v, "no-middle-decomposition"))
+                    continue
+                middles.add(mid)
+                if check is not None and mid not in check:
+                    violations.append((u, (), v, "middle-not-in-table"))
+        return tested, violations, middles
+
+    @classmethod
+    def _reference(cls, ab, L, explore):
         if explore is None:
             xs = [tuple(w) for w in concat.dsigma_table(ab).words]
             check = frozenset(xs)
         else:
             xs = [tuple(w) for w in enumerate_smooth(ab, explore, min_len=0)]
             check = None
-        tested, violations, middles = 0, [], set()
+        tested, violations, middles = cls._epsilon(ab, L, check)
         for x in xs:
-            t, vio, mids = _scan_x(ab, L, x, check)
-            tested += t
-            violations += vio
-            middles |= mids
+            if x:
+                counts, vio, mids = _scan(ab, L, [x], check)
+                tested += counts[x]
+                violations += vio
+                middles |= mids
         def shortlex(w):
             return len(w), w
 

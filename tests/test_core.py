@@ -1,10 +1,11 @@
-from itertools import product
+from itertools import groupby, product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from smoothwords import (Alphabet, EPSILON, Word, closure, complement, delta,
                          delta_inv, mirror, runs, word_from_text, word_to_text)
+from smoothwords.core import run_lengths
 from smoothwords.errors import NotClosableError, WordParseError
 
 ALPHABETS = [Alphabet(1, 2), Alphabet(1, 3), Alphabet(2, 4), Alphabet(3, 7)]
@@ -127,6 +128,14 @@ class TestRuns:
         rd = runs(Word(letters))
         for left, right in zip(rd.runs, rd.runs[1:]):
             assert left.letter != right.letter
+
+    @given(st.lists(st.integers(min_value=1, max_value=12), max_size=40))
+    def test_matches_groupby_definition(self, letters):
+        # The empty word, letters above 9, and any iterable, not only words.
+        want = [(c, sum(1 for _ in g)) for c, g in groupby(letters)]
+        assert run_lengths(letters) == [n for _, n in want]
+        assert run_lengths(iter(letters)) == [n for _, n in want]
+        assert tuple(runs(iter(letters))) == tuple(want)
 
 
 class TestDelta:

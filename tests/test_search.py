@@ -258,7 +258,7 @@ def test_huge_exponent_stops_at_the_first_failed_copy():
     # the first failure ends the test.
     ab = Alphabet(1, 2)
     assert not is_power_smooth(Word("1211"), 10**20, ab)
-    assert power_hits(ab, 10**20, 6, (1,)) == [[] for _ in range(7)]
+    assert power_hits(ab, 10**20, 6, (1,)) == []  # no hit, so no list
     assert scan_powers(ab, 10**20, 4).witnesses == ()
 
 
@@ -277,14 +277,15 @@ def test_pool_never_has_more_workers_than_tasks(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
+        def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    # {3,4} has seven middle words; one of each complement pair is scanned,
-    # so four tasks (ε, 3, 33, 34) for sixteen jobs.
-    assert certify_concat(Alphabet(3, 4), 4, jobs=16) == certify_concat(Alphabet(3, 4), 4)
-    assert sizes == [4]
+    # A certify-concat task is one tower of u·x.  Over {3,4} at L = 1 the
+    # words u·x (u in ε, 3, 4; x in ε, 3, 33, 34) have seven towers (34 and
+    # 334 share one), so seven tasks for sixteen jobs.
+    assert certify_concat(Alphabet(3, 4), 1, jobs=16) == certify_concat(Alphabet(3, 4), 1)
+    assert sizes == [7]
     # With L = 1 the only task is the prefix "1": no pool at all.
     assert scan_powers(Alphabet(1, 2), 2, 1, jobs=3) == scan_powers(Alphabet(1, 2), 2, 1)
-    assert sizes == [4]
+    assert sizes == [7]
