@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .core import Alphabet, EPSILON, Word, delta_inv, word_to_csv, word_to_text
 from .errors import CertificationError
 from .search import (complete_by_complement, is_power_smooth, map_tasks, power_hits, push,
-                     seeded_state, walk)
+                     seeded_state, walk, worker_cap)
 
 __all__ = [
     "IndexPair", "PowerWitness", "CensusReport",
@@ -202,8 +202,8 @@ def scan_powers(ab: Alphabet, n: int, L: int, jobs: int = 1) -> CensusReport:
     Only the bases starting with a are walked; the rest are their reversed
     complements (:func:`smoothwords.search.complete_by_complement`).  The walk
     is split into the subtrees below the a-initial smooth prefixes of the
-    shallowest depth with at least ``8 * jobs`` smooth prefixes, after the
-    shorter bases; only the map over those tasks depends on ``jobs``
+    shallowest depth with at least ``8 * worker_cap(jobs)`` smooth prefixes,
+    after the shorter bases; only the map over those tasks depends on ``jobs``
     (:func:`smoothwords.search.map_tasks`), so the witnesses do not.
     """
     if n < 2:
@@ -216,7 +216,7 @@ def _census(ab: Alphabet, n: int, L: int, jobs: int) -> CensusReport:
     any n >= 1 (n = 1 keeps every base)."""
     if L < 1:
         raise ValueError("base-length bound must be >= 1")
-    depth, prefixes = _split(ab, L, 8 * jobs)
+    depth, prefixes = _split(ab, L, 8 * worker_cap(jobs))
     hits = power_hits(ab, n, depth - 1, (ab.a,))
     # Prefix order keeps each length's bases lexicographic.
     for part in map_tasks(partial(power_hits, ab, n, L), prefixes, jobs):

@@ -50,8 +50,8 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("text", "json", "csv"),
                         default="text", help="output format")
     common.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for scans (default 1); "
-                             "never changes the output")
+                        help="parallel workers for scans (default 1), at most one "
+                             "per CPU and per task; never changes the output")
     return common
 
 

@@ -8,17 +8,14 @@ rebuilds the table from scratch as a least fixpoint, independent of the
 stored literals.  :func:`power_decomposition` applies the same splitting to
 powers: D^j(u^n) = (D^j(u) w)^(n-1) D^j(u), checked level by level.
 
-Both certifiers use the complement symmetry.  Swapping a and b keeps every
-run length, so (u, x, v) and its complement (ū, x̄, v̄) are smooth together
-and have the same derivatives and the same middle.  Of a complement pair of
-x words only the one starting with a is scanned, and x = ε, its own
-complement, is scanned over the triples whose u·v is empty or starts with
-a; the other triples are their complements.
-
-Both run on one scan (:func:`_scan`) over a list of x words: one walk over
-u, one walk over v per distinct tower of u·x whatever the x, and at each v
-one test per class of pairs (u, x) that the identity
+Both certifiers run on one scan (:func:`_scan`) over a list of x words:
+one walk over u, one walk over v per distinct tower of u·x whatever the x,
+and at each v one test per class of pairs (u, x) that the identity
 D(u·x·v) = R[s:] + V[:e] of :func:`_scan_group` gives the same verdict.
+The scan uses the complement symmetry once, where it files each pair:
+swapping a and b keeps every run length, so (u, x, v) and (ū, x̄, v̄) are
+smooth together and have the same derivatives and the same middle, and a
+u·x that ends in b shares the walk over v of its complement.
 """
 
 from __future__ import annotations
@@ -27,11 +24,10 @@ from functools import partial
 from typing import NamedTuple
 
 from .census import enumerate_smooth
-from .core import (Alphabet, Word, _FrozenRecord, complement, mirror, run_lengths,
-                   runs, word_to_text)
+from .core import Alphabet, Word, _FrozenRecord, mirror, run_lengths, runs, word_to_text
 from .errors import CertificationError
-from .search import (derivative_from_runs, fast_derivative, is_power_smooth, is_smooth_fast,
-                     map_tasks, push, push_copies, walk)
+from .search import (complement_tower, derivative_from_runs, fast_derivative, is_power_smooth,
+                     is_smooth_fast, map_tasks, push_copies, walk)
 
 __all__ = [
     "DsigmaTable", "ConcatViolation", "ConcatCertificate", "PowerDecomposition",
@@ -131,24 +127,22 @@ def middle_witness(u, x, v, ab: Alphabet) -> Word | None:
 
 def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int = 1):
     """Certify every (u, x, v) with x in ``xs``, u, v smooth, |u|,|v| <= L
-    and uxv smooth; for x = ε only its scanned half, the triples whose u·v
-    is empty or starts with a (see :func:`certify_concat`).  Returns (tested
-    count per x, violations, set of extracted middles); with ``table_set``
-    None only the middles are collected, otherwise a middle outside it is a
-    violation.
+    and uxv smooth.  Returns (tested count per x, violations, set of
+    extracted middles); with ``table_set`` None only the middles are
+    collected, otherwise a middle outside it is a violation.
 
     One walk over u pushes every x onto each u's tower and groups the pairs
-    (u, x) with a smooth u·x by the tower of u·x.  A walk reads nothing but
-    its tower, so the pairs of a group have the same smooth v, and their u·x
-    the same last letter and last run length, all that v's runs can merge
-    with.  Each group is one task (:func:`_scan_group`), in first-seen
-    order, mapped over ``jobs`` workers.
+    (u, x) with a smooth u·x by the tower of u·x, filed under the tower of
+    its complement when u·x ends in b.  A walk reads nothing but its tower,
+    so the v that extend a group's tower are, for a pair filed as it is, its
+    smooth v, and for a flipped pair the complements of its smooth v.  Each
+    group is one task (:func:`_scan_group`), in first-seen order, mapped over
+    ``jobs`` workers.
     """
     a, b = ab.a, ab.b
     counts = dict.fromkeys(xs, 0)
     # An x with a letter outside {a, b} has no triple; push does not check.
     xs = [x for x in xs if all(c == a or c == b for c in x)]
-    below_b = [x for x in xs if x]
     groups: dict[tuple, list[tuple]] = {}
     # The u are held as linked lists (last letter, the rest of u), so a walk
     # down a deep path holds one pair per word, not every prefix in full;
@@ -160,10 +154,13 @@ def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int
         if depth:
             links[depth:] = [(upath[-1], links[depth - 1])]
         link = links[depth]
-        for x in (xs if not depth or upath[0] == a else below_b):
+        for x in xs:
             ux_tower = push_copies(ab, tower, x, 1)
             if ux_tower is not None:
-                groups.setdefault(ux_tower, []).append((link, x))
+                flip = (x[-1] if x else upath[-1] if depth else a) == b
+                if flip:
+                    ux_tower = complement_tower(ux_tower, ab)
+                groups.setdefault(ux_tower, []).append((link, x, flip))
 
     walk(ab, (), [], L, visit_u)
     tasks = list(groups.items())
@@ -171,7 +168,7 @@ def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int
     middles: set[tuple] = set()
     for (_, members), (nodes, vio, mids) in zip(
             tasks, map_tasks(partial(_scan_group, ab, L, table_set), tasks, jobs)):
-        for _, x in members:
+        for _, x, _ in members:
             counts[x] += nodes
         violations += vio
         middles |= mids
@@ -182,11 +179,13 @@ def _scan_group(ab: Alphabet, L: int, table_set: frozenset | None, task: tuple):
     """One walk over v from the tower shared by a group of pairs (u, x);
     returns (v nodes walked, violations, middles).
 
-    The walk keeps the run lengths of v per depth, so D(v) and D(u·x·v) are
-    slices of run lengths.  Let R be the runs of u·x, without its last run
-    when v starts with the last letter of u·x, and V the runs of v, the
-    first then lengthened by that last run.  For R and V not empty,
-    ``derivative_from_runs`` gives
+    Every non-empty u·x of the group ends in a, or is flipped: it ends in b
+    and stands for its complement, which has the same runs, derivative and
+    middles, so a flipped pair's triple at v is (u, x, v̄).  The walk keeps
+    the run lengths of v per depth, so D(v) and D(u·x·v) are slices of run
+    lengths.  Let R be the runs of u·x, without its last run when v starts
+    with a, and V the runs of v, the first then lengthened by that last run.
+    For R and V not empty, ``derivative_from_runs`` gives
 
         D(u·x·v) = R[s:] + V[:e],  s = (R[0] != b),  e = |V| - (V[-1] != b).
 
@@ -197,26 +196,28 @@ def _scan_group(ab: Alphabet, L: int, table_set: frozenset | None, task: tuple):
     an empty or shorter R[s:], each triple is tested by itself.
     """
     ux_tower, members = task
-    b = ab.b
+    a, b = ab.a, ab.b
+    swap = (a + b).__sub__
     violations: list[tuple[tuple, tuple, tuple, str]] = []
     middles: set[tuple] = set()
     # Indexed by ``merge`` below: the classes by key (None when R[s:] does
     # not start with D(u)), and the pairs tested one triple at a time.
     classes, single, at_root = ({}, {}), ([], []), []
-    for link, x in members:
+    for link, x, flip in members:
         u = _unlink(link)
         du = fast_derivative(u, b)
         uxruns = tuple(run_lengths(u + x))
-        at_root.append((u, x, du, uxruns))
+        member = (u, x, flip)
+        at_root.append((member, du, uxruns))
         for merge, r in enumerate((uxruns, uxruns[:-1])):
             rest = r[r[0] != b:] if r else ()
             if not r or len(rest) < len(du):
-                single[merge].append((u, x, du, r))
+                single[merge].append((member, du, r))
             else:
                 key = rest[len(du):] if rest[:len(du)] == du else None
-                classes[merge].setdefault(key, []).append((u, x))
-    # Every u·x of the group ends in the same letter and last run length.
-    joint, tail = ((u + x)[-1], uxruns[-1]) if uxruns else (0, 0)
+                classes[merge].setdefault(key, []).append(member)
+    # Every u·x of the group has the same last run length.
+    tail = uxruns[-1] if uxruns else 0
 
     def record(mid: tuple | None, group, path: list[int]) -> None:
         if mid is not None:
@@ -225,7 +226,8 @@ def _scan_group(ab: Alphabet, L: int, table_set: frozenset | None, task: tuple):
                 return
         reason = "no-middle-decomposition" if mid is None else "middle-not-in-table"
         v = tuple(path)
-        violations.extend((u, x, v, reason) for u, x in group)
+        violations.extend((u, x, tuple(map(swap, v)) if flip else v, reason)
+                          for u, x, flip in group)
 
     # vruns[d] holds the run lengths of the v that is d letters into the
     # walk; the list grows with the depth the walk reaches, not with L.
@@ -241,7 +243,7 @@ def _scan_group(ab: Alphabet, L: int, table_set: frozenset | None, task: tuple):
             vr = vr[:-1] + (vr[-1] + 1,) if depth > 1 and path[-1] == path[-2] else vr + (1,)
             vruns[depth:] = [vr]
             dv = derivative_from_runs(vr, b)
-            merge = path[0] == joint
+            merge = path[0] == a
             if merge:
                 # v's first run continues the last run of u·x.
                 vr = (vr[0] + tail,) + vr[1:]
@@ -251,11 +253,10 @@ def _scan_group(ab: Alphabet, L: int, table_set: frozenset | None, task: tuple):
             one_by_one = single[merge]
         else:
             vr, dv, one_by_one = (), (), at_root
-        for u, x, du, r in one_by_one:
-            record(_extract_middle(du, dv, derivative_from_runs(r + vr, b)), ((u, x),), path)
+        for member, du, r in one_by_one:
+            record(_extract_middle(du, dv, derivative_from_runs(r + vr, b)), (member,), path)
 
-    # u·x = ε is u = x = ε, whose walk over v keeps its scanned half.
-    (walk if ux_tower else _walk_below_a)(ab, ux_tower, [], L, visit_v)
+    walk(ab, ux_tower, [], L, visit_v)
     return nodes, violations, middles
 
 
@@ -266,15 +267,6 @@ def _unlink(node: tuple) -> tuple:
         c, node = node
         letters.append(c)
     return tuple(reversed(letters))
-
-
-def _walk_below_a(ab: Alphabet, tower: tuple, path: list[int], max_len: int, visit) -> None:
-    """:func:`~smoothwords.search.walk` from the empty ``path`` and the empty
-    ``tower``, restricted to the empty word and the smooth words that start
-    with a; ``max_len`` must be at least 1."""
-    visit(tower, path)
-    a = ab.a
-    walk(ab, push(tower, a, a, ab.b), [a], max_len, visit)
 
 
 class ConcatViolation(NamedTuple):
@@ -321,13 +313,9 @@ def certify_concat(ab: Alphabet, L: int, jobs: int = 1,
     over all smooth words up to that length instead, and middles are reported
     without being asserted against the table.
 
-    Of x and its complement x̄ both in the set, only the one starting with a
-    is scanned; x̄ gets its count and middles and the complements of its
-    violations.  x = ε counts 2·t - 1 for the t triples of its scanned half,
-    since (ε, ε, ε) is its own complement.  All scanned x share one walk
-    over u; each group of (u, x) with one tower of u·x is one task, mapped
-    over ``jobs`` workers (:func:`_scan`); the certificate is the same for
-    every ``jobs``.
+    All x share one walk over u; each group of (u, x) with one tower of u·x,
+    up to the complement, is one task, mapped over ``jobs`` workers
+    (:func:`_scan`); the certificate is the same for every ``jobs``.
     """
     if L < 1:
         raise ValueError("length bound must be >= 1")
@@ -342,19 +330,10 @@ def certify_concat(ab: Alphabet, L: int, jobs: int = 1,
         check = None
         x_source = f"smooth-x<={explore}"
 
-    have = set(xs)
-    # Of a complement pair only the member that starts with a is scanned.
-    scanned = [x for x in xs if not (x and x[0] == ab.b and complement(x, ab) in have)]
-    counts, violations, middles = _scan(ab, L, scanned, check, jobs)
-    # The complements (ū, x̄, v̄) of the scanned triples; (ε, ε, ε) is its own.
-    tested = sum(counts.values()) + sum(t - (not x) for x, t in counts.items()
-                                        if complement(x, ab) in have)
-    violations += [(complement(u, ab), complement(x, ab), complement(v, ab), reason)
-                   for u, x, v, reason in violations
-                   if complement(x, ab) in have and (u or x or v)]
+    counts, violations, middles = _scan(ab, L, xs, check, jobs)
     violations.sort(key=lambda r: (_shortlex(r[0]), _shortlex(r[1]), _shortlex(r[2])))
     return ConcatCertificate(
-        alphabet=ab, bound=L, tested_triples=tested,
+        alphabet=ab, bound=L, tested_triples=sum(counts.values()),
         violations=tuple(ConcatViolation(Word._wrap(u), Word._wrap(x), Word._wrap(v), reason)
                          for u, x, v, reason in violations),
         middle_set=tuple(Word._wrap(m) for m in sorted(middles, key=_shortlex)),
@@ -365,24 +344,17 @@ def empirical_middle_set(ab: Alphabet, L: int, size_limit: int = 512) -> set[Wor
     """Least fixpoint of middle extraction, seeded with the empty word.
 
     This is the independent oracle for the stored tables: it never reads
-    them, it only slices derivatives of smooth concatenations.  x and its
-    complement have the same middles, so x is not scanned once its
-    complement has been, and x = ε is scanned over half its triples.
+    them, it only slices derivatives of smooth concatenations.  Each round
+    scans every middle the last round found as x, in one :func:`_scan`.
     """
     if L < 1:
         raise ValueError("length bound must be >= 1")
     found: set[tuple] = {()}
-    queue: list[tuple] = [()]
-    scanned: set[tuple] = set()
-    while queue:
-        x = queue.pop(0)
-        if complement(x, ab) in scanned:
-            continue
-        scanned.add(x)
-        _, _, mids = _scan(ab, L, [x], None)
+    new: set[tuple] = {()}
+    while new:
+        _, _, mids = _scan(ab, L, list(new), None)
         new = mids - found
         found |= new
-        queue.extend(sorted(new, key=_shortlex))
         if len(found) > size_limit:
             raise RuntimeError(
                 f"middle-word fixpoint exceeded {size_limit} elements over {ab}; "

@@ -39,9 +39,10 @@ visitor fuses the n-th power test into the walk: at node u it pushes n-1
 more copies of u onto u's tower, so u^n is tested without a list of bases
 and without re-deriving u's tower.  The certifier nests two walks: one walk
 over u pushes every x onto each u's tower and groups the pairs (u, x) with a
-smooth u·x by the tower of u·x, whatever the x; then one walk over v runs
-from each distinct tower, and at each v the pairs of its group are tested
-one class of equal verdicts at a time.
+smooth u·x by the tower of u·x, whatever the x, or by the tower of its
+complement (:func:`complement_tower`) when u·x ends in b; then one walk over
+v runs from each distinct tower, and at each v the pairs of its group are
+tested one class of equal verdicts at a time.
 
 Enumeration and the power census walk only the words that start with a and
 build the rest by the complement (swapping a and b), which is exact:
@@ -55,17 +56,19 @@ build the rest by the complement (swapping a and b), which is exact:
   b-word sorts after every a-word.
 
 :func:`complete_by_complement` appends that b-half, per length.  The
-concatenation certifier halves its triples by the same swap
-(``smoothwords.concat``).
+concatenation certifier shares its walks over v between a u·x and its
+complement by the same swap (``smoothwords.concat``).
 """
 
 from __future__ import annotations
 
+import os
+
 from .core import Alphabet, run_lengths
 
-__all__ = ["push", "seeded_state", "is_smooth_fast", "is_power_smooth",
-           "push_copies", "fast_derivative", "derivative_from_runs", "walk",
-           "complete_by_complement", "power_hits", "map_tasks"]
+__all__ = ["push", "seeded_state", "complement_tower", "is_smooth_fast",
+           "is_power_smooth", "push_copies", "fast_derivative", "derivative_from_runs", "walk",
+           "complete_by_complement", "power_hits", "worker_cap", "map_tasks"]
 
 
 def push(tower: tuple, letter: int, a: int, b: int) -> tuple | None:
@@ -113,6 +116,18 @@ def seeded_state(ab: Alphabet, letters) -> tuple | None:
     return tower
 
 
+def complement_tower(tower: tuple, ab: Alphabet) -> tuple:
+    """The tower of the complement of the word in ``tower``.
+
+    The swap keeps every run length, so every level above the bottom is
+    unchanged and the bottom level changes only its last letter.
+    """
+    if not tower:
+        return tower
+    runs, last, length, upper = tower
+    return (runs, ab.a + ab.b - last, length, upper)
+
+
 def is_smooth_fast(letters, ab: Alphabet) -> bool:
     """Smoothness test via the incremental engine; letters outside {a, b} fail."""
     return seeded_state(ab, letters) is not None
@@ -140,6 +155,8 @@ def push_copies(ab: Alphabet, tower: tuple, letters, copies: int) -> tuple | Non
 def is_power_smooth(letters, n: int, ab: Alphabet) -> bool:
     """Whether ``letters`` repeated n >= 1 times is smooth over ``ab``,
     without building the power (see :func:`push_copies`)."""
+    if n < 1:
+        raise ValueError(f"exponent must be >= 1, got {n}")
     tower = seeded_state(ab, letters)
     return tower is not None and push_copies(ab, tower, letters, n - 1) is not None
 
@@ -244,15 +261,21 @@ def power_hits(ab: Alphabet, n: int, max_len: int, prefix=()) -> list[list[tuple
     return hits
 
 
+def worker_cap(jobs: int) -> int:
+    """``jobs``, but no more than the machine's CPUs: more workers than CPUs
+    only add processes, and a huge ``jobs`` would start one per task."""
+    return min(jobs, os.cpu_count() or 1)
+
+
 def map_tasks(fn, tasks: list, jobs: int):
     """``fn(t)`` for each task, yielded in task order, on
-    ``min(jobs, len(tasks))`` worker processes, or in this process when that
-    is 1.  Yielding lets the caller merge each result and drop it before the
-    next.  The pool module is imported only when a pool starts (and then
-    ``fn`` and the tasks must pickle), so a run that starts none skips it at
-    start-up.  Tasks travel in about eight chunks per worker, so a long list
-    of small tasks does not pay one round trip each."""
-    workers = min(jobs, len(tasks))
+    ``min(worker_cap(jobs), len(tasks))`` worker processes, or in this
+    process when that is 1.  Yielding lets the caller merge each result and
+    drop it before the next.  The pool module is imported only when a pool
+    starts (and then ``fn`` and the tasks must pickle), so a run that starts
+    none skips it at start-up.  Tasks travel in about eight chunks per
+    worker, so a long list of small tasks does not pay one round trip each."""
+    workers = min(worker_cap(jobs), len(tasks))
     if workers <= 1:
         yield from map(fn, tasks)
         return

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from smoothwords import (Alphabet, EPSILON, Word, certify_concat, derivative,
+from smoothwords import (Alphabet, EPSILON, Word, certify_concat, complement, derivative,
                          dsigma_table, empirical_middle_set, enumerate_smooth, is_smooth,
                          middle_witness, mirror, power_decomposition, word_to_text)
 from smoothwords import concat
@@ -165,8 +165,7 @@ class TestScanDifferential:
     @classmethod
     def _brute(cls, ab, L, x):
         """(u, v, middle or None) for every smooth u·x·v, by the literal
-        calculus; for x = ε only the triples whose u·v is empty or starts
-        with a, the half that ``_scan`` certifies.
+        calculus.
 
         v grows one letter at a time while u·x·v stays smooth: factors of
         smooth words are smooth, so no smooth triple is skipped.
@@ -190,8 +189,7 @@ class TestScanDifferential:
                         if len(du) + len(dv) <= len(df) and df[:len(du)] == du \
                                 and df[len(df) - len(dv):] == dv:
                             mid = df[len(du):len(df) - len(dv)]
-                        if x or not u + v or (u + v)[0] == ab.a:
-                            found.append((tuple(u), tuple(v), mid))
+                        found.append((tuple(u), tuple(v), mid))
                         if len(v) < L:
                             frontier.extend(v + (c,) for c in ab.letters
                                             if is_smooth(ux + v + (c,), ab))
@@ -241,7 +239,8 @@ class TestScanDifferential:
 
     def test_one_v_walk_per_tower_of_ux(self, monkeypatch, ab12):
         # Pairs (u, x) with equal towers of u·x share one walk over v, across
-        # all x; one walk over u serves every x.
+        # all x and with the complements of the u·x that end in b; one walk
+        # over u serves every x.
         starts = []
 
         def counting_walk(ab, tower, path, max_len, visit):
@@ -253,8 +252,9 @@ class TestScanDifferential:
         monkeypatch.setattr(concat, "walk", counting_walk)
         counts, violations, middles = _scan(ab12, 8, xs, None)
         words = [tuple(u) for u in enumerate_smooth(ab12, 8, min_len=0)]
-        # x = ε takes only the empty u and the u that start with a.
-        towers = {x: {seeded_state(ab12, u + x) for u in words if x or not u or u[0] == 1}
+        # A u·x that ends in b is filed under the tower of its complement.
+        towers = {x: {seeded_state(ab12, complement(u + x, ab12) if (u + x)[-1:] == (2,)
+                                   else u + x) for u in words}
                   - {None} for x in xs}
         everywhere = set().union(*towers.values())
         # One walk over u, then one walk over v per distinct tower of u·x.
@@ -270,17 +270,16 @@ class TestScanDifferential:
             visit(tower, path)
 
         monkeypatch.setattr(concat, "walk", root_only)
-        monkeypatch.setattr(concat, "_walk_below_a", root_only)
         # Only (ε, x, ε) is visited, and D(12) is empty.
         for x in [(), (1, 2)]:
             assert _scan(ab12, 10**20, [x], None) == ({x: 1}, [], {()})
 
 
 class TestComplementHalving:
-    """``certify_concat`` scans one x of each complement pair and half of the
-    triples of x = ε, then adds the complements; the reference merges
-    ``_scan`` over every other x with all triples of x = ε, listed by pairs
-    of smooth words without a walk."""
+    """``certify_concat`` files a pair (u, x) whose u·x ends in b under the
+    tower of its complement and reports the complement of v for it; the
+    reference merges ``_scan`` over each non-empty x on its own with all
+    triples of x = ε, listed by pairs of smooth words without a walk."""
 
     # (alphabet, L, explore, truncated table or None).  The stored tables put
     # violations only on x whose complement is outside the table ({1,3}:
@@ -364,6 +363,11 @@ class TestEmpiricalMiddleSet:
 
     def test_contains_epsilon_at_tiny_bound(self, ab12):
         assert EPSILON in empirical_middle_set(ab12, 1)
+
+    def test_fixpoint_larger_than_the_limit_raises(self, ab12):
+        # The {1,2} fixpoint at L = 8 has more than five middles.
+        with pytest.raises(RuntimeError, match="exceeded 5 elements"):
+            empirical_middle_set(ab12, 8, size_limit=5)
 
 
 class TestTripleSplitting:

@@ -1,15 +1,18 @@
 """The incremental engine must agree exactly with the literal chain."""
 
 import concurrent.futures
+import os
 import sys
 from itertools import product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from smoothwords import (Alphabet, Word, certify_concat, complement, enumerate_smooth, gamma,
                          is_smooth, kolakoski_prefix, runs, scan_powers, smooth_chain)
-from smoothwords.search import (complete_by_complement, fast_derivative, is_power_smooth,
-                                is_smooth_fast, power_hits, push, seeded_state, walk)
+from smoothwords.search import (complement_tower, complete_by_complement, fast_derivative,
+                                is_power_smooth, is_smooth_fast, power_hits, push,
+                                seeded_state, walk)
 
 
 def test_engine_matches_chain_exhaustively():
@@ -263,13 +266,14 @@ def test_huge_exponent_stops_at_the_first_failed_copy():
 
 
 def test_pool_never_has_more_workers_than_tasks(monkeypatch):
-    sizes = []
+    pools = []
 
     class RecordingPool:
-        """Records max_workers and maps in this process: no worker starts."""
+        """Records max_workers and the task count, and maps in this process:
+        no worker starts."""
 
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            pools.append([max_workers])
 
         def __enter__(self):
             return self
@@ -278,14 +282,49 @@ def test_pool_never_has_more_workers_than_tasks(monkeypatch):
             return False
 
         def map(self, fn, tasks, chunksize=1):
+            pools[-1].append(len(tasks))
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    # A certify-concat task is one tower of u·x.  Over {3,4} at L = 1 the
-    # words u·x (u in ε, 3, 4; x in ε, 3, 33, 34) have seven towers (34 and
-    # 334 share one), so seven tasks for sixteen jobs.
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    # A certify-concat task is one tower of u·x, a u·x that ends in b counted
+    # under its complement's.  Over {3,4} at L = 1 the words u·x (u in ε, 3,
+    # 4; x in the table) have six such towers: ε; 3, 4; 33, 44; 333, 444;
+    # 344, 433; and 34, 43, 334, 443 share one.  So six tasks for sixteen jobs.
     assert certify_concat(Alphabet(3, 4), 1, jobs=16) == certify_concat(Alphabet(3, 4), 1)
-    assert sizes == [7]
+    assert pools == [[6, 6]]
     # With L = 1 the only task is the prefix "1": no pool at all.
     assert scan_powers(Alphabet(1, 2), 2, 1, jobs=3) == scan_powers(Alphabet(1, 2), 2, 1)
-    assert sizes == [7]
+    assert len(pools) == 1
+    # Nor more workers than CPUs, and the split is asked for 8 * 2 prefixes,
+    # not 8 * 5000: depth 6 is the first with sixteen smooth words or more
+    # (18), and nine start with 1.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    ab = Alphabet(1, 2)
+    assert gamma(ab, 2, 20, jobs=5000) == gamma(ab, 2, 20)
+    assert pools[1:] == [[2, 9]]
+    assert certify_concat(ab, 6, jobs=5000) == certify_concat(ab, 6)
+    assert pools[2][0] == 2 and pools[2][1] > 2
+    # os.cpu_count() may be None: one worker, in this process.
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert gamma(ab, 2, 20, jobs=5000) == gamma(ab, 2, 20)
+    assert len(pools) == 3
+
+
+def test_power_test_rejects_exponents_below_one():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="exponent"):
+            is_power_smooth(Word("12"), n, Alphabet(1, 2))
+
+
+@given(st.data())
+def test_complement_tower_is_the_tower_of_the_complement(data):
+    a = data.draw(st.integers(min_value=1, max_value=8), label="a")
+    b = data.draw(st.integers(min_value=a + 1, max_value=9), label="b")
+    ab = Alphabet(a, b)
+    letters = data.draw(st.lists(st.sampled_from(ab.letters), min_size=1, max_size=60),
+                        label="letters")
+    # The longest smooth prefix; a single letter is smooth, so it is not empty.
+    w = max((letters[:k] for k in range(1, len(letters) + 1)
+             if is_smooth_fast(letters[:k], ab)), key=len)
+    assert complement_tower(seeded_state(ab, w), ab) == seeded_state(ab, complement(w, ab))
