@@ -153,12 +153,14 @@ class CensusReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def _primitive_root(p: Word) -> Word:
-    n = len(p)
-    for d in range(1, n + 1):
-        if n % d == 0 and p[:d] * (n // d) == p:
-            return p[:d]
-    return p
+def _primitive_root(u: tuple) -> Word:
+    """The shortest r with u = r^k; it is also the primitive root of every
+    power of u."""
+    n = len(u)
+    for d in range(1, n):
+        if n % d == 0 and u[:d] * (n // d) == u:
+            return Word._wrap(u[:d])
+    return Word._wrap(u)
 
 
 def _stability(bound: int, last_new: int | None) -> tuple[bool, str]:
@@ -225,18 +227,16 @@ def _census(ab: Alphabet, n: int, L: int, jobs: int) -> CensusReport:
             level.extend(found)
     complete_by_complement(hits, ab)
 
-    witnesses = []
-    seen: set[Word] = set()
-    last_new: int | None = None
-    for u in (Word._wrap(t) for level in hits for t in level):
-        p = u * n
-        if p not in seen:
-            seen.add(p)
-            last_new = len(u)
-        witnesses.append(PowerWitness(base=u, power=p, primitive_base=_primitive_root(p)))
+    # For one n, distinct bases have distinct powers (u^n = v^n forces
+    # |u| = |v|, so u = v): gamma counts the witnesses, and the last new
+    # power word is the last, longest base's.
+    witnesses = [PowerWitness(base=Word._wrap(t), power=Word._wrap(t * n),
+                              primitive_base=_primitive_root(t))
+                 for level in hits for t in level]
+    last_new = len(witnesses[-1].base) if witnesses else None
     stable, note = _stability(L, last_new)
     return CensusReport(alphabet=ab, exponent=n, bound=L,
-                        witnesses=tuple(witnesses), gamma=len(seen),
+                        witnesses=tuple(witnesses), gamma=len(witnesses),
                         last_new_base_length=last_new, stable=stable, note=note)
 
 

@@ -160,6 +160,10 @@ class Word(tuple):
 EPSILON = Word()
 
 
+# Letter values 0..9 to the ASCII digits, for the compact form.
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def word_to_text(w: Iterable[int]) -> str:
     """Render a word: compact digit string when every letter <= 9, else comma form.
 
@@ -171,7 +175,7 @@ def word_to_text(w: Iterable[int]) -> str:
     if not letters:
         return ""
     if max(letters) <= 9:
-        return "".join(map(str, letters))
+        return bytes(letters).translate(_DIGITS).decode()
     if len(letters) == 1:
         return f"{letters[0]},"
     return ",".join(map(str, letters))

@@ -58,6 +58,13 @@ build the rest by the complement (swapping a and b), which is exact:
 :func:`complete_by_complement` appends that b-half, per length.  The
 concatenation certifier shares its walks over v between a u·x and its
 complement by the same swap (``smoothwords.concat``).
+
+The scans and the certifier split their walks into a task list that does not
+depend on ``--jobs``; :func:`map_tasks` maps a function over it.  With more
+than one worker it forks child processes that each run a round-robin share
+while the caller runs the first, and pipes the results back; there is no
+process pool, so a command with ``--jobs`` above 1 pays a fork per extra
+worker and not a pool's start-up.
 """
 
 from __future__ import annotations
@@ -269,16 +276,69 @@ def worker_cap(jobs: int) -> int:
 
 def map_tasks(fn, tasks: list, jobs: int):
     """``fn(t)`` for each task, yielded in task order, on
-    ``min(worker_cap(jobs), len(tasks))`` worker processes, or in this
-    process when that is 1.  Yielding lets the caller merge each result and
-    drop it before the next.  The pool module is imported only when a pool
-    starts (and then ``fn`` and the tasks must pickle), so a run that starts
-    none skips it at start-up.  Tasks travel in about eight chunks per
-    worker, so a long list of small tasks does not pay one round trip each."""
+    ``min(worker_cap(jobs), len(tasks))`` workers, or in this process alone
+    when that is 1 or the platform has no ``os.fork`` (Windows).
+
+    The tasks are dealt round-robin into one share per worker.  One child
+    process is forked per share after the first and runs its share while
+    this process runs share 0; each child sends the list of its results (or
+    the exception it raised) back pickled through a pipe, and a child's
+    exception is raised again here.  The program starts no threads, so a
+    fork copies it whole, ``fn`` and the tasks included: nothing is pickled
+    on the way out.  A child always leaves through ``os._exit``, so it never
+    returns into the caller's code nor flushes the caller's buffered output.
+    The children are reaped on every path, and killed first when this
+    process fails before it has read their results.  ``pickle`` is imported
+    only when a child forks."""
     workers = min(worker_cap(jobs), len(tasks))
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         yield from map(fn, tasks)
         return
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(fn, tasks, chunksize=-(-len(tasks) // (8 * workers)))
+    import pickle
+    pids, pipes, sent = [], [], []
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            with open(w, "wb") as out:  # this process's copy closes after the fork
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(fn, tasks[k::workers], out)
+            pids.append(pid)
+        shares = [[fn(t) for t in tasks[::workers]]]
+        sent = [pipe.read() for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if len(sent) < len(pids):
+            import signal
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for pid, status, data in zip(pids, statuses, sent):
+        if status:
+            raise ChildProcessError(f"worker process {pid} failed with wait status {status}")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        shares.append(value)
+    for i in range(len(tasks)):
+        yield shares[i % workers][i // workers]
+
+
+def _run_share(fn, share: list, out) -> None:
+    """In a forked child: ``fn`` over ``share``, the outcome pickled into the
+    pipe ``out`` as ``(True, results)`` or ``(False, exception)``; never
+    returns.  The exit status is 0 only when the outcome was sent."""
+    status = 1
+    try:
+        try:
+            outcome = (True, [fn(t) for t in share])
+        except BaseException as exc:
+            outcome = (False, exc)
+        import pickle
+        pickle.dump(outcome, out)
+        out.flush()
+        status = 0
+    finally:
+        os._exit(status)

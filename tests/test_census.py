@@ -115,6 +115,24 @@ class TestScanPowers:
         # 2222 = (22)^2 = 2^4: primitive base of the power word is "2"
         assert by_base["22"] == "2"
 
+    @pytest.mark.parametrize("ab, exponents, L", [
+        (Alphabet(1, 3), (2, 3, 4), 16), (Alphabet(10, 12), (2,), 24)])
+    def test_primitive_base_is_the_roots_of_the_power(self, ab, exponents, L):
+        def root_of_power(p):  # the definition, on the whole power word
+            n = len(p)
+            for d in range(1, n + 1):
+                if n % d == 0 and p[:d] * (n // d) == p:
+                    return p[:d]
+
+        for n in exponents:
+            report = scan_powers(ab, n, L)
+            assert report.witnesses
+            for w in report.witnesses:
+                assert w.power == w.base * n
+                assert w.primitive_base == root_of_power(w.power), (n, w.base)
+            # Distinct bases give distinct power words.
+            assert report.gamma == len(report.distinct_powers) == len(report.witnesses)
+
     def test_rejects_bad_arguments(self, ab12):
         with pytest.raises(ValueError):
             scan_powers(ab12, 1, 5)

@@ -94,6 +94,18 @@ class TestWord:
         w = Word(letters)
         assert word_from_text(word_to_text(w)) == w
 
+    @given(st.one_of(st.just([]), st.lists(st.integers(min_value=10, max_value=12),
+                                           min_size=1, max_size=1),
+                     st.lists(st.integers(min_value=1, max_value=12), max_size=40)))
+    def test_text_matches_the_str_join_definition(self, letters):
+        if letters and max(letters) <= 9:
+            expected = "".join(map(str, letters))
+        elif len(letters) == 1:
+            expected = f"{letters[0]},"
+        else:
+            expected = ",".join(map(str, letters))
+        assert word_to_text(Word(letters)) == word_to_text(letters) == expected
+
     @given(st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=10))
     def test_text_round_trip_multidigit(self, letters):
         w = Word(letters)

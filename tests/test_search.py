@@ -1,18 +1,24 @@
 """The incremental engine must agree exactly with the literal chain."""
 
-import concurrent.futures
 import os
+import subprocess
 import sys
+import time
+from functools import partial
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from smoothwords import (Alphabet, Word, certify_concat, complement, enumerate_smooth, gamma,
                          is_smooth, kolakoski_prefix, runs, scan_powers, smooth_chain)
+from smoothwords import census, concat, search
 from smoothwords.search import (complement_tower, complete_by_complement, fast_derivative,
-                                is_power_smooth, is_smooth_fast, power_hits, push,
+                                is_power_smooth, is_smooth_fast, map_tasks, power_hits, push,
                                 seeded_state, walk)
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_engine_matches_chain_exhaustively():
@@ -266,49 +272,116 @@ def test_huge_exponent_stops_at_the_first_failed_copy():
 
 
 def test_pool_never_has_more_workers_than_tasks(monkeypatch):
-    pools = []
+    tasks, forks = [], []
 
-    class RecordingPool:
-        """Records max_workers and the task count, and maps in this process:
-        no worker starts."""
+    def recording_map(fn, task_list, jobs):
+        tasks.append(len(task_list))
+        return search.map_tasks(fn, task_list, jobs)
 
-        def __init__(self, max_workers):
-            pools.append([max_workers])
+    def recording_fork(real_fork=os.fork):
+        forks.append(1)  # only this process's list is read
+        return real_fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            pools[-1].append(len(tasks))
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(census, "map_tasks", recording_map)
+    monkeypatch.setattr(concat, "map_tasks", recording_map)
+    monkeypatch.setattr(os, "fork", recording_fork)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
+
+    def forks_and_tasks(run, jobs):
+        """Run ``run(jobs)`` against ``run(1)``; the forks and task counts
+        of the ``jobs`` run."""
+        expected = run(1)
+        del tasks[:], forks[:]
+        assert run(jobs) == expected
+        return len(forks), tasks
+
     # A certify-concat task is one tower of u·x, a u·x that ends in b counted
     # under its complement's.  Over {3,4} at L = 1 the words u·x (u in ε, 3,
     # 4; x in the table) have six such towers: ε; 3, 4; 33, 44; 333, 444;
-    # 344, 433; and 34, 43, 334, 443 share one.  So six tasks for sixteen jobs.
-    assert certify_concat(Alphabet(3, 4), 1, jobs=16) == certify_concat(Alphabet(3, 4), 1)
-    assert pools == [[6, 6]]
-    # With L = 1 the only task is the prefix "1": no pool at all.
-    assert scan_powers(Alphabet(1, 2), 2, 1, jobs=3) == scan_powers(Alphabet(1, 2), 2, 1)
-    assert len(pools) == 1
+    # 344, 433; and 34, 43, 334, 443 share one.  So six tasks for sixteen
+    # jobs: six workers, this process and five forked children.
+    assert forks_and_tasks(partial(certify_concat, Alphabet(3, 4), 1), 16) == (5, [6])
+    # With L = 1 the only task is the prefix "1": no child at all.
+    assert forks_and_tasks(partial(scan_powers, Alphabet(1, 2), 2, 1), 3) == (0, [1])
     # Nor more workers than CPUs, and the split is asked for 8 * 2 prefixes,
     # not 8 * 5000: depth 6 is the first with sixteen smooth words or more
     # (18), and nine start with 1.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     ab = Alphabet(1, 2)
-    assert gamma(ab, 2, 20, jobs=5000) == gamma(ab, 2, 20)
-    assert pools[1:] == [[2, 9]]
-    assert certify_concat(ab, 6, jobs=5000) == certify_concat(ab, 6)
-    assert pools[2][0] == 2 and pools[2][1] > 2
-    # os.cpu_count() may be None: one worker, in this process.
+    assert forks_and_tasks(partial(gamma, ab, 2, 20), 5000) == (1, [9])
+    count, concat_tasks = forks_and_tasks(partial(certify_concat, ab, 6), 5000)
+    assert count == 1 and concat_tasks[0] > 2
+    # os.cpu_count() may be None: one worker, in this process, and the
+    # split asks for 8 prefixes: depth 4 has ten smooth words, five start with 1.
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert gamma(ab, 2, 20, jobs=5000) == gamma(ab, 2, 20)
-    assert len(pools) == 3
+    assert forks_and_tasks(partial(gamma, ab, 2, 20), 5000) == (0, [5])
+
+
+def _fail_on_four(t):
+    if t == 4:
+        raise ValueError("task 4")
+    return t * t
+
+
+def test_map_tasks_yields_in_task_order(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    tasks = list(range(5, 15))  # shares of 4, 3 and 3 tasks
+    expected = list(map(_fail_on_four, tasks))
+    assert list(map_tasks(_fail_on_four, tasks, 3)) == expected
+    # Without os.fork (Windows) the same map runs in this process.
+    monkeypatch.delattr(os, "fork")
+    assert list(map_tasks(_fail_on_four, tasks, 3)) == expected
+
+
+def test_map_tasks_raises_a_child_error_and_leaves_no_child(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    # Task 4 is in share 1 (tasks 1, 4, 7), which a forked child runs; then
+    # in share 0, which this process runs while the children still work.
+    for tasks in (list(range(10)), list(range(4, 14))):
+        with pytest.raises(ValueError, match="task 4"):
+            list(map_tasks(_fail_on_four, tasks, 3))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def _sleep_unless_zero(t):
+    if t == 0:
+        raise ValueError("task 0")
+    time.sleep(30)
+
+
+def test_map_tasks_kills_the_children_when_the_caller_fails(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="task 0"):
+        list(map_tasks(_sleep_unless_zero, [0, 1], 2))
+    assert time.monotonic() - start < 20  # the child's task sleeps 30 s
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+UNFLUSHED_CHILD = """
+import os
+from smoothwords.search import map_tasks
+os.cpu_count = lambda: 2
+forks = []
+real_fork = os.fork
+def fork():
+    forks.append(1)
+    return real_fork()
+os.fork = fork
+print("before the map")  # buffered: stdout is a pipe
+print(list(map_tasks(abs, [-1, -2, -3], 2)), len(forks))
+"""
+
+
+def test_forked_child_never_writes_the_callers_output():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", UNFLUSHED_CHILD], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "before the map\n[1, 2, 3] 1\n"
 
 
 def test_power_test_rejects_exponents_below_one():

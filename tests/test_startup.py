@@ -10,9 +10,9 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Imported only by the branches that need them (--jobs > 1, JSON output),
-# or not at all.
-DEFERRED = {"concurrent", "multiprocessing", "dataclasses", "json"}
+# Imported only by the branches that need them (a forked child, JSON
+# output), or not at all.
+DEFERRED = {"concurrent", "multiprocessing", "pickle", "dataclasses", "json"}
 
 CHILD = """
 import sys
@@ -56,7 +56,7 @@ WORD = ("--alphabet", "1,2", "--word", "1211")
     (("delta", *WORD), "112", set()),
     (("closure", *WORD), "1211", set()),
     (("--help",), "positional arguments:", set()),
-    # The scans run through search.map_tasks, which starts no pool here.
+    # The scans run through search.map_tasks, which forks no child here.
     (("gamma", "--alphabet", "1,2", "-n", "2", "-L", "8", "--jobs", "1"),
      "gamma=10 stable=true", {"census", "search"}),
     (("certify-concat", "--alphabet", "1,2", "-L", "4", "--jobs", "1"),
@@ -68,6 +68,30 @@ def test_chain_command_skips_deferred_imports(argv, line, engines):
     assert {name.split(".")[0] for name in added} & DEFERRED == set()
     assert {name.split(".")[1] for name in added
             if name.startswith("smoothwords.")} & ENGINES == engines
+
+
+# CHILD on a machine of two CPUs, counting the children forked.
+FORKING_CHILD = """
+import os
+os.cpu_count = lambda: 2
+forks = []
+real_fork = os.fork
+def fork():
+    forks.append(1)
+    return real_fork()
+os.fork = fork
+""" + CHILD + """print("forks", len(forks))
+"""
+
+
+def test_forking_scan_skips_the_pool_modules():
+    *out, code, added, forks = python_fresh(
+        FORKING_CHILD, "gamma", "--alphabet", "1,2", "-n", "2", "-L", "8", "--jobs", "2")
+    assert (code, forks) == ("exit 0", "forks 1")
+    assert "gamma=10 stable=true" in out
+    added = {name.split(".")[0] for name in added.split()[1:]}
+    assert added & {"concurrent", "multiprocessing"} == set()
+    assert "pickle" in added  # the results come back pickled
 
 
 API_CHILD = """
