@@ -7,9 +7,10 @@ both), so ``delta``, ``closure`` and ``--help`` load none of the engines.
 
 Exit codes: 0 = success (findings such as census witnesses are data, not
 errors), 1 = a certified identity failed (certification violation), 2 =
-usage error, 141 = stdout was closed early (128 + SIGPIPE, as a shell
-reports a process killed by SIGPIPE).  JSON output carries a top-level
-schema_version field "1".
+usage error, 3 = a ``--jobs`` worker process died (killed, for example by
+the out-of-memory killer) before it sent its results, 141 = stdout was
+closed early (128 + SIGPIPE, as a shell reports a process killed by
+SIGPIPE).  JSON output carries a top-level schema_version field "1".
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .errors import CertificationError, WordParseError
 SCHEMA_VERSION = "1"
 # Exit status when stdout is closed before the output is written.
 EXIT_BROKEN_PIPE = 141
+# Exit status when a forked --jobs worker dies without sending its results.
+EXIT_WORKER_DIED = 3
 
 # Commands whose reports can render as CSV.
 _CSV_COMMANDS = {"scan-powers", "gamma", "enumerate"}
@@ -306,6 +309,10 @@ def main(argv=None) -> int:
     except CertificationError as exc:
         print(f"certification violation: {exc}", file=sys.stderr)
         return 1
+    except ChildProcessError as exc:
+        # search.map_tasks: a forked share exited without sending its results.
+        print(f"error: a --jobs worker process died ({exc})", file=sys.stderr)
+        return EXIT_WORKER_DIED
     except WordParseError as exc:
         pos = f" at position {exc.position}" if exc.position is not None else ""
         print(f"error: {exc}{pos}", file=sys.stderr)

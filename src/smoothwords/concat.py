@@ -9,9 +9,11 @@ stored literals.  :func:`power_decomposition` applies the same splitting to
 powers: D^j(u^n) = (D^j(u) w)^(n-1) D^j(u), checked level by level.
 
 Both certifiers run on one scan (:func:`_scan`) over a list of x words:
-one walk over u, one walk over v per distinct tower of u·x whatever the x,
-and at each v one test per class of pairs (u, x) that the identity
-D(u·x·v) = R[s:] + V[:e] of :func:`_scan_group` gives the same verdict.
+one walk over u, and one walk over v per distinct tower of u·x whatever the
+x.  The pairs (u, x) of one tower are judged once per *junction signature*
+of v (first letter, first run length, one run or more), not once per v: the
+verdict at v depends on v through nothing else (the proof is in
+:func:`_scan_group`), so a walk over v costs its pushes and little else.
 The scan uses the complement symmetry once, where it files each pair:
 swapping a and b keeps every run length, so (u, x, v) and (ū, x̄, v̄) are
 smooth together and have the same derivatives and the same middle, and a
@@ -27,7 +29,7 @@ from .census import enumerate_smooth
 from .core import Alphabet, Word, _FrozenRecord, mirror, run_lengths, runs, word_to_text
 from .errors import CertificationError
 from .search import (complement_tower, derivative_from_runs, fast_derivative, is_power_smooth,
-                     is_smooth_fast, map_tasks, push_copies, walk)
+                     is_smooth_fast, map_tasks, push, push_copies, walk)
 
 __all__ = [
     "DsigmaTable", "ConcatViolation", "ConcatCertificate", "PowerDecomposition",
@@ -138,29 +140,52 @@ def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int
     smooth v, and for a flipped pair the complements of its smooth v.  Each
     group is one task (:func:`_scan_group`), in first-seen order, mapped over
     ``jobs`` workers.
+
+    The walk keeps the run lengths of u per depth, and a pair is filed as
+    ((runs of u, last letter of u), (x, runs of x), flip), the first two
+    shared by all pairs of that u or x.  That is all the group needs: D(u)
+    and the runs of u·x follow, and u's letters are rebuilt from its runs
+    only for a violation.  The x are taken in shortlex order, so an
+    x whose prefix one letter shorter is also an x (tables and explore lists
+    are prefix-closed) costs one push onto that prefix's tower.
     """
     a, b = ab.a, ab.b
     counts = dict.fromkeys(xs, 0)
     # An x with a letter outside {a, b} has no triple; push does not check.
-    xs = [x for x in xs if all(c == a or c == b for c in x)]
+    xs = sorted((x for x in xs if all(c == a or c == b for c in x)), key=_shortlex)
+    index = {x: i for i, x in enumerate(xs)}
+    # Each x as (x, its runs), with the index of x less its last letter, or
+    # -1 when that is not an x (or x is ε).
+    plan = [((x, tuple(run_lengths(x))), index.get(x[:-1], -1) if x else -1) for x in xs]
     groups: dict[tuple, list[tuple]] = {}
-    # The u are held as linked lists (last letter, the rest of u), so a walk
-    # down a deep path holds one pair per word, not every prefix in full;
-    # links[d] is the word d letters into the walk.
-    links = [()]
+    # uruns[d] holds the run lengths of the u that is d letters into the
+    # walk; the list grows with the depth the walk reaches, not with L.
+    uruns = [()]
 
     def visit_u(tower: tuple, upath: list[int]) -> None:
         depth = len(upath)
         if depth:
-            links[depth:] = [(upath[-1], links[depth - 1])]
-        link = links[depth]
-        for x in xs:
-            ux_tower = push_copies(ab, tower, x, 1)
+            r = uruns[depth - 1]
+            r = r[:-1] + (r[-1] + 1,) if depth > 1 and upath[-1] == upath[-2] else r + (1,)
+            uruns[depth:] = [r]
+        # u as (its runs, its last letter), shared by its pairs.
+        u = (uruns[depth], upath[-1] if depth else 0)
+        towers = []
+        for xinfo, prefix in plan:
+            x = xinfo[0]
+            if prefix < 0:
+                ux_tower = push_copies(ab, tower, x, 1)
+            else:
+                ux_tower = towers[prefix]
+                if ux_tower is not None:
+                    ux_tower = push(ux_tower, x[-1], a, b)
+            towers.append(ux_tower)
             if ux_tower is not None:
-                flip = (x[-1] if x else upath[-1] if depth else a) == b
+                # The bottom level holds the last letter of u·x.
+                flip = bool(ux_tower) and ux_tower[1] == b
                 if flip:
                     ux_tower = complement_tower(ux_tower, ab)
-                groups.setdefault(ux_tower, []).append((link, x, flip))
+                groups.setdefault(ux_tower, []).append((u, xinfo, flip))
 
     walk(ab, (), [], L, visit_u)
     tasks = list(groups.items())
@@ -168,7 +193,7 @@ def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int
     middles: set[tuple] = set()
     for (_, members), (nodes, vio, mids) in zip(
             tasks, map_tasks(partial(_scan_group, ab, L, table_set), tasks, jobs)):
-        for _, x, _ in members:
+        for _, (x, _), _ in members:
             counts[x] += nodes
         violations += vio
         middles |= mids
@@ -181,92 +206,129 @@ def _scan_group(ab: Alphabet, L: int, table_set: frozenset | None, task: tuple):
 
     Every non-empty u·x of the group ends in a, or is flipped: it ends in b
     and stands for its complement, which has the same runs, derivative and
-    middles, so a flipped pair's triple at v is (u, x, v̄).  The walk keeps
-    the run lengths of v per depth, so D(v) and D(u·x·v) are slices of run
-    lengths.  Let R be the runs of u·x, without its last run when v starts
-    with a, and V the runs of v, the first then lengthened by that last run.
-    For R and V not empty, ``derivative_from_runs`` gives
+    middles, so a flipped pair's triple at v is (u, x, v̄).  The verdict of
+    every pair at v ≠ ε depends on v only through its *signature*: its first
+    letter, the length k of its first run, and whether it is one run.  So
+    each signature is judged once (:func:`_judge`), at the first v that has
+    it, and v = ε once: at most 4b + 1 judgments per group, however many v
+    the walk visits.  At every other v the failing pairs of its signature
+    are reported again.  A judgment tests one pair per distinct (D(u), R),
+    R as below, since the formula reads nothing else of (u, x).
 
-        D(u·x·v) = R[s:] + V[:e],  s = (R[0] != b),  e = |V| - (V[-1] != b).
+    Proof.  Let t be the last run length of u·x (0 for u·x = ε), R the runs
+    of u·x, without the last run when v starts with a (the merge: v's first
+    run continues that run), and V the runs of v, the first lengthened by t
+    on a merge, so V[0] is k + t or k.  Then u·x·v has the runs R + V, and
+    ``derivative_from_runs`` drops each boundary run unless it has length b.
+    The first letter fixes the merge, and with k it fixes V[0].
 
-    So when |R[s:]| >= |D(u)|, the verdict and middle at v depend on (u, x)
-    only through whether R[s:] starts with D(u) and, if so, the rest of
-    R[s:]: pairs with equal keys form a class, tested once per v, and a
-    failing class gives a violation per pair.  At v = ε, and for pairs with
-    an empty or shorter R[s:], each triple is tested by itself.
+    * v is one run: u·x·v has the runs R + (V[0],), and D(v) is (b,) or ε
+      as k is b or not, so the signature fixes all three derivatives.
+    * v has two runs or more, so e = |V| - (V[-1] != b) >= 1.  Then
+      D(u·x·v) = P + V[1:e] with P = (R + (V[0],))[s:], where s = 0 when
+      the first run of u·x·v has length b and 1 otherwise, and D(v) =
+      Q + V[1:e] with Q = (b,) when k = b and ε otherwise.  Cutting one
+      suffix off both a word and its expected suffix changes neither
+      whether a middle exists nor what it is, so the middle is that of D(u),
+      Q and P, and P and Q depend on v only through (merge, V[0], k):
+      - k ≠ b: Q = ε, and the middle is what (R + (V[0],))[s:] leaves after
+        D(u); with R ≠ ε that is R[s:] + (V[0],);
+      - k = b without a merge: V[0] = b, so P = (R + (b,))[s:] and Q = (b,)
+        are the same for every such v; with R ≠ ε the middle is what R[s:]
+        leaves after D(u);
+      - k = b with a merge and u·x ≠ ε: V[0] = b + t > b, so u·x·v is not
+        smooth and the walk never reaches it.  (For u·x = ε, t = 0 and
+        R = ε, so a merge changes nothing.)
     """
     ux_tower, members = task
     a, b = ab.a, ab.b
     swap = (a + b).__sub__
+    # The last run length of u·x, read off the tower; 0 when u·x = ε.
+    tail = ux_tower[2] if ux_tower else 0
+    # pairs[merge] maps (D(u), R) to the pairs (u, x) that have it.
+    pairs = ({}, {})
+    for member in members:
+        (ur, last), (x, xr), _ = member
+        r = ur[:-1] + (ur[-1] + xr[0],) + xr[1:] if ur and x and last == x[0] else ur + xr
+        du = derivative_from_runs(ur, b)
+        pairs[0].setdefault((du, r), []).append(member)
+        pairs[1].setdefault((du, r[:-1]), []).append(member)
     violations: list[tuple[tuple, tuple, tuple, str]] = []
     middles: set[tuple] = set()
-    # Indexed by ``merge`` below: the classes by key (None when R[s:] does
-    # not start with D(u)), and the pairs tested one triple at a time.
-    classes, single, at_root = ({}, {}), ([], []), []
-    for link, x, flip in members:
-        u = _unlink(link)
-        du = fast_derivative(u, b)
-        uxruns = tuple(run_lengths(u + x))
-        member = (u, x, flip)
-        at_root.append((member, du, uxruns))
-        for merge, r in enumerate((uxruns, uxruns[:-1])):
-            rest = r[r[0] != b:] if r else ()
-            if not r or len(rest) < len(du):
-                single[merge].append((member, du, r))
-            else:
-                key = rest[len(du):] if rest[:len(du)] == du else None
-                classes[merge].setdefault(key, []).append(member)
-    # Every u·x of the group has the same last run length.
-    tail = uxruns[-1] if uxruns else 0
-
-    def record(mid: tuple | None, group, path: list[int]) -> None:
-        if mid is not None:
-            middles.add(mid)
-            if table_set is None or mid in table_set:
-                return
-        reason = "no-middle-decomposition" if mid is None else "middle-not-in-table"
-        v = tuple(path)
-        violations.extend((u, x, tuple(map(swap, v)) if flip else v, reason)
-                          for u, x, flip in group)
-
-    # vruns[d] holds the run lengths of the v that is d letters into the
-    # walk; the list grows with the depth the walk reaches, not with L.
-    vruns = [()]
+    # verdicts maps a signature (first letter, first run length, one run)
+    # to the entry (signature, failing pairs); entries[d] is the entry of
+    # the v that is d letters into the walk.
+    verdicts: dict[tuple, tuple] = {}
+    entries: list[tuple] = [()]
     nodes = 0
 
     def visit_v(tower: tuple, path: list[int]) -> None:
         nonlocal nodes
         nodes += 1
         depth = len(path)
-        if depth:
-            vr = vruns[depth - 1]
-            vr = vr[:-1] + (vr[-1] + 1,) if depth > 1 and path[-1] == path[-2] else vr + (1,)
-            vruns[depth:] = [vr]
-            dv = derivative_from_runs(vr, b)
-            merge = path[0] == a
-            if merge:
-                # v's first run continues the last run of u·x.
-                vr = (vr[0] + tail,) + vr[1:]
-            head = vr[:len(vr) - (vr[-1] != b)]
-            for key, group in classes[merge].items():
-                record(None if key is None else _extract_middle((), dv, key + head), group, path)
-            one_by_one = single[merge]
+        if depth > 1:
+            entry = entries[depth - 1]
+            first, k, single = entry[0]
+            if single:
+                sig = (first, k + 1, True) if path[-1] == first else (first, k, False)
+                entry = verdicts.get(sig)
+        elif depth:
+            sig = (path[0], 1, True)
+            entry = verdicts.get(sig)
         else:
-            vr, dv, one_by_one = (), (), at_root
-        for member, du, r in one_by_one:
-            record(_extract_middle(du, dv, derivative_from_runs(r + vr, b)), (member,), path)
+            sig = ()
+            entry = None
+        if entry is None:
+            entry = verdicts[sig] = (sig, _judge(ab, pairs, tail, path, table_set, middles))
+        entries[depth:] = [entry]
+        failing = entry[1]
+        if failing:
+            v = tuple(path)
+            vs = (v, tuple(map(swap, v)))
+            violations.extend((u, x, vs[flip], reason) for u, x, flip, reason in failing)
 
     walk(ab, ux_tower, [], L, visit_v)
     return nodes, violations, middles
 
 
-def _unlink(node: tuple) -> tuple:
-    """The letters of a word held as nested pairs (last letter, the rest)."""
-    letters = []
-    while node:
-        c, node = node
-        letters.append(c)
-    return tuple(reversed(letters))
+def _judge(ab: Alphabet, pairs: tuple, tail: int, v: list[int],
+           table_set: frozenset | None, middles: set) -> list[tuple]:
+    """The pairs of a group that fail at v, as (u, x, flip, reason); every
+    middle found is added to ``middles``.
+
+    ``pairs[merge]`` maps (D(u), R) to its pairs and ``tail`` is the last run
+    length of u·x, as in :func:`_scan_group`.  Each key is tested once, on
+    run lengths: D(v) from the runs of v, D(u·x·v) from R and those runs.
+    """
+    a, b = ab.a, ab.b
+    vr = run_lengths(v)
+    dv = derivative_from_runs(vr, b)
+    merge = bool(v) and v[0] == a
+    if merge:
+        # v's first run continues the last run of u·x.
+        vr[0] += tail
+    vr = tuple(vr)
+    failing = []
+    for (du, r), group in pairs[merge].items():
+        mid = _extract_middle(du, dv, derivative_from_runs(r + vr, b))
+        if mid is not None:
+            middles.add(mid)
+            if table_set is None or mid in table_set:
+                continue
+        reason = "no-middle-decomposition" if mid is None else "middle-not-in-table"
+        failing += [(_word_of_runs(ur, last, a + b), x, flip, reason)
+                    for (ur, last), (x, _), flip in group]
+    return failing
+
+
+def _word_of_runs(lens: tuple, last: int, total: int) -> tuple:
+    """The word over {a, b}, a + b = ``total``, with run lengths ``lens``
+    and last letter ``last``."""
+    letters = ()
+    for n in reversed(lens):
+        letters = (last,) * n + letters
+        last = total - last
+    return letters
 
 
 class ConcatViolation(NamedTuple):
@@ -321,7 +383,7 @@ def certify_concat(ab: Alphabet, L: int, jobs: int = 1,
         raise ValueError("length bound must be >= 1")
     if explore is None:
         check: frozenset | None = frozenset(tuple(w) for w in dsigma_table(ab).words)
-        xs = sorted(check, key=_shortlex)
+        xs = list(check)
         x_source = "table"
     else:
         if explore < 0:

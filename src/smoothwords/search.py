@@ -41,8 +41,9 @@ and without re-deriving u's tower.  The certifier nests two walks: one walk
 over u pushes every x onto each u's tower and groups the pairs (u, x) with a
 smooth u·x by the tower of u·x, whatever the x, or by the tower of its
 complement (:func:`complement_tower`) when u·x ends in b; then one walk over
-v runs from each distinct tower, and at each v the pairs of its group are
-tested one class of equal verdicts at a time.
+v runs from each distinct tower, and the pairs of its group are judged once
+per junction signature of v (first letter, first run length, one run or
+more), which fixes every verdict.
 
 Enumeration and the power census walk only the words that start with a and
 build the rest by the complement (swapping a and b), which is exact:

@@ -265,3 +265,35 @@ class TestExitCodes:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 141
         assert err == b""
+
+
+KILLED_WORKER = """
+import os, signal, sys
+from smoothwords import concat
+from smoothwords.cli import main
+os.cpu_count = lambda: 2
+parent = os.getpid()
+scan_group = concat._scan_group
+def dying(*args):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return scan_group(*args)
+concat._scan_group = dying
+sys.exit(main(["certify-concat", "--alphabet", "1,2", "-L", "6", "--jobs", "2"]))
+"""
+
+
+def test_dead_worker_exits_3_with_one_line():
+    # The forked share's task kills its own process, as the out-of-memory
+    # killer would; 1 would read as "violations found".
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", KILLED_WORKER], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("error: a --jobs worker process died (")
+    assert "Traceback" not in proc.stderr

@@ -2,6 +2,7 @@ import json
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from smoothwords import (Alphabet, EPSILON, Word, certify_concat, complement, derivative,
                          dsigma_table, empirical_middle_set, enumerate_smooth, is_smooth,
@@ -264,6 +265,32 @@ class TestScanDifferential:
         assert sorted(violations) == sorted(v for _, vio, _ in singles for v in vio)
         assert middles == set().union(*(m for _, _, m in singles))
 
+    @pytest.mark.parametrize("table", [None, frozenset()])
+    @pytest.mark.parametrize("ab_pair,L", CASES)
+    def test_one_judgment_per_signature(self, monkeypatch, ab_pair, L, table):
+        # A group is judged once per signature of v (first letter, first run
+        # length, one run or more) and once at v = ε: at most 4b + 1 times,
+        # also when the empty table fails every triple.
+        ab = Alphabet(*ab_pair)
+        judge, scan_group = concat._judge, concat._scan_group
+        per_group, nodes = [], []
+
+        def counting_judge(*args):
+            per_group[-1] += 1
+            return judge(*args)
+
+        def counting_scan_group(*args):
+            per_group.append(0)
+            result = scan_group(*args)
+            nodes.append(result[0])
+            return result
+
+        monkeypatch.setattr(concat, "_judge", counting_judge)
+        monkeypatch.setattr(concat, "_scan_group", counting_scan_group)
+        _scan(ab, L, self._xs(ab), table)
+        assert per_group and max(per_group) <= 4 * ab.b + 1
+        assert sum(per_group) < sum(nodes)
+
     def test_huge_bound_needs_no_arrays_of_that_size(self, monkeypatch, ab12):
         # Stubbed walks visit only their root, so 10**20 is never walked.
         def root_only(ab, tower, path, max_len, visit):
@@ -273,6 +300,49 @@ class TestScanDifferential:
         # Only (ε, x, ε) is visited, and D(12) is empty.
         for x in [(), (1, 2)]:
             assert _scan(ab12, 10**20, [x], None) == ({x: 1}, [], {()})
+
+
+def _literal_middle(u, x, v, ab):
+    """The middle of u·x·v by the literal ``calculus.derivative``, or None."""
+    mid = _extract_middle(*(tuple(derivative(Word(w), ab)) for w in (u, v, u + x + v)))
+    return None if mid is None else Word(mid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_middle_depends_on_v_only_through_its_signature(data):
+    # Signature locality, which _scan_group relies on, checked triple by
+    # triple: two v with the same first letter, first run length and "one
+    # run or more" give every smooth u·x·v the same middle, or both none.
+    a = data.draw(st.integers(min_value=1, max_value=8), label="a")
+    b = data.draw(st.integers(min_value=a + 1, max_value=9), label="b")
+    ab = Alphabet(a, b)
+    pool = sorted({tuple(w) for w in dsigma_table(ab).words}
+                  | {tuple(w) for w in enumerate_smooth(ab, 3, min_len=0)})
+    x = data.draw(st.sampled_from(pool), label="x")
+    assume(is_smooth_fast(x, ab))
+    letters = st.lists(st.sampled_from(ab.letters), max_size=12)
+    # Suffixes of a u with u·x smooth keep it smooth, and prefixes of a v
+    # with u·x·v smooth do too, so the longest such u and v are well defined.
+    raw = tuple(data.draw(letters, label="u letters"))
+    u = next(raw[i:] for i in range(len(raw) + 1) if is_smooth_fast(raw[i:] + x, ab))
+
+    def longest_smooth_prefix(w):
+        return next(w[:n] for n in range(len(w), -1, -1) if is_smooth_fast(u + x + w[:n], ab))
+
+    v = longest_smooth_prefix(tuple(data.draw(letters, label="v letters")))
+    assume(v)
+    c = v[0]
+    k = next((i for i, d in enumerate(v) if d != c), len(v))  # first run length
+    if k == len(v):
+        v2 = v  # one run: the signature is the whole word
+    else:
+        rest = tuple(data.draw(letters, label="v2 letters"))
+        v2 = longest_smooth_prefix((c,) * k + (a + b - c,) + rest)
+        assume(len(v2) > k)
+    mid = middle_witness(u, x, v, ab)
+    assert mid == middle_witness(u, x, v2, ab), (ab, u, x, v, v2)
+    assert mid == _literal_middle(u, x, v, ab) and mid == _literal_middle(u, x, v2, ab)
 
 
 class TestComplementHalving:
