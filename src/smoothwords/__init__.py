@@ -23,8 +23,8 @@ _SUBMODULE = {
     **dict.fromkeys(
         ["ChainFailure", "DerivativeChain", "REASON_BAD_LETTER",
          "REASON_INTERIOR_RUN", "REASON_RUN_TOO_LONG",
-         "derivative", "is_differentiable", "is_smooth", "rho", "rho_by_formula",
-         "smooth_chain"], "calculus"),
+         "chain_levels", "derivative", "is_differentiable", "is_smooth", "rho",
+         "rho_by_formula", "smooth_chain"], "calculus"),
     **dict.fromkeys(
         ["ConcatCertificate", "ConcatViolation", "DsigmaTable", "PowerDecomposition",
          "certify_concat", "dsigma_table", "empirical_middle_set", "middle_witness",

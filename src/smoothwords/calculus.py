@@ -9,7 +9,7 @@ a word is smooth when iterating ``rho`` reaches the empty word.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Generator, NamedTuple
 
 from .core import Alphabet, EPSILON, Word, closure, run_lengths, word_to_text
 from .errors import NotDifferentiableError
@@ -18,7 +18,7 @@ __all__ = [
     "REASON_RUN_TOO_LONG", "REASON_INTERIOR_RUN", "REASON_BAD_LETTER",
     "ChainFailure", "DerivativeChain",
     "is_differentiable", "derivative", "rho", "rho_by_formula",
-    "smooth_chain", "is_smooth",
+    "chain_levels", "smooth_chain", "is_smooth",
 ]
 
 REASON_RUN_TOO_LONG = "run-too-long"
@@ -100,10 +100,12 @@ def derivative(w: Word, ab: Alphabet) -> Word:
         return EPSILON
     if len(lengths) == 1:
         return Word._wrap((b,)) if lengths[0] == b else EPSILON
-    out = lengths if lengths[0] == b else lengths[1:]
+    # Trim in place, so the list is copied once, into the tuple.
     if lengths[-1] != b:
-        out = out[:-1]
-    return Word._wrap(tuple(out))
+        lengths.pop()
+    if lengths[0] != b:
+        del lengths[0]
+    return Word._wrap(tuple(lengths))
 
 
 def rho(w: Word, ab: Alphabet) -> Word:
@@ -137,32 +139,44 @@ def rho_by_formula(w: Word, ab: Alphabet) -> Word:
     return out
 
 
-def smooth_chain(w: Word, ab: Alphabet) -> DerivativeChain:
-    """Iterate rho until the empty word or a failure; never raises.
+def chain_levels(w: Word, ab: Alphabet) -> Generator[Word, None, tuple[str, ChainFailure | None]]:
+    """Yield w, rho(w), rho^2(w), ... and return ``(verdict, failure)``; never raises.
 
-    Words with letters outside the alphabet get verdict not-smooth with
-    reason ``letter-not-in-alphabet`` at level 0.
+    The last level yielded is the empty word for a smooth word, else the
+    first level that cannot be differentiated, which ``failure`` names.
+    Words with letters outside the alphabet stop at level 0 with reason
+    ``letter-not-in-alphabet``.  Only the current level (and, while ``rho``
+    runs, the next) is alive, so a caller that prints each level as it
+    comes holds one word instead of the whole chain.
     """
     w = w if isinstance(w, Word) else Word(w)
     a, b = ab.a, ab.b
+    yield w
     for c in w:
         if c != a and c != b:
-            return DerivativeChain(
-                levels=(w,), verdict="not-smooth",
-                failure=ChainFailure(level=0, reason=REASON_BAD_LETTER))
-    levels = [w]
-    for _ in range(len(w) + 1):
-        cur = levels[-1]
-        if not cur:
-            return DerivativeChain(levels=tuple(levels), verdict="smooth")
-        reason = _check_lengths(run_lengths(cur), ab)
-        if reason is not None:
-            return DerivativeChain(
-                levels=tuple(levels), verdict="not-smooth",
-                failure=ChainFailure(level=len(levels) - 1, reason=reason))
-        levels.append(rho(cur, ab))
+            return "not-smooth", ChainFailure(level=0, reason=REASON_BAD_LETTER)
     # |rho(w)| < |w| guarantees termination within |w| steps.
+    for level in range(len(w) + 1):
+        if not w:
+            return "smooth", None
+        reason = _check_lengths(run_lengths(w), ab)
+        if reason is not None:
+            return "not-smooth", ChainFailure(level=level, reason=reason)
+        w = rho(w, ab)
+        yield w
     raise RuntimeError("derivative chain failed to shrink; closure rule is broken")
+
+
+def smooth_chain(w: Word, ab: Alphabet) -> DerivativeChain:
+    """Collect every level of :func:`chain_levels` with its verdict; never raises."""
+    levels = []
+    chain = chain_levels(w, ab)
+    while True:
+        try:
+            levels.append(next(chain))
+        except StopIteration as stop:
+            verdict, failure = stop.value
+            return DerivativeChain(tuple(levels), verdict, failure)
 
 
 def is_smooth(w: Word, ab: Alphabet) -> bool:

@@ -16,6 +16,7 @@ SIGPIPE).  JSON output carries a top-level schema_version field "1".
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from typing import NamedTuple
@@ -28,6 +29,9 @@ SCHEMA_VERSION = "1"
 EXIT_BROKEN_PIPE = 141
 # Exit status when a forked --jobs worker dies without sending its results.
 EXIT_WORKER_DIED = 3
+
+# JSON chunks joined into one write by _print_json.
+_JSON_BATCH = 4096
 
 # Commands whose reports can render as CSV.
 _CSV_COMMANDS = {"scan-powers", "gamma", "enumerate"}
@@ -143,7 +147,13 @@ def _print_json(config: CliConfig, payload: dict) -> None:
 
     doc = {"schema_version": SCHEMA_VERSION, "command": config.command}
     doc.update(payload)
-    print(json.dumps(doc, indent=2))
+    # Written in batches of chunks: one string of the whole document would
+    # double the peak memory of a large report, one write per chunk is slow.
+    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    write = sys.stdout.write
+    while batch := "".join(itertools.islice(chunks, _JSON_BATCH)):
+        write(batch)
+    write("\n")
 
 
 def _emit_word(config: CliConfig, result: Word) -> int:
@@ -182,16 +192,22 @@ def run(config: CliConfig) -> int:
                                        config.alpha, config.k, ab))
 
     if config.command == "chain":
-        from .calculus import smooth_chain
-        chain = smooth_chain(word_from_text(config.word), ab)
+        from .calculus import chain_levels, smooth_chain
         if fmt == "json":
+            chain = smooth_chain(word_from_text(config.word), ab)
             _print_json(config, {"alphabet": str(ab), **chain.to_json()})
-        else:
-            for i, level in enumerate(chain.levels):
-                print(f"level {i}: {word_to_text(level)}")
-            print(f"verdict: {chain.verdict}")
-            if chain.failure is not None:
-                print(f"failure: level {chain.failure.level} ({chain.failure.reason})")
+            return 0
+        # Text streams the levels: each is printed as it comes, then dropped.
+        levels = chain_levels(word_from_text(config.word), ab)
+        for i in itertools.count():
+            try:
+                print(f"level {i}: {word_to_text(next(levels))}")
+            except StopIteration as stop:
+                verdict, failure = stop.value
+                break
+        print(f"verdict: {verdict}")
+        if failure is not None:
+            print(f"failure: level {failure.level} ({failure.reason})")
         return 0
 
     if config.command == "enumerate":

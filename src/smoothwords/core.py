@@ -162,6 +162,8 @@ EPSILON = Word()
 
 # Letter values 0..9 to the ASCII digits, for the compact form.
 _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+# The ASCII digits to the letter values 0..9, inverse of _DIGITS.
+_LETTERS = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def word_to_text(w: Iterable[int]) -> str:
@@ -190,7 +192,12 @@ def word_to_csv(w: Iterable[int]) -> str:
 
 
 def word_from_text(text: str) -> Word:
-    """Parse word text: comma-separated decimals, or a digit string of nonzero digits."""
+    """Parse word text: comma-separated decimals, or a digit string of nonzero digits.
+
+    Only the ASCII digits 0-9 count as digits; any other character (a
+    superscript or an Arabic-Indic digit included) raises
+    :class:`WordParseError` with its position in the stripped text.
+    """
     s = text.strip()
     if not s:
         return EPSILON
@@ -202,20 +209,36 @@ def word_from_text(text: str) -> Word:
         offset = 0
         for part in parts:
             token = part.strip()
-            if not token or not token.isdigit():
+            if not token:
                 raise WordParseError(f"malformed letter {part!r} in {text!r}", position=offset)
+            bad = _first_non_digit(token)
+            if bad is not None:
+                lead = len(part) - len(part.lstrip())
+                raise WordParseError(f"malformed letter {part!r} in {text!r}",
+                                     position=offset + lead + bad)
             value = int(token)
             if value == 0:
                 raise WordParseError(f"zero letter in {text!r}", position=offset)
             letters.append(value)
             offset += len(part) + 1
         return Word._wrap(tuple(letters))
+    bad = _first_non_digit(s)
+    zero = s.find("0", 0, len(s) if bad is None else bad)
+    if zero >= 0:
+        raise WordParseError(f"zero digit in {text!r}", position=zero)
+    if bad is not None:
+        raise WordParseError(f"non-digit {s[bad]!r} in {text!r}", position=bad)
+    return Word._wrap(tuple(s.encode().translate(_LETTERS)))
+
+
+def _first_non_digit(s: str) -> int | None:
+    """Index of the first character of ``s`` that is not an ASCII digit, or None."""
+    if s.isascii() and s.isdigit():
+        return None
     for i, ch in enumerate(s):
-        if ch == "0":
-            raise WordParseError(f"zero digit in {text!r}", position=i)
-        if not ch.isdigit():
-            raise WordParseError(f"non-digit {ch!r} in {text!r}", position=i)
-    return Word._wrap(tuple(int(ch) for ch in s))
+        if not "0" <= ch <= "9":
+            return i
+    return None
 
 
 class Run(NamedTuple):
@@ -353,26 +376,27 @@ def closure(w: Iterable[int], ab: Alphabet) -> Word:
     A single-run word is padded once (never on both sides), so the closure of
     alpha^i with a < i <= b is alpha^b.  Any run longer than ``b`` makes the
     word non-closable, hence not smooth.  Only run lengths matter here; the
-    letters themselves are not restricted to the alphabet.
+    letters themselves are not restricted to the alphabet.  The word is read
+    through :func:`run_lengths` and its two end letters, so no per-run
+    objects are built.
     """
     w = w if isinstance(w, Word) else Word(w)
     a, b = ab.a, ab.b
-    rd = runs(w)
-    if rd.r == 0:
+    lengths = run_lengths(w)
+    if not lengths:
         return EPSILON
-    for i, run in enumerate(rd.runs):
-        if run.length > b:
-            raise NotClosableError(
-                f"run {i} of {word_to_text(w)!r} has length {run.length} > b={b}",
-                run_index=i)
-    first = rd.fr
-    if rd.r == 1:
-        if first.length > a:
-            return Word._wrap((first.letter,) * b)
+    if max(lengths) > b:
+        i = next(i for i, length in enumerate(lengths) if length > b)
+        raise NotClosableError(
+            f"run {i} of {word_to_text(w)!r} has length {lengths[i]} > b={b}",
+            run_index=i)
+    first, last = lengths[0], lengths[-1]
+    if len(lengths) == 1:
+        if first > a:
+            return Word._wrap((w[0],) * b)
         return w
-    last = rd.lr
-    prefix = (first.letter,) * (b - first.length) if first.length > a else ()
-    suffix = (last.letter,) * (b - last.length) if last.length > a else ()
+    prefix = (w[0],) * (b - first) if first > a else ()
+    suffix = (w[-1],) * (b - last) if last > a else ()
     if not prefix and not suffix:
         return w
     return Word._wrap(prefix + tuple(w) + suffix)

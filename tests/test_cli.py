@@ -1,15 +1,18 @@
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from smoothwords import Word, word_from_text, word_to_text
+from smoothwords import (Alphabet, Word, delta_inv, kolakoski_prefix, smooth_chain,
+                         word_from_text, word_to_text)
 from smoothwords.cli import main
 from smoothwords.errors import WordParseError
 
@@ -79,6 +82,85 @@ class TestWordCommands:
         code, out, _ = run_cli(capsys, "chain", "--alphabet", "1,2", "--word", "111")
         assert code == 0
         assert "not-smooth" in out
+
+
+def chain_text(w, ab) -> str:
+    """The text of ``chain`` rendered from the collected :func:`smooth_chain`."""
+    chain = smooth_chain(w, ab)
+    lines = [f"level {i}: {word_to_text(level)}" for i, level in enumerate(chain.levels)]
+    lines.append(f"verdict: {chain.verdict}")
+    if chain.failure is not None:
+        lines.append(f"failure: level {chain.failure.level} ({chain.failure.reason})")
+    return "\n".join(lines) + "\n"
+
+
+def call_main(*argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@st.composite
+def chain_inputs(draw):
+    """An alphabet and a word over it: a few lifts of a short word, so chains
+    run deep, then maybe one letter replaced, possibly by one outside the
+    alphabet.  {10,12} renders in comma form; the empty word is included."""
+    ab = draw(st.sampled_from([Alphabet(1, 2), Alphabet(1, 3), Alphabet(2, 3),
+                               Alphabet(10, 12)]))
+    w = Word(draw(st.lists(st.sampled_from(ab.letters), max_size=4)))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        if len(w) > 60:
+            break
+        w = delta_inv(w, draw(st.sampled_from(ab.letters)), ab)
+    if w and draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=len(w) - 1))
+        w = w[:i] + Word([draw(st.sampled_from([*ab.letters, 1, 5, 11]))]) + w[i + 1:]
+    return ab, w
+
+
+class TestChainStreaming:
+    @given(chain_inputs())
+    def test_streamed_text_is_the_collected_chain(self, case):
+        ab, w = case
+        code, out = call_main("chain", "--alphabet", str(ab), "--word", word_to_text(w))
+        assert code == 0
+        assert out == chain_text(w, ab)
+
+    @pytest.mark.parametrize("ab,text", [
+        ("1,2", ""), ("1,2", "1211"), ("1,2", "21112"), ("1,3", "12"), ("1,2", "2211212212"),
+        ("10,12", "10,12,12,10,10,12"), ("10,12", "12,"), ("2,3", "2233322233" * 3),
+    ])
+    def test_text_levels_equal_json_levels(self, ab, text):
+        _, out = call_main("chain", "--alphabet", ab, "--word", text)
+        _, doc = call_main("chain", "--alphabet", ab, "--word", text, "--format", "json")
+        doc = json.loads(doc)
+        lines = out.splitlines()
+        levels = [line.split(": ", 1)[1] for line in lines if line.startswith("level ")]
+        assert levels == doc["levels"]
+        assert f"verdict: {doc['verdict']}" in lines
+
+    def test_long_chain_holds_one_level_at_a_time(self):
+        # Collecting every level of this prefix before printing them traced
+        # a peak of 3.49 MB (CPython 3.11); streaming must stay under half.
+        import smoothwords.calculus  # noqa: F401  (keep the import out of the trace)
+
+        class Sink:
+            def write(self, text):
+                return len(text)
+
+            def flush(self):
+                pass
+
+        word = word_to_text(kolakoski_prefix(Alphabet(1, 2), 2, 50_000))
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(Sink()):
+                assert main(["chain", "--alphabet", "1,2", "--word", word]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_490_000 / 2, peak
 
 
 class TestCensusCommands:
@@ -195,6 +277,16 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "delta", "--alphabet", "1,2", "--word", "102")
         assert code == 2
         assert "zero" in err
+
+    @pytest.mark.parametrize("text,message", [
+        ("\u0661\u0662", "non-digit '\u0661' in '\u0661\u0662' at position 0"),
+        ("1\u00b21", "non-digit '\u00b2' in '1\u00b21' at position 1"),
+        ("12,\u00b2", "malformed letter '\u00b2' in '12,\u00b2' at position 3"),
+    ])
+    def test_usage_error_non_ascii_digit(self, capsys, text, message):
+        code, out, err = run_cli(capsys, "delta", "--alphabet", "1,2", "--word", text)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     def test_usage_error_csv_for_word_command(self, capsys):
         code, _, err = run_cli(capsys, "delta", "--alphabet", "1,2",

@@ -89,6 +89,25 @@ class TestWord:
         with pytest.raises(WordParseError):
             word_from_text("1a2")
 
+    @pytest.mark.parametrize("text,position", [
+        ("\u0661\u0662", 0),  # Arabic-Indic digits, which str.isdigit accepts
+        ("1\u00b21", 1),       # a superscript two, which int() rejects
+        ("12,\u00b2", 3),      # the same in the comma form
+        ("12, 1\u00b2", 5),
+    ])
+    def test_parse_accepts_only_ascii_digits(self, text, position):
+        with pytest.raises(WordParseError) as err:
+            word_from_text(text)
+        assert err.value.position == position
+
+    def test_parse_reports_the_first_fault(self):
+        with pytest.raises(WordParseError, match="zero digit") as err:
+            word_from_text("10a")
+        assert err.value.position == 1
+        with pytest.raises(WordParseError, match="non-digit") as err:
+            word_from_text("1a0")
+        assert err.value.position == 1
+
     @given(positive_words)
     def test_text_round_trip(self, letters):
         w = Word(letters)
@@ -226,6 +245,35 @@ class TestClosure:
         with pytest.raises(NotClosableError) as err:
             closure(Word("2222"), Alphabet(1, 3))
         assert err.value.run_index == 0
+
+    @staticmethod
+    def closure_from_runs(w, ab):
+        """The closure written from the run decomposition, as the definition reads."""
+        rd = runs(w)
+        for i, run in enumerate(rd):
+            if run.length > ab.b:
+                raise NotClosableError(f"run {i} of {word_to_text(w)!r} has length "
+                                       f"{run.length} > b={ab.b}", run_index=i)
+        if rd.r == 0:
+            return EPSILON
+        first, last = rd.fr, rd.lr
+        prefix = [first.letter] * (ab.b - first.length) if first.length > ab.a else []
+        suffix = ([last.letter] * (ab.b - last.length)
+                  if rd.r > 1 and last.length > ab.a else [])
+        return Word(prefix + list(w) + suffix)
+
+    @given(st.sampled_from(ALPHABETS), st.lists(st.sampled_from([1, 2, 3, 12]), max_size=30))
+    def test_matches_the_run_decomposition(self, ab, letters):
+        # Any letters, not only those of the alphabet: closure reads run lengths.
+        w = Word(letters)
+        try:
+            want = self.closure_from_runs(w, ab)
+        except NotClosableError as exc:
+            with pytest.raises(NotClosableError) as err:
+                closure(w, ab)
+            assert (str(err.value), err.value.run_index) == (str(exc), exc.run_index)
+        else:
+            assert closure(w, ab) == want
 
     def test_symmetry_small_exhaustive(self):
         for ab in (Alphabet(1, 2), Alphabet(1, 3)):
