@@ -97,13 +97,28 @@ class PowerWitness(NamedTuple):
     power: Word
     primitive_base: Word
 
+    def texts(self) -> tuple[str, str, str]:
+        """The text of the base, the power and the primitive base.
+
+        The base is rendered once: in compact form every letter is one
+        digit, so the power is the base's text repeated and the primitive
+        base is a prefix of it.  Comma form renders each word on its own
+        (the power of ``10,`` is ``10,10``).
+        """
+        base = word_to_text(self.base)
+        if not base or "," in base:
+            return base, word_to_text(self.power), word_to_text(self.primitive_base)
+        return (base, base * (len(self.power) // len(self.base)),
+                base[:len(self.primitive_base)])
+
     def to_json(self) -> dict:
+        base, power, primitive = self.texts()
         return {
-            "base": word_to_text(self.base),
+            "base": base,
             "base_length": len(self.base),
-            "power": word_to_text(self.power),
+            "power": power,
             "power_length": len(self.power),
-            "primitive_base": word_to_text(self.primitive_base),
+            "primitive_base": primitive,
         }
 
 
@@ -163,6 +178,27 @@ def _primitive_root(u: tuple) -> Word:
     return Word._wrap(u)
 
 
+def _witness_pairs(level: list[tuple], n: int, ab: Alphabet) -> list[PowerWitness]:
+    """The witnesses of the bases in ``level`` (a-initial, lexicographic, all
+    of one length), then those of their reversed complements.
+
+    The complement of a witness has the same run lengths and period, so its
+    primitive base is the complement's prefix of the same length: each
+    primitive root is found once per pair.
+    """
+    swap = (ab.a + ab.b).__sub__
+    wrap = Word._wrap
+    first, second = [], []
+    for t in level:
+        root = _primitive_root(t)
+        c = tuple(map(swap, t))
+        first.append(PowerWitness(base=wrap(t), power=wrap(t * n), primitive_base=root))
+        second.append(PowerWitness(base=wrap(c), power=wrap(c * n),
+                                   primitive_base=wrap(c[:len(root)])))
+    second.reverse()
+    return first + second
+
+
 def _stability(bound: int, last_new: int | None) -> tuple[bool, str]:
     quartile = max(1, -(-bound // 4))  # ceil(bound / 4)
     start = bound - quartile + 1
@@ -202,7 +238,8 @@ def scan_powers(ab: Alphabet, n: int, L: int, jobs: int = 1) -> CensusReport:
     """Test u^n for smoothness over every smooth base u with 1 <= |u| <= L.
 
     Only the bases starting with a are walked; the rest are their reversed
-    complements (:func:`smoothwords.search.complete_by_complement`).  The walk
+    complements, each witness built with its complement's (the order of
+    :func:`smoothwords.search.complete_by_complement`).  The walk
     is split into the subtrees below the a-initial smooth prefixes of the
     shallowest depth with at least ``8 * worker_cap(jobs)`` smooth prefixes,
     after the shorter bases; only the map over those tasks depends on ``jobs``
@@ -225,14 +262,13 @@ def _census(ab: Alphabet, n: int, L: int, jobs: int) -> CensusReport:
         hits.extend([] for _ in range(len(hits), len(part)))
         for level, found in zip(hits[depth:], part[depth:]):
             level.extend(found)
-    complete_by_complement(hits, ab)
 
     # For one n, distinct bases have distinct powers (u^n = v^n forces
     # |u| = |v|, so u = v): gamma counts the witnesses, and the last new
     # power word is the last, longest base's.
-    witnesses = [PowerWitness(base=Word._wrap(t), power=Word._wrap(t * n),
-                              primitive_base=_primitive_root(t))
-                 for level in hits for t in level]
+    witnesses = []
+    for level in hits:
+        witnesses += _witness_pairs(level, n, ab)
     last_new = len(witnesses[-1].base) if witnesses else None
     stable, note = _stability(L, last_new)
     return CensusReport(alphabet=ab, exponent=n, bound=L,

@@ -3,7 +3,8 @@
 Each process runs one command, so start-up counts.  Only ``core`` and
 ``errors`` load at the top; each branch of :func:`run` imports the modules its
 command runs (``calculus``, ``census`` with ``search``, or ``concat`` with
-both), so ``delta``, ``closure`` and ``--help`` load none of the engines.
+``search``, and ``census`` too for ``certify-concat --explore``), so
+``delta``, ``closure`` and ``--help`` load none of the engines.
 
 Exit codes: 0 = success (findings such as census witnesses are data, not
 errors), 1 = a certified identity failed (certification violation), 2 =
@@ -30,8 +31,9 @@ EXIT_BROKEN_PIPE = 141
 # Exit status when a forked --jobs worker dies without sending its results.
 EXIT_WORKER_DIED = 3
 
-# JSON chunks joined into one write by _print_json.
+# JSON chunks, or lines of text, joined into one write by _write_batched.
 _JSON_BATCH = 4096
+_LINE_BATCH = 256
 
 # Commands whose reports can render as CSV.
 _CSV_COMMANDS = {"scan-powers", "gamma", "enumerate"}
@@ -147,13 +149,17 @@ def _print_json(config: CliConfig, payload: dict) -> None:
 
     doc = {"schema_version": SCHEMA_VERSION, "command": config.command}
     doc.update(payload)
-    # Written in batches of chunks: one string of the whole document would
-    # double the peak memory of a large report, one write per chunk is slow.
-    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    _write_batched(json.JSONEncoder(indent=2).iterencode(doc), _JSON_BATCH)
+    sys.stdout.write("\n")
+
+
+def _write_batched(pieces, size: int) -> None:
+    """Write the strings of the iterator ``pieces``, ``size`` to a write: one
+    string of the whole output would double the peak memory of a large
+    report, one write per piece is slow."""
     write = sys.stdout.write
-    while batch := "".join(itertools.islice(chunks, _JSON_BATCH)):
+    while batch := "".join(itertools.islice(pieces, size)):
         write(batch)
-    write("\n")
 
 
 def _emit_word(config: CliConfig, result: Word) -> int:
@@ -277,7 +283,7 @@ def run(config: CliConfig) -> int:
         return 0
 
     if config.command in ("scan-powers", "gamma"):
-        from .census import gamma, scan_powers
+        from .census import PowerWitness, gamma, scan_powers
         if config.command == "gamma":
             count, report = gamma(ab, config.n, config.bound, jobs=config.jobs)
         else:
@@ -292,10 +298,9 @@ def run(config: CliConfig) -> int:
             print(f"{len(report.witnesses)} witnesses")
             print(f"gamma={count} stable={str(report.stable).lower()}")
             print(f"note: {report.note}")
-            for w in report.witnesses:
-                print(f"witness: base={word_to_text(w.base)} "
-                      f"power={word_to_text(w.power)} "
-                      f"primitive={word_to_text(w.primitive_base)}")
+            lines = (f"witness: base={base} power={power} primitive={primitive}\n"
+                     for base, power, primitive in map(PowerWitness.texts, report.witnesses))
+            _write_batched(lines, _LINE_BATCH)
         return 0
 
     print(f"error: unknown command {config.command!r}", file=sys.stderr)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from functools import partial
 from typing import NamedTuple
 
-from .census import enumerate_smooth
 from .core import Alphabet, Word, _FrozenRecord, mirror, run_lengths, runs, word_to_text
 from .errors import CertificationError
 from .search import (complement_tower, derivative_from_runs, fast_derivative, is_power_smooth,
@@ -388,6 +387,7 @@ def certify_concat(ab: Alphabet, L: int, jobs: int = 1,
     else:
         if explore < 0:
             raise ValueError("length bound must be >= 0")
+        from .census import enumerate_smooth  # only explore mode lists its x words
         xs = [tuple(w) for w in enumerate_smooth(ab, explore, min_len=0)]
         check = None
         x_source = f"smooth-x<={explore}"

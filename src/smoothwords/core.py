@@ -13,7 +13,7 @@ safe to share between threads or processes.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NotClosableError, WordParseError
 
@@ -166,24 +166,23 @@ _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 _LETTERS = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
-def word_to_text(w: Iterable[int]) -> str:
+def word_to_text(w: Sequence[int]) -> str:
     """Render a word: compact digit string when every letter <= 9, else comma form.
 
     The empty word renders as the empty string.  A one-letter word with a
     letter above 9 gets a trailing comma ("25,"), since the bare decimal
-    would read back as a digit string.
+    would read back as a digit string.  ``w`` is read in place, not copied.
     """
-    letters = tuple(w)
-    if not letters:
+    if not w:
         return ""
-    if max(letters) <= 9:
-        return bytes(letters).translate(_DIGITS).decode()
-    if len(letters) == 1:
-        return f"{letters[0]},"
-    return ",".join(map(str, letters))
+    if max(w) <= 9:
+        return bytes(w).translate(_DIGITS).decode()
+    if len(w) == 1:
+        return f"{w[0]},"
+    return ",".join(map(str, w))
 
 
-def word_to_csv(w: Iterable[int]) -> str:
+def word_to_csv(w: Sequence[int]) -> str:
     """:func:`word_to_text` as one CSV field: quoted when it is empty (an
     empty line would read as a row of no fields) or when the comma form makes
     it hold a comma (the text never holds a quote)."""

@@ -133,6 +133,20 @@ class TestScanPowers:
             # Distinct bases give distinct power words.
             assert report.gamma == len(report.distinct_powers) == len(report.witnesses)
 
+    @pytest.mark.parametrize("ab, n, L", [(Alphabet(1, 3), 2, 20), (Alphabet(1, 3), 4, 16),
+                                          (Alphabet(2, 4), 2, 16), (Alphabet(10, 12), 2, 24)])
+    def test_witnesses_match_brute_force(self, ab, n, L):
+        # Each witness and its complement's are built together; every field
+        # must be what the base alone defines.
+        for jobs in (1, 2):
+            report = scan_powers(ab, n, L, jobs=jobs)
+            assert report.witnesses
+            for w in report.witnesses:
+                assert w.power == w.base * n
+                assert w.primitive_base == census._primitive_root(w.base)
+                assert all(type(v) is Word for v in w)
+                assert w.texts() == tuple(map(word_to_text, w))
+
     def test_rejects_bad_arguments(self, ab12):
         with pytest.raises(ValueError):
             scan_powers(ab12, 1, 5)

@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from smoothwords import (Alphabet, Word, delta_inv, kolakoski_prefix, smooth_chain,
-                         word_from_text, word_to_text)
+from smoothwords import (Alphabet, Word, delta_inv, kolakoski_prefix, scan_powers,
+                         smooth_chain, word_from_text, word_to_text)
 from smoothwords.cli import main
 from smoothwords.errors import WordParseError
 
@@ -196,6 +196,36 @@ class TestCensusCommands:
         lines = out.strip().splitlines()
         assert lines[0] == "base,base_length,power_length"
         assert all(len(line.split(",")) == 3 for line in lines[1:])
+
+    @pytest.mark.parametrize("alphabet, n, L", [("1,3", "2", "20"), ("1,3", "4", "16"),
+                                                ("2,4", "2", "16"), ("10,12", "2", "24")])
+    def test_witness_fields_render_each_word(self, alphabet, n, L):
+        # The power and primitive base are cut from the base's text; every
+        # format must still print word_to_text of each word.
+        witnesses = scan_powers(Alphabet.parse(alphabet), int(n), int(L)).witnesses
+        args = ("gamma", "--alphabet", alphabet, "-n", n, "-L", L)
+        for jobs in ("1", "2"):
+            code, out = call_main(*args, "--jobs", jobs)
+            assert code == 0
+            assert out.splitlines()[4:] == [
+                f"witness: base={word_to_text(w.base)} power={word_to_text(w.power)} "
+                f"primitive={word_to_text(w.primitive_base)}" for w in witnesses]
+            code, out = call_main(*args, "--jobs", jobs, "--format", "csv")
+            assert code == 0
+            assert list(csv.reader(io.StringIO(out)))[1:] == [
+                [word_to_text(w.base), str(len(w.base)), str(len(w.power))] for w in witnesses]
+            code, out = call_main(*args, "--jobs", jobs, "--format", "json")
+            assert code == 0
+            assert json.loads(out)["witnesses"] == [
+                {"base": word_to_text(w.base), "base_length": len(w.base),
+                 "power": word_to_text(w.power), "power_length": len(w.power),
+                 "primitive_base": word_to_text(w.primitive_base)} for w in witnesses]
+
+    def test_one_letter_comma_form_witness(self, capsys):
+        # "10," is one letter: its square is "10,10", not the text "10," twice.
+        code, out, _ = run_cli(capsys, "gamma", "--alphabet", "10,12", "-n", "2", "-L", "24")
+        assert code == 0
+        assert out.splitlines()[4] == "witness: base=10, power=10,10 primitive=10,"
 
     def test_csv_keeps_comma_form_words_in_one_field(self, capsys):
         # Letters above 9 render as "10,12"; such a word must stay one field.

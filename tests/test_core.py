@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import groupby, product
 
 import pytest
@@ -124,6 +125,18 @@ class TestWord:
         else:
             expected = ",".join(map(str, letters))
         assert word_to_text(Word(letters)) == word_to_text(letters) == expected
+
+    def test_text_reads_the_word_in_place(self):
+        # The text and its bytes take 100 KB each; a copy of the 100,000
+        # letters as a tuple would add 800 KB.
+        w = Word._wrap((1, 2) * 50_000)
+        tracemalloc.start()
+        try:
+            assert word_to_text(w) == "12" * 50_000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
 
     @given(st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=10))
     def test_text_round_trip_multidigit(self, letters):

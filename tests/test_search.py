@@ -16,7 +16,7 @@ from smoothwords import (Alphabet, Word, certify_concat, complement, enumerate_s
 from smoothwords import census, concat, search
 from smoothwords.search import (complement_tower, complete_by_complement, fast_derivative,
                                 is_power_smooth, is_smooth_fast, map_tasks, power_hits, push,
-                                seeded_state, walk)
+                                push_copies, seeded_state, walk)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -93,6 +93,53 @@ def test_enumerator_orders_and_counts():
     # a deeper call keeps the shorter lengths consistent
     assert enumerate_smooth(ab, 6, min_len=0)[:len(words)] == words
     assert len(enumerate_smooth(ab, 3, min_len=1)) == 2 + 4 + 6
+
+
+def _towers_by_push(ab: Alphabet, max_len: int) -> list[tuple[tuple, tuple]]:
+    """(tower, word) for every smooth word up to ``max_len`` letters, the
+    empty word included, in preorder, built by :func:`push` alone."""
+    found = []
+
+    def grow(tower, word):
+        found.append((tower, word))
+        if len(word) < max_len:
+            for c in ab.letters:
+                child = push(tower, c, ab.a, ab.b)
+                if child is not None:
+                    grow(child, word + (c,))
+
+    grow((), ())
+    return found
+
+
+def _pushed(ab: Alphabet, tower, letters, copies):
+    for _ in range(copies):
+        for c in letters:
+            if tower is None:
+                return None
+            tower = push(tower, c, ab.a, ab.b)
+    return tower
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (1, 3), (2, 5), (3, 4), (10, 12)])
+def test_inline_bottom_level_agrees_with_push(a, b):
+    # walk and push_copies build the bottom level of a tower inline and call
+    # push only for the levels above; every tower must be push's.
+    ab = Alphabet(a, b)
+    nodes = _towers_by_push(ab, 12)
+    whole = []
+    walk(ab, (), [], 12, lambda tower, path: whole.append((tower, tuple(path))))
+    assert whole == nodes
+    for tower, word in nodes:
+        visited = []
+        walk(ab, tower, list(word), len(word) + 1,
+             lambda t, path: visited.append((t, tuple(path))))
+        children = [(push(tower, c, a, b), word + (c,)) for c in ab.letters]
+        assert visited == [(tower, word)] + [(t, w) for t, w in children if t is not None]
+        for start in (tower, ()):
+            for copies in range(4):
+                assert push_copies(ab, start, word, copies) == \
+                    _pushed(ab, start, word, copies), (word, start, copies)
 
 
 def test_seeded_walk_completeness():

@@ -60,8 +60,12 @@ WORD = ("--alphabet", "1,2", "--word", "1211")
     (("gamma", "--alphabet", "1,2", "-n", "2", "-L", "8", "--jobs", "1"),
      "gamma=10 stable=true", {"census", "search"}),
     (("certify-concat", "--alphabet", "1,2", "-L", "4", "--jobs", "1"),
-     "2654 smooth triples tested, 0 violations", {"concat", "census", "search"}),
-], ids=["chain", "derive", "rho", "delta", "closure", "help", "gamma", "certify-concat"])
+     "2654 smooth triples tested, 0 violations", {"concat", "search"}),
+    # Only explore mode lists its x words with census.enumerate_smooth.
+    (("certify-concat", "--alphabet", "1,3", "-L", "5", "--explore", "3", "--jobs", "1"),
+     "4349 smooth triples tested, 0 violations", {"concat", "census", "search"}),
+], ids=["chain", "derive", "rho", "delta", "closure", "help", "gamma", "certify-concat",
+        "certify-concat-explore"])
 def test_chain_command_skips_deferred_imports(argv, line, engines):
     out, added = run_fresh(*argv)
     assert line in out
