@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Generator, NamedTuple
 
 from .core import Alphabet, EPSILON, Word, closure, run_lengths, word_to_text
-from .errors import NotDifferentiableError
+from .errors import NotClosableError, NotDifferentiableError
 
 __all__ = [
     "REASON_RUN_TOO_LONG", "REASON_INTERIOR_RUN", "REASON_BAD_LETTER",
@@ -57,29 +57,17 @@ class DerivativeChain(NamedTuple):
         return doc
 
 
-def _check_lengths(lengths: list[int], ab: Alphabet) -> str | None:
-    """Reason the run-length list violates the differentiable form, or None.
-
-    A run longer than b is reported as run-too-long even when it is also an
-    interior run: it is the stronger failure (the word has no closure at all).
-    """
-    a, b = ab.a, ab.b
-    for length in lengths:
-        if length > b:
-            return REASON_RUN_TOO_LONG
-    for length in lengths[1:-1]:
-        if length != a and length != b:
-            return REASON_INTERIOR_RUN
-    return None
-
-
 def is_differentiable(w: Word, ab: Alphabet) -> bool:
     """True iff every run is <= b and every interior run length is a or b."""
     w = w if isinstance(w, Word) else Word(w)
     for i, c in enumerate(w):
         if c not in ab:
             raise ValueError(f"letter {c} at position {i} is not in alphabet {ab}")
-    return _check_lengths(run_lengths(w), ab) is None
+    try:
+        derivative(w, ab)
+    except NotDifferentiableError:
+        return False
+    return True
 
 
 def derivative(w: Word, ab: Alphabet) -> Word:
@@ -159,10 +147,15 @@ def chain_levels(w: Word, ab: Alphabet) -> Generator[Word, None, tuple[str, Chai
     for level in range(len(w) + 1):
         if not w:
             return "smooth", None
-        reason = _check_lengths(run_lengths(w), ab)
-        if reason is not None:
-            return "not-smooth", ChainFailure(level=level, reason=reason)
-        w = rho(w, ab)
+        # closure runs first, so a run longer than b is reported as
+        # run-too-long even when it is also an interior run: it is the
+        # stronger failure (the word has no closure at all).
+        try:
+            w = rho(w, ab)
+        except NotClosableError:
+            return "not-smooth", ChainFailure(level=level, reason=REASON_RUN_TOO_LONG)
+        except NotDifferentiableError:
+            return "not-smooth", ChainFailure(level=level, reason=REASON_INTERIOR_RUN)
         yield w
     raise RuntimeError("derivative chain failed to shrink; closure rule is broken")
 

@@ -8,7 +8,9 @@ powers are necessarily smooth, because factors of smooth words are smooth)
 and tests the n-th power inside the walk (:func:`smoothwords.search.power_hits`).
 It walks only the bases that start with a: the complement of a smooth power
 is a smooth power, so the bases starting with b follow from those.  The walk
-is one task list, whatever ``jobs`` is; only the map over it changes.
+is split into one task per smooth prefix of a depth that grows with the
+worker count, so the task list follows ``jobs``; the witnesses, and every
+output byte, do not.
 ``gamma`` counts the distinct power words found and applies a stabilization
 heuristic: a finite count is only reported as stable when no new power word
 appeared in the top quartile of base lengths.  With n = 1 it runs the same
@@ -25,8 +27,7 @@ from typing import NamedTuple
 
 from .core import Alphabet, EPSILON, Word, delta_inv, word_to_csv, word_to_text
 from .errors import CertificationError
-from .search import (complete_by_complement, is_power_smooth, map_tasks, power_hits, push,
-                     seeded_state, walk, worker_cap)
+from .search import is_power_smooth, map_tasks, power_hits, push, seeded_state, walk, worker_cap
 
 __all__ = [
     "IndexPair", "PowerWitness", "CensusReport",
@@ -68,8 +69,21 @@ def enumerate_smooth(ab: Alphabet, n: int, min_len: int | None = None) -> list[W
 
     One walk to depth n below the letter a keeps the words of the lengths
     asked for (preorder visits each length in lexicographic order); shorter
-    words are walked through, not kept.  The words starting with b are their
-    reversed complements, per length.
+    words are walked through, not kept.  The words starting with b are built
+    from those by the complement (swapping a and b), which is exact:
+
+    * the swap keeps every run length, so it keeps the derivative, smoothness
+      and smooth powers (w^n is smooth exactly when its complement is);
+    * it maps the smooth words that start with a one-to-one onto those that
+      start with b;
+    * among words of one length it reverses lexicographic order, so the
+      reversed complements of a lexicographic a-list are the b-list, in
+      order, and every b-word sorts after every a-word.
+
+    So each length's b-half is its a-half's reversed complements.  The power
+    scans build their b-half the same way (:func:`_witness_pairs`), and the
+    concatenation certifier shares its walks over v between a u·x and its
+    complement by the same swap (``smoothwords.concat``).
     """
     if n < 0:
         raise ValueError("length must be >= 0")
@@ -86,7 +100,9 @@ def enumerate_smooth(ab: Alphabet, n: int, min_len: int | None = None) -> list[W
 
     if n:
         walk(ab, seeded_state(ab, (ab.a,)), [ab.a], n, visit)
-        complete_by_complement(by_len[1:], ab, wrap)
+        swap = (ab.a + ab.b).__sub__
+        for level in by_len[1:]:
+            level += [wrap(map(swap, w)) for w in reversed(level)]
     if low <= 0:
         by_len[0].append(Word())
     return [w for level in by_len for w in level]
@@ -239,11 +255,12 @@ def scan_powers(ab: Alphabet, n: int, L: int, jobs: int = 1) -> CensusReport:
 
     Only the bases starting with a are walked; the rest are their reversed
     complements, each witness built with its complement's (the order of
-    :func:`smoothwords.search.complete_by_complement`).  The walk
-    is split into the subtrees below the a-initial smooth prefixes of the
-    shallowest depth with at least ``8 * worker_cap(jobs)`` smooth prefixes,
-    after the shorter bases; only the map over those tasks depends on ``jobs``
-    (:func:`smoothwords.search.map_tasks`), so the witnesses do not.
+    :func:`enumerate_smooth`).  The walk is split into the subtrees below the
+    a-initial smooth prefixes of the shallowest depth with at least
+    ``8 * worker_cap(jobs)`` smooth prefixes, after the shorter bases; the
+    split depth and the map over the tasks
+    (:func:`smoothwords.search.map_tasks`) depend on ``jobs``, the witnesses
+    do not.
     """
     if n < 2:
         raise ValueError("exponent must be >= 2")
@@ -330,9 +347,13 @@ def lift_family(u, n: int, alpha: int, K: int, ab: Alphabet) -> list[Word]:
         raise ValueError(f"starting letter {alpha} is not in alphabet {ab}")
     if not is_power_smooth(u, n, ab):
         raise ValueError(f"({word_to_text(u)})^{n} must be smooth over {ab}")
+    # u's letters are in the alphabet (is_power_smooth said so), so depth k
+    # is lift(u, alpha, k): one delta_inv of depth k - 1.
     family: list[Word] = []
+    v = u
     for k in range(K):
-        v = lift(u, alpha, k, ab)
+        if k:
+            v = delta_inv(v, alpha, ab)
         if len(v) % 2:
             raise CertificationError(
                 f"lift depth {k} of {word_to_text(u)!r} has odd length {len(v)}",

@@ -32,12 +32,13 @@ Level 0 in locals.  The four rules are stated once, above, and :func:`push`
 applies them at every level.  Every letter a bulk workload appends changes
 the bottom level, but only some go further up (about half of all pushes
 touched the bottom level only), so the two loops that append letters,
-:func:`walk` and :func:`push_copies`, hold the bottom level's fields in local
-variables, apply the four rules to them inline and call :func:`push` only
-for the letter a rule sends up.  The empty tower's bottom level is
-``(0, 0, 0, ())`` there: no run yet, and a last letter no alphabet has.  A
-test checks both loops against repeated :func:`push` on every tower of
-every smooth word up to length 12 over five alphabets.
+:func:`walk` and :func:`push_copies` (which :func:`seeded_state` runs on),
+hold the bottom level's fields in local variables, apply the four rules to
+them inline and call :func:`push` only for the letter a rule sends up.  The
+empty tower's bottom level is ``(0, 0, 0, ())`` there: no run yet, and a last
+letter no alphabet has.  A test checks both loops against repeated
+:func:`push` on every tower of every smooth word up to length 12 over five
+alphabets.
 
 Every bulk workload runs on one walker, :func:`walk`: a preorder,
 explicit-stack walk of the smooth words extending a seed (letter a before b),
@@ -56,27 +57,13 @@ v runs from each distinct tower, and the pairs of its group are judged once
 per junction signature of v (first letter, first run length, one run or
 more), which fixes every verdict.
 
-Enumeration and the power census walk only the words that start with a and
-build the rest by the complement (swapping a and b), which is exact:
-
-* the swap keeps every run length, so it keeps the derivative, smoothness
-  and smooth powers (w^n is smooth exactly when its complement is);
-* it maps the smooth words that start with a one-to-one onto those that
-  start with b;
-* among words of one length it reverses lexicographic order, so the reversed
-  complements of a lexicographic a-list are the b-list, in order, and every
-  b-word sorts after every a-word.
-
-:func:`complete_by_complement` appends that b-half, per length.  The
-concatenation certifier shares its walks over v between a u·x and its
-complement by the same swap (``smoothwords.concat``).
-
-The scans and the certifier split their walks into a task list that does not
-depend on ``--jobs``; :func:`map_tasks` maps a function over it.  With more
-than one worker it forks child processes that each run a round-robin share
-while the caller runs the first, and pipes the results back; there is no
-process pool, so a command with ``--jobs`` above 1 pays a fork per extra
-worker and not a pool's start-up.
+The scans and the certifier split their walks into a task list (the scans'
+split depth follows the worker count, the certifier's tasks do not), and
+:func:`map_tasks` maps a function over it; the results never depend on
+``--jobs``.  With more than one worker it forks child processes that each
+run a round-robin share while the caller runs the first, and pipes the
+results back; there is no process pool, so a command with ``--jobs`` above 1
+pays a fork per extra worker and not a pool's start-up.
 """
 
 from __future__ import annotations
@@ -87,7 +74,7 @@ from .core import Alphabet, run_lengths
 
 __all__ = ["push", "seeded_state", "complement_tower", "is_smooth_fast",
            "is_power_smooth", "push_copies", "fast_derivative", "derivative_from_runs", "walk",
-           "complete_by_complement", "power_hits", "worker_cap", "map_tasks"]
+           "power_hits", "worker_cap", "map_tasks"]
 
 
 # The bottom level of the empty tower, for the inline rules of walk and
@@ -130,14 +117,10 @@ def seeded_state(ab: Alphabet, letters) -> tuple | None:
     over ``ab`` (letters outside {a, b} fail)."""
     a = ab.a
     b = ab.b
-    tower = ()
     for c in letters:
         if c != a and c != b:
             return None
-        tower = push(tower, c, a, b)
-        if tower is None:
-            return None
-    return tower
+    return push_copies(ab, (), letters, 1)
 
 
 def complement_tower(tower: tuple, ab: Alphabet) -> tuple:
@@ -284,19 +267,6 @@ def walk(ab: Alphabet, tower: tuple, path: list[int], max_len: int, visit) -> No
             nxt.pop()
             if nxt:
                 retract()
-
-
-def complete_by_complement(by_len: list[list], ab: Alphabet, make=tuple) -> None:
-    """Extend each list of smooth words that start with a, lexicographic and
-    all of one length, by the words that start with b, in place.
-
-    Those are the reversed complements of the list (see the module
-    docstring), built by ``make`` from an iterable of letters.  The empty
-    word is its own complement, so no list may hold it.
-    """
-    swap = (ab.a + ab.b).__sub__
-    for level in by_len:
-        level += [make(map(swap, w)) for w in reversed(level)]
 
 
 def power_hits(ab: Alphabet, n: int, max_len: int, prefix=()) -> list[list[tuple]]:

@@ -3,11 +3,55 @@ from itertools import product
 
 import pytest
 
-from smoothwords import (Alphabet, EPSILON, Word, REASON_BAD_LETTER,
+from smoothwords import (Alphabet, ChainFailure, EPSILON, Word, REASON_BAD_LETTER,
                          REASON_INTERIOR_RUN, REASON_RUN_TOO_LONG, delta,
                          derivative, is_differentiable, is_smooth, mirror,
                          rho, rho_by_formula, smooth_chain)
 from smoothwords.errors import NotDifferentiableError
+
+
+def _length_failure(w: Word, ab: Alphabet) -> str | None:
+    """The reason the run lengths of ``w`` are not of the differentiable form,
+    or None: a run longer than b is run-too-long, else an interior run outside
+    {a, b} is interior-run-not-in-alphabet."""
+    lengths = delta(w)
+    if any(n > ab.b for n in lengths):
+        return REASON_RUN_TOO_LONG
+    if any(n not in ab for n in lengths[1:-1]):
+        return REASON_INTERIOR_RUN
+    return None
+
+
+def _reference_chain(w: Word, ab: Alphabet) -> tuple[str, ChainFailure | None]:
+    """(verdict, failure) from :func:`_length_failure` on each level that
+    literal ``rho`` produces."""
+    if any(c not in ab for c in w):
+        return "not-smooth", ChainFailure(level=0, reason=REASON_BAD_LETTER)
+    level = 0
+    while w:
+        reason = _length_failure(w, ab)
+        if reason is not None:
+            return "not-smooth", ChainFailure(level=level, reason=reason)
+        w = rho(w, ab)
+        level += 1
+    return "smooth", None
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (1, 3), (2, 5)])
+def test_failure_reasons_match_the_length_rule_exhaustively(a, b):
+    # Every word up to length 9 over {a, b, b+1}, so letters outside the
+    # alphabet are covered too.
+    ab = Alphabet(a, b)
+    for n in range(10):
+        for tup in product((a, b, b + 1), repeat=n):
+            w = Word(tup)
+            chain = smooth_chain(w, ab)
+            assert (chain.verdict, chain.failure) == _reference_chain(w, ab), (ab, w)
+            if b + 1 in tup:
+                with pytest.raises(ValueError):
+                    is_differentiable(w, ab)
+            else:
+                assert is_differentiable(w, ab) == (_length_failure(w, ab) is None), (ab, w)
 
 
 class TestDifferentiable:
@@ -92,6 +136,10 @@ class TestSmoothChain:
         ch = smooth_chain(Word("113311"), ab13)
         assert not ch.is_smooth
         assert ch.failure.reason == REASON_INTERIOR_RUN
+        # closure(113133) = 11131333, whose derivative 3113 has the interior run 11
+        ch = smooth_chain(Word("113133"), ab13)
+        assert ch.levels == (Word("113133"), Word("3113"))
+        assert ch.failure == ChainFailure(level=1, reason=REASON_INTERIOR_RUN)
 
     def test_run_too_long_takes_precedence(self, ab12):
         # the interior run of 21112 is both too long and not a letter;

@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 from smoothwords import (Alphabet, Word, certify_concat, complement, enumerate_smooth, gamma,
                          is_smooth, kolakoski_prefix, runs, scan_powers, smooth_chain)
 from smoothwords import census, concat, search
-from smoothwords.search import (complement_tower, complete_by_complement, fast_derivative,
-                                is_power_smooth, is_smooth_fast, map_tasks, power_hits, push,
-                                push_copies, seeded_state, walk)
+from smoothwords.search import (complement_tower, fast_derivative, is_power_smooth,
+                                is_smooth_fast, map_tasks, power_hits, push, push_copies,
+                                seeded_state, walk)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -90,6 +90,7 @@ def test_enumerator_orders_and_counts():
     assert by_len[2] == [Word("11"), Word("12"), Word("21"), Word("22")]
     assert len(by_len[3]) == 6
     assert words == sorted(words, key=lambda w: (len(w), w))  # shortlex
+    assert all(type(w) is Word for w in words)  # the b-half built by complement too
     # a deeper call keeps the shorter lengths consistent
     assert enumerate_smooth(ab, 6, min_len=0)[:len(words)] == words
     assert len(enumerate_smooth(ab, 3, min_len=1)) == 2 + 4 + 6
@@ -123,14 +124,16 @@ def _pushed(ab: Alphabet, tower, letters, copies):
 
 @pytest.mark.parametrize("a, b", [(1, 2), (1, 3), (2, 5), (3, 4), (10, 12)])
 def test_inline_bottom_level_agrees_with_push(a, b):
-    # walk and push_copies build the bottom level of a tower inline and call
-    # push only for the levels above; every tower must be push's.
+    # walk and push_copies (and seeded_state, through it) build the bottom
+    # level of a tower inline and call push only for the levels above; every
+    # tower must be push's.
     ab = Alphabet(a, b)
     nodes = _towers_by_push(ab, 12)
     whole = []
     walk(ab, (), [], 12, lambda tower, path: whole.append((tower, tuple(path))))
     assert whole == nodes
     for tower, word in nodes:
+        assert seeded_state(ab, word) == _pushed(ab, (), word, 1), word
         visited = []
         walk(ab, tower, list(word), len(word) + 1,
              lambda t, path: visited.append((t, tuple(path))))
@@ -278,17 +281,6 @@ def test_halved_walks_match_literal_oracle():
             for jobs in (1, 2):
                 got = [w.base for w in scan_powers(ab, n, max_len, jobs=jobs).witnesses]
                 assert got == expected, (ab, n, jobs)
-
-
-def test_complete_by_complement_appends_reversed_complements():
-    ab = Alphabet(1, 3)
-    by_len = [[(1,)], [(1, 1), (1, 3)], [], [(1, 1, 3), (1, 3, 3)]]
-    complete_by_complement(by_len, ab)
-    assert by_len == [[(1,), (3,)], [(1, 1), (1, 3), (3, 1), (3, 3)], [],
-                      [(1, 1, 3), (1, 3, 3), (3, 1, 1), (3, 3, 1)]]
-    words = [[Word("12")]]
-    complete_by_complement(words, Alphabet(1, 2), Word._wrap)
-    assert words == [[Word("12"), Word("21")]] and type(words[0][1]) is Word
 
 
 @given(st.data())
