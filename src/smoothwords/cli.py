@@ -6,6 +6,10 @@ command runs (``calculus``, ``census`` with ``search``, or ``concat`` with
 ``search``, and ``census`` too for ``certify-concat --explore``), so
 ``delta``, ``closure`` and ``--help`` load none of the engines.
 
+:func:`run` takes the parsed ``argparse.Namespace`` that :func:`parse_config`
+returns, with ``alphabet`` already parsed, and reads each option under its
+own flag name (``args.format``, ``args.L``).
+
 Exit codes: 0 = success (findings such as census witnesses are data, not
 errors), 1 = a certified identity failed (certification violation), 2 =
 usage error, 3 = a ``--jobs`` worker process died (killed, for example by
@@ -20,7 +24,6 @@ import argparse
 import itertools
 import os
 import sys
-from typing import NamedTuple
 
 from .core import Alphabet, Word, closure, delta, word_from_text, word_to_csv, word_to_text
 from .errors import CertificationError, WordParseError
@@ -37,19 +40,6 @@ _LINE_BATCH = 256
 
 # Commands whose reports can render as CSV.
 _CSV_COMMANDS = {"scan-powers", "gamma", "enumerate"}
-
-
-class CliConfig(NamedTuple):
-    alphabet: Alphabet
-    command: str
-    fmt: str
-    jobs: int
-    word: str | None = None
-    n: int | None = None
-    bound: int | None = None
-    k: int = 1
-    alpha: int | None = None
-    explore: int | None = None
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -122,32 +112,18 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def parse_config(argv=None) -> CliConfig:
+def parse_config(argv=None) -> argparse.Namespace:
     args = build_parser().parse_args(argv)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    bound = getattr(args, "L", None)
-    n = getattr(args, "n", None)
-    if bound is None and args.command in ("scan-powers", "gamma"):
-        bound = 60 if n == 2 else 30
-    return CliConfig(
-        alphabet=Alphabet.parse(args.alphabet),
-        command=args.command,
-        fmt=args.format,
-        jobs=args.jobs,
-        word=getattr(args, "word", None),
-        n=n,
-        bound=bound,
-        k=getattr(args, "k", 1),
-        alpha=getattr(args, "alpha", None),
-        explore=getattr(args, "explore", None),
-    )
+    args.alphabet = Alphabet.parse(args.alphabet)
+    return args
 
 
-def _print_json(config: CliConfig, payload: dict) -> None:
+def _print_json(args: argparse.Namespace, payload: dict) -> None:
     import json  # only JSON output pays for the import
 
-    doc = {"schema_version": SCHEMA_VERSION, "command": config.command}
+    doc = {"schema_version": SCHEMA_VERSION, "command": args.command}
     doc.update(payload)
     _write_batched(json.JSONEncoder(indent=2).iterencode(doc), _JSON_BATCH)
     sys.stdout.write("\n")
@@ -162,11 +138,11 @@ def _write_batched(pieces, size: int) -> None:
         write(batch)
 
 
-def _emit_word(config: CliConfig, result: Word) -> int:
-    if config.fmt == "json":
-        _print_json(config, {
-            "alphabet": str(config.alphabet),
-            "word": config.word,
+def _emit_word(args: argparse.Namespace, result: Word) -> int:
+    if args.format == "json":
+        _print_json(args, {
+            "alphabet": str(args.alphabet),
+            "word": args.word,
             "result": word_to_text(result),
         })
     else:
@@ -174,37 +150,36 @@ def _emit_word(config: CliConfig, result: Word) -> int:
     return 0
 
 
-def run(config: CliConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     """Dispatch one parsed command; returns the process exit status."""
-    ab = config.alphabet
-    fmt = config.fmt
-    if fmt == "csv" and config.command not in _CSV_COMMANDS:
-        print(f"error: csv output is not defined for {config.command!r}", file=sys.stderr)
+    ab = args.alphabet
+    fmt = args.format
+    if fmt == "csv" and args.command not in _CSV_COMMANDS:
+        print(f"error: csv output is not defined for {args.command!r}", file=sys.stderr)
         return 2
 
-    if config.command == "delta":
-        return _emit_word(config, delta(word_from_text(config.word)))
-    if config.command == "closure":
-        return _emit_word(config, closure(word_from_text(config.word), ab))
-    if config.command == "derive":
+    if args.command == "delta":
+        return _emit_word(args, delta(word_from_text(args.word)))
+    if args.command == "closure":
+        return _emit_word(args, closure(word_from_text(args.word), ab))
+    if args.command == "derive":
         from .calculus import derivative
-        return _emit_word(config, derivative(word_from_text(config.word), ab))
-    if config.command == "rho":
+        return _emit_word(args, derivative(word_from_text(args.word), ab))
+    if args.command == "rho":
         from .calculus import rho
-        return _emit_word(config, rho(word_from_text(config.word), ab))
-    if config.command == "lift":
+        return _emit_word(args, rho(word_from_text(args.word), ab))
+    if args.command == "lift":
         from .census import lift
-        return _emit_word(config, lift(word_from_text(config.word),
-                                       config.alpha, config.k, ab))
+        return _emit_word(args, lift(word_from_text(args.word), args.alpha, args.k, ab))
 
-    if config.command == "chain":
+    if args.command == "chain":
         from .calculus import chain_levels, smooth_chain
         if fmt == "json":
-            chain = smooth_chain(word_from_text(config.word), ab)
-            _print_json(config, {"alphabet": str(ab), **chain.to_json()})
+            chain = smooth_chain(word_from_text(args.word), ab)
+            _print_json(args, {"alphabet": str(ab), **chain.to_json()})
             return 0
         # Text streams the levels: each is printed as it comes, then dropped.
-        levels = chain_levels(word_from_text(config.word), ab)
+        levels = chain_levels(word_from_text(args.word), ab)
         for i in itertools.count():
             try:
                 print(f"level {i}: {word_to_text(next(levels))}")
@@ -216,13 +191,13 @@ def run(config: CliConfig) -> int:
             print(f"failure: level {failure.level} ({failure.reason})")
         return 0
 
-    if config.command == "enumerate":
+    if args.command == "enumerate":
         from .census import enumerate_smooth
-        words = enumerate_smooth(ab, config.n)
+        words = enumerate_smooth(ab, args.n)
         if fmt == "json":
-            _print_json(config, {"alphabet": str(ab), "length": config.n,
-                                 "count": len(words),
-                                 "words": [word_to_text(w) for w in words]})
+            _print_json(args, {"alphabet": str(ab), "length": args.n,
+                               "count": len(words),
+                               "words": [word_to_text(w) for w in words]})
         elif fmt == "csv":
             print("word")
             for w in words:
@@ -232,32 +207,31 @@ def run(config: CliConfig) -> int:
                 print(word_to_text(w))
         return 0
 
-    if config.command == "kolakoski":
+    if args.command == "kolakoski":
         from .census import kolakoski_prefix
-        w = kolakoski_prefix(ab, config.alpha, config.n)
+        w = kolakoski_prefix(ab, args.alpha, args.n)
         if fmt == "json":
-            _print_json(config, {"alphabet": str(ab), "first": config.alpha,
-                                 "length": config.n, "word": word_to_text(w)})
+            _print_json(args, {"alphabet": str(ab), "first": args.alpha,
+                               "length": args.n, "word": word_to_text(w)})
         else:
             print(word_to_text(w))
         return 0
 
-    if config.command == "dsigma":
+    if args.command == "dsigma":
         from .concat import dsigma_table
         table = dsigma_table(ab)
         if fmt == "json":
-            _print_json(config, table.to_json())
+            _print_json(args, table.to_json())
         else:
             for w in table.sorted_words:
                 print(word_to_text(w))
         return 0
 
-    if config.command == "certify-concat":
+    if args.command == "certify-concat":
         from .concat import certify_concat
-        cert = certify_concat(ab, config.bound, jobs=config.jobs,
-                              explore=config.explore)
+        cert = certify_concat(ab, args.L, jobs=args.jobs, explore=args.explore)
         if fmt == "json":
-            _print_json(config, cert.to_json())
+            _print_json(args, cert.to_json())
         else:
             print(f"alphabet {ab}  bound {cert.bound}  x from {cert.x_source}")
             print(f"{cert.tested_triples} smooth triples tested, "
@@ -267,60 +241,52 @@ def run(config: CliConfig) -> int:
             for v in cert.violations:
                 print(f"violation: u={word_to_text(v.u)} x={word_to_text(v.x)} "
                       f"v={word_to_text(v.v)} ({v.reason})")
-        if config.explore is None and cert.violations:
+        if args.explore is None and cert.violations:
             return 1
         return 0
 
-    if config.command == "power-decomp":
+    if args.command == "power-decomp":
         from .concat import power_decomposition
-        decomp = power_decomposition(word_from_text(config.word), config.n, ab)
+        decomp = power_decomposition(word_from_text(args.word), args.n, ab)
         if fmt == "json":
-            _print_json(config, decomp.to_json())
+            _print_json(args, decomp.to_json())
         else:
             print(f"base {word_to_text(decomp.base)}  exponent {decomp.exponent}")
             for j, w in decomp.levels:
                 print(f"level {j}: witness {word_to_text(w) or 'eps'}")
         return 0
 
-    if config.command in ("scan-powers", "gamma"):
-        from .census import PowerWitness, gamma, scan_powers
-        if config.command == "gamma":
-            count, report = gamma(ab, config.n, config.bound, jobs=config.jobs)
-        else:
-            report = scan_powers(ab, config.n, config.bound, jobs=config.jobs)
-            count = report.gamma
-        if fmt == "json":
-            _print_json(config, report.to_json())
-        elif fmt == "csv":
-            sys.stdout.write(report.to_csv())
-        else:
-            print(f"alphabet {ab}  exponent {report.exponent}  bound {report.bound}")
-            print(f"{len(report.witnesses)} witnesses")
-            print(f"gamma={count} stable={str(report.stable).lower()}")
-            print(f"note: {report.note}")
-            lines = (f"witness: base={base} power={power} primitive={primitive}\n"
-                     for base, power, primitive in map(PowerWitness.texts, report.witnesses))
-            _write_batched(lines, _LINE_BATCH)
-        return 0
-
-    print(f"error: unknown command {config.command!r}", file=sys.stderr)
-    return 2
+    # scan-powers or gamma: argparse accepts no other command.
+    from .census import PowerWitness, gamma, scan_powers
+    bound = args.L if args.L is not None else 60 if args.n == 2 else 30
+    if args.command == "gamma":
+        _, report = gamma(ab, args.n, bound, jobs=args.jobs)
+    else:
+        report = scan_powers(ab, args.n, bound, jobs=args.jobs)
+    if fmt == "json":
+        _print_json(args, report.to_json())
+    elif fmt == "csv":
+        sys.stdout.write(report.to_csv())
+    else:
+        print(f"alphabet {ab}  exponent {report.exponent}  bound {report.bound}")
+        print(f"{len(report.witnesses)} witnesses")
+        print(f"gamma={report.gamma} stable={str(report.stable).lower()}")
+        print(f"note: {report.note}")
+        lines = (f"witness: base={base} power={power} primitive={primitive}\n"
+                 for base, power, primitive in map(PowerWitness.texts, report.witnesses))
+        _write_batched(lines, _LINE_BATCH)
+    return 0
 
 
 def main(argv=None) -> int:
     try:
-        config = parse_config(argv)
-    except SystemExit as exc:  # argparse: 2 on usage error, 0 on --help
-        code = exc.code if exc.code is not None else 0
-        return code if isinstance(code, int) else 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        code = run(config)
+        code = run(parse_config(argv))
         # Flush inside the try so a closed pipe surfaces here, not at exit.
         sys.stdout.flush()
         return code
+    except SystemExit as exc:  # argparse: 2 on usage error, 0 on --help
+        code = exc.code if exc.code is not None else 0
+        return code if isinstance(code, int) else 2
     except BrokenPipeError:
         # Recipe from the signal module docs: Python flushes stdout again at
         # exit, so point it at devnull to keep that flush from failing too.

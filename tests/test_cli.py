@@ -197,6 +197,17 @@ class TestCensusCommands:
         assert lines[0] == "base,base_length,power_length"
         assert all(len(line.split(",")) == 3 for line in lines[1:])
 
+    @pytest.mark.parametrize("args,expected", [
+        (("gamma", "--alphabet", "3,4", "-n", "2"), "alphabet 3,4  exponent 2  bound 60"),
+        (("scan-powers", "--alphabet", "5,9", "-n", "3", "--format", "json"),
+         '  "bound": 30,'),
+    ], ids=["squares-60", "else-30"])
+    def test_bound_defaults(self, capsys, args, expected):
+        # Without -L the bound is 60 for squares and 30 for any other exponent.
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        assert expected in out.splitlines()
+
     @pytest.mark.parametrize("alphabet, n, L", [("1,3", "2", "20"), ("1,3", "4", "16"),
                                                 ("2,4", "2", "16"), ("10,12", "2", "24")])
     def test_witness_fields_render_each_word(self, alphabet, n, L):
@@ -296,8 +307,12 @@ class TestCensusCommands:
 
 class TestExitCodes:
     def test_usage_error_bad_alphabet(self, capsys):
-        code, _, err = run_cli(capsys, "delta", "--alphabet", "2,2", "--word", "22")
-        assert code == 2
+        for alphabet, message in [
+                ("2,2", "alphabet requires 1 <= a < b, got a=2, b=2"),
+                ("1,2,3", "alphabet must be two comma-separated integers, got '1,2,3'")]:
+            code, out, err = run_cli(capsys, "delta", "--alphabet", alphabet, "--word", "22")
+            assert code == 2 and out == ""
+            assert err == f"error: {message}\n"
 
     def test_usage_error_unknown_command(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate", "--alphabet", "1,2")

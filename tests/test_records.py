@@ -12,7 +12,6 @@ import pytest
 from smoothwords import (Alphabet, CensusReport, ChainFailure, ConcatCertificate,
                          DerivativeChain, DsigmaTable, IndexPair, PowerDecomposition,
                          PowerWitness, Word, runs)
-from smoothwords.cli import CliConfig
 from smoothwords.concat import ConcatViolation
 from smoothwords.core import Run, RunDecomposition
 
@@ -53,23 +52,13 @@ CASES = [
                           "levels": ((1, Word("")),)},
      "PowerDecomposition(base=Word('12'), exponent=2, alphabet=Alphabet(a=1, b=2), "
      "levels=((1, Word('')),))"),
-    (CliConfig, {"alphabet": AB, "command": "chain", "fmt": "text", "jobs": 1,
-                 "word": "12", "n": None, "bound": None, "k": 1, "alpha": None,
-                 "explore": None},
-     "CliConfig(alphabet=Alphabet(a=1, b=2), command='chain', fmt='text', jobs=1, "
-     "word='12', n=None, bound=None, k=1, alpha=None, explore=None)"),
-    (CliConfig, {"alphabet": AB, "command": "gamma", "fmt": "json", "jobs": 2,
-                 "word": None, "n": 2, "bound": 60, "k": 1, "alpha": None,
-                 "explore": None},
-     "CliConfig(alphabet=Alphabet(a=1, b=2), command='gamma', fmt='json', jobs=2, "
-     "word=None, n=2, bound=60, k=1, alpha=None, explore=None)"),
 ]
 IDS = [f"{cls.__name__}-{i}" for i, (cls, _, _) in enumerate(CASES)]
 INSTANCES = [cls(**fields) for cls, fields, _ in CASES]
 
 
-def test_twelve_record_classes_covered():
-    assert len({cls for cls, _, _ in CASES}) == 12
+def test_eleven_record_classes_covered():
+    assert len({cls for cls, _, _ in CASES}) == 11
 
 
 @pytest.mark.parametrize("cls,fields,expected", CASES, ids=IDS)
@@ -120,9 +109,6 @@ def test_pickle_round_trip(cls, fields, expected):
 def test_defaults():
     chain = DerivativeChain((Word(""),), "smooth")
     assert chain.failure is None
-    config = CliConfig(AB, "chain", "text", 1)
-    assert (config.word, config.n, config.bound, config.k, config.alpha,
-            config.explore) == (None, None, None, 1, None, None)
 
 
 def test_hand_written_records_still_validate_and_iterate():
