@@ -1,0 +1,111 @@
+#!/usr/bin/env bash
+# CLI smoke checks: pinned output lines, byte-identity across --jobs values,
+# CSV/JSON shape and the modules each command imports.  Needs `python` on
+# PATH and PYTHONPATH pointing at the package's src directory; writes its
+# output files into the current directory.  Exits non-zero at the first
+# failing check.
+set -e
+python -m smoothwords.cli gamma --alphabet 1,2 -n 2 -L 12 > gamma1.txt
+grep -qx 'gamma=22 stable=true' gamma1.txt
+python -m smoothwords.cli gamma --alphabet 1,2 -n 2 -L 12 --jobs 2 > gamma2.txt
+cmp gamma1.txt gamma2.txt
+# Without -L the bound is 60 for squares and 30 for any other exponent.
+python -m smoothwords.cli scan-powers --alphabet 3,4 -n 3 > scan_default.txt
+grep -qx 'alphabet 3,4  exponent 3  bound 30' scan_default.txt
+# --jobs > 1 hands the workers only the prefixes that start with a.
+python -m smoothwords.cli scan-powers --alphabet 1,3 -n 4 -L 14 --format csv > scan1.csv
+python -m smoothwords.cli scan-powers --alphabet 1,3 -n 4 -L 14 --format csv --jobs 2 > scan2.csv
+cmp scan1.csv scan2.csv
+# gamma -n 1 runs the census scan; --explore lists its x words with enumerate_smooth.
+python -m smoothwords.cli gamma --alphabet 1,2 -n 1 -L 10 > gamma_n1.txt
+grep -qx 'gamma=206 stable=false' gamma_n1.txt
+python -m smoothwords.cli gamma --alphabet 1,2 -n 1 -L 10 --jobs 2 > gamma_n1_2.txt
+cmp gamma_n1.txt gamma_n1_2.txt
+# --jobs 3 deals the prefixes round-robin into three shares, one run
+# by the calling process and two by forked children: same bytes.
+python -m smoothwords.cli scan-powers --alphabet 1,3 -n 2 -L 40 --format json --jobs 1 > scan13_1.json
+python -m smoothwords.cli scan-powers --alphabet 1,3 -n 2 -L 40 --format json --jobs 3 > scan13_3.json
+cmp scan13_1.json scan13_3.json
+# Forking for --jobs imports no process pool.
+python -c "import sys; from smoothwords.cli import main; assert main(['gamma', '--alphabet', '1,3', '-n', '2', '-L', '30', '--jobs', '2']) == 0; assert 'concurrent' not in sys.modules and 'multiprocessing' not in sys.modules"
+python -m smoothwords.cli certify-concat --alphabet 1,3 -L 5 --explore 3 > explore.txt
+grep -qx '4349 smooth triples tested, 0 violations' explore.txt
+python -m smoothwords.cli certify-concat --alphabet 1,3 -L 5 --explore 3 --jobs 2 > explore2.txt
+cmp explore.txt explore2.txt
+# certify-concat exits 1 on violations: the {1,3} table lacks the middles
+# 133 and 331.  A u·x that ends in 3 shares the walk over v of its
+# complement and reports the complement of that walk's v; --jobs must
+# not change one byte of that.
+status=0
+python -m smoothwords.cli certify-concat --alphabet 1,3 -L 6 > concat13.txt || status=$?
+test "$status" -eq 1
+grep -qx '7890 smooth triples tested, 100 violations' concat13.txt
+status=0
+python -m smoothwords.cli certify-concat --alphabet 1,3 -L 6 --jobs 2 > concat13_2.txt || status=$?
+test "$status" -eq 1
+cmp concat13.txt concat13_2.txt
+# The JSON lists every violation's v, the complemented ones included.
+status=0
+python -m smoothwords.cli certify-concat --alphabet 1,3 -L 6 --format json --jobs 1 > concat13.json || status=$?
+test "$status" -eq 1
+status=0
+python -m smoothwords.cli certify-concat --alphabet 1,3 -L 6 --format json --jobs 2 > concat13_2.json || status=$?
+test "$status" -eq 1
+cmp concat13.json concat13_2.json
+# The walk over v runs once per tower of u·x; over {1,2} towers are
+# shared only because they keep a "more than one run" flag.
+python -m smoothwords.cli certify-concat --alphabet 1,2 -L 10 > concat12.txt
+grep -qx '54470 smooth triples tested, 0 violations' concat12.txt
+python -m smoothwords.cli certify-concat --alphabet 1,2 -L 10 --jobs 2 > concat12_2.txt
+cmp concat12.txt concat12_2.txt
+# A group of pairs is judged once per junction signature of v (first
+# letter, first run length, one run or more); over {2,5} first runs
+# reach length 5.
+python -m smoothwords.cli certify-concat --alphabet 2,5 -L 12 --jobs 1 > concat25.txt
+grep -qx '30254 smooth triples tested, 0 violations' concat25.txt
+python -m smoothwords.cli certify-concat --alphabet 2,5 -L 12 --jobs 2 > concat25_2.txt
+cmp concat25.txt concat25_2.txt
+# One scan serves every x: pairs (u, x) of different x share towers
+# of u·x, and a --jobs task is one such tower group.
+python -m smoothwords.cli certify-concat --alphabet 1,2 -L 8 --explore 6 > shared.txt
+grep -qx '43369 smooth triples tested, 0 violations' shared.txt
+python -m smoothwords.cli certify-concat --alphabet 1,2 -L 8 --explore 6 --jobs 2 > shared2.txt
+cmp shared.txt shared2.txt
+# The walker on this Python: {1,2} has 3702 smooth words of length 60.
+python -m smoothwords.cli enumerate --alphabet 1,2 -n 60 > enum60.txt
+test "$(wc -l < enum60.txt)" -eq 3702
+# Letters above 9 render in comma form ("10,12"), which CSV must quote.
+python -m smoothwords.cli scan-powers --alphabet 10,12 -n 2 -L 24 --format csv > scan1012.csv
+python -c "import csv; rows = list(csv.reader(open('scan1012.csv'))); assert len(rows) > 1 and all(len(r) == 3 for r in rows), rows"
+# Witness text is cut from the base's text, but a one-letter comma-form
+# base renders its power and primitive base in full.
+python -m smoothwords.cli gamma --alphabet 10,12 -n 2 -L 24 --jobs 1 > gamma1012.txt
+python -m smoothwords.cli gamma --alphabet 10,12 -n 2 -L 24 --jobs 2 > gamma1012_2.txt
+cmp gamma1012.txt gamma1012_2.txt
+grep -qx 'witness: base=10, power=10,10 primitive=10,' gamma1012.txt
+# -n 0 lists the empty word, which CSV must keep as one empty field.
+python -m smoothwords.cli enumerate --alphabet 1,2 -n 0 --format csv > enum0.csv
+python -c "import csv; rows = list(csv.reader(open('enum0.csv'))); assert rows == [['word'], ['']], rows"
+# The package resolves its public names lazily (PEP 562).
+python -c "from smoothwords import *; import smoothwords; assert set(smoothwords.__all__) <= set(dir(smoothwords))"
+# Each command imports only the modules it runs: chain never needs concat.
+python -c "import sys; from smoothwords.cli import main; assert main(['chain', '--alphabet', '1,2', '--word', '1211']) == 0; assert 'smoothwords.concat' not in sys.modules"
+python -m smoothwords.cli chain --alphabet 1,2 --word 1211 --format json > chain.json
+python -c "import json; d = json.load(open('chain.json')); assert d['verdict'] == 'smooth' and d['levels'] == ['1211', '12', ''], d"
+# chain names the first level that fails and why: closure rejects a
+# run longer than b (run-too-long) before derivative rejects an
+# interior run outside {a, b} (interior-run-not-in-alphabet).
+python -m smoothwords.cli chain --alphabet 1,2 --word 1112 > chain_fail0.txt
+grep -qx 'failure: level 0 (run-too-long)' chain_fail0.txt
+python -m smoothwords.cli chain --alphabet 1,2 --word 12121 > chain_fail1.txt
+grep -qx 'failure: level 1 (run-too-long)' chain_fail1.txt
+python -m smoothwords.cli chain --alphabet 1,3 --word 113133 > chain_interior.txt
+grep -qx 'failure: level 1 (interior-run-not-in-alphabet)' chain_interior.txt
+# Text chain prints each level as it comes; the 100,000-letter
+# Kolakoski prefix has 28 levels, and they equal the JSON ones.
+w=$(python -m smoothwords.cli kolakoski --alphabet 1,2 --alpha 2 -n 100000)
+python -m smoothwords.cli chain --alphabet 1,2 --word "$w" > chain100k.txt
+test "$(wc -l < chain100k.txt)" -eq 29
+test "$(tail -n 1 chain100k.txt)" = "verdict: smooth"
+python -m smoothwords.cli chain --alphabet 1,2 --word "$w" --format json > chain100k.json
+python -c "import json; t = open('chain100k.txt').read().splitlines(); assert [l.split(': ', 1)[1] for l in t[:-1]] == json.load(open('chain100k.json'))['levels']"

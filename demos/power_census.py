@@ -27,7 +27,7 @@ count, report = gamma(Alphabet(1, 2), 2, 60)
 print(f"  gamma = {count} distinct smooth squares ({time.time() - t0:.2f}s)")
 print(f"  last new square at base length {report.last_new_base_length}; "
       f"stable = {report.stable}")
-longest = max(report.witnesses, key=lambda w: len(w.power))
+longest = max(report.witnesses, key=lambda w: len(w.base))
 print(f"  longest square: base {word_to_text(longest.base)} "
       f"({len(longest.power)} letters squared)")
 

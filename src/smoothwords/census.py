@@ -10,7 +10,8 @@ It walks only the bases that start with a: the complement of a smooth power
 is a smooth power, so the bases starting with b follow from those.  The walk
 is split into one task per smooth prefix of a depth that grows with the
 worker count, so the task list follows ``jobs``; the witnesses, and every
-output byte, do not.
+output byte, do not.  A witness stores its base, exponent and primitive
+base, not the power word (:class:`PowerWitness`).
 ``gamma`` counts the distinct power words found and applies a stabilization
 heuristic: a finite count is only reported as stable when no new power word
 appeared in the top quartile of base lengths.  With n = 1 it runs the same
@@ -25,7 +26,7 @@ from __future__ import annotations
 from functools import partial
 from typing import NamedTuple
 
-from .core import Alphabet, EPSILON, Word, delta_inv, word_to_csv, word_to_text
+from .core import Alphabet, EPSILON, Word, _FrozenRecord, delta_inv, word_to_csv, word_to_text
 from .errors import CertificationError
 from .search import is_power_smooth, map_tasks, power_hits, push, seeded_state, walk, worker_cap
 
@@ -108,10 +109,40 @@ def enumerate_smooth(ab: Alphabet, n: int, min_len: int | None = None) -> list[W
     return [w for level in by_len for w in level]
 
 
-class PowerWitness(NamedTuple):
-    base: Word
-    power: Word
-    primitive_base: Word
+class PowerWitness(_FrozenRecord):
+    """A smooth power: the base u, the power u^n and the primitive root of
+    both, constructed, iterated, compared, printed and pickled as the record
+    ``(base, power, primitive_base)``.
+
+    It stores u, n (``exponent``) and the root, and rebuilds ``power`` when
+    it is read; a census's witness of a primitive u holds u as its root, so
+    each word is held once.  A ``power`` that is not a power of ``base``
+    raises ``ValueError``.
+    """
+
+    __slots__ = ("base", "exponent", "primitive_base")
+
+    def __init__(self, base: Word, power: Word, primitive_base: Word):
+        exponent = len(power) // len(base) if base else 1
+        if base * exponent != power:
+            raise ValueError(f"power {word_to_text(power)!r} is not a power of "
+                             f"base {word_to_text(base)!r}")
+        self._init(base, exponent, primitive_base)
+
+    @property
+    def power(self) -> Word:
+        return self.base * self.exponent
+
+    def _values(self) -> tuple:
+        # Equality, hash and pickling go by the public fields.
+        return self.base, self.power, self.primitive_base
+
+    def __iter__(self):
+        return iter(self._values())
+
+    def __repr__(self) -> str:
+        return (f"PowerWitness(base={self.base!r}, power={self.power!r}, "
+                f"primitive_base={self.primitive_base!r})")
 
     def texts(self) -> tuple[str, str, str]:
         """The text of the base, the power and the primitive base.
@@ -124,8 +155,7 @@ class PowerWitness(NamedTuple):
         base = word_to_text(self.base)
         if not base or "," in base:
             return base, word_to_text(self.power), word_to_text(self.primitive_base)
-        return (base, base * (len(self.power) // len(self.base)),
-                base[:len(self.primitive_base)])
+        return base, base * self.exponent, base[:len(self.primitive_base)]
 
     def to_json(self) -> dict:
         base, power, primitive = self.texts()
@@ -133,9 +163,25 @@ class PowerWitness(NamedTuple):
             "base": base,
             "base_length": len(self.base),
             "power": power,
-            "power_length": len(self.power),
+            "power_length": len(self.base) * self.exponent,
             "primitive_base": primitive,
         }
+
+
+_new_witness = object.__new__
+_set_base = PowerWitness.base.__set__
+_set_exponent = PowerWitness.exponent.__set__
+_set_primitive = PowerWitness.primitive_base.__set__
+
+
+def _witness(base: Word, exponent: int, primitive_base: Word) -> PowerWitness:
+    """A :class:`PowerWitness` from its stored fields, unchecked (the census's
+    own constructor, like ``Word._wrap``): the slots are set directly."""
+    w = _new_witness(PowerWitness)
+    _set_base(w, base)
+    _set_exponent(w, exponent)
+    _set_primitive(w, primitive_base)
+    return w
 
 
 class CensusReport(NamedTuple):
@@ -157,13 +203,7 @@ class CensusReport(NamedTuple):
 
     @property
     def distinct_powers(self) -> tuple[Word, ...]:
-        seen = []
-        have = set()
-        for w in self.witnesses:
-            if w.power not in have:
-                have.add(w.power)
-                seen.append(w.power)
-        return tuple(seen)
+        return tuple(dict.fromkeys(w.power for w in self.witnesses))
 
     def to_json(self) -> dict:
         return {
@@ -180,37 +220,47 @@ class CensusReport(NamedTuple):
     def to_csv(self) -> str:
         lines = ["base,base_length,power_length"]
         for w in self.witnesses:
-            lines.append(f"{word_to_csv(w.base)},{len(w.base)},{len(w.power)}")
+            lines.append(f"{word_to_csv(w.base)},{len(w.base)},{len(w.base) * w.exponent}")
         return "\n".join(lines) + "\n"
 
 
-def _primitive_root(u: tuple) -> Word:
-    """The shortest r with u = r^k; it is also the primitive root of every
-    power of u."""
+def _root_length(u: tuple) -> int:
+    """The length of the shortest r with u = r^k; r is also the primitive
+    root of every power of u."""
     n = len(u)
     for d in range(1, n):
         if n % d == 0 and u[:d] * (n // d) == u:
-            return Word._wrap(u[:d])
-    return Word._wrap(u)
+            return d
+    return n
+
+
+def _primitive_root(u) -> Word:
+    """The shortest r with u = r^k, as a word."""
+    u = tuple(u)
+    return Word._wrap(u[:_root_length(u)])
 
 
 def _witness_pairs(level: list[tuple], n: int, ab: Alphabet) -> list[PowerWitness]:
     """The witnesses of the bases in ``level`` (a-initial, lexicographic, all
     of one length), then those of their reversed complements.
 
-    The complement of a witness has the same run lengths and period, so its
-    primitive base is the complement's prefix of the same length: each
-    primitive root is found once per pair.
+    The complement of a base has the same run lengths and period, so its
+    primitive root is the complement's prefix of the same length: each root
+    length is found once per pair, on the plain tuple.
     """
     swap = (ab.a + ab.b).__sub__
     wrap = Word._wrap
     first, second = [], []
     for t in level:
-        root = _primitive_root(t)
+        k = _root_length(t)
         c = tuple(map(swap, t))
-        first.append(PowerWitness(base=wrap(t), power=wrap(t * n), primitive_base=root))
-        second.append(PowerWitness(base=wrap(c), power=wrap(c * n),
-                                   primitive_base=wrap(c[:len(root)])))
+        u, v = wrap(t), wrap(c)
+        if k == len(t):  # primitive: the base is its own root, one object
+            first.append(_witness(u, n, u))
+            second.append(_witness(v, n, v))
+        else:
+            first.append(_witness(u, n, wrap(t[:k])))
+            second.append(_witness(v, n, wrap(c[:k])))
     second.reverse()
     return first + second
 

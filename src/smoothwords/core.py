@@ -387,7 +387,7 @@ def closure(w: Iterable[int], ab: Alphabet) -> Word:
     if max(lengths) > b:
         i = next(i for i, length in enumerate(lengths) if length > b)
         raise NotClosableError(
-            f"run {i} of {word_to_text(w)!r} has length {lengths[i]} > b={b}",
+            lambda: f"run {i} of {word_to_text(w)!r} has length {lengths[i]} > b={b}",
             run_index=i)
     first, last = lengths[0], lengths[-1]
     if len(lengths) == 1:

@@ -1,4 +1,5 @@
 import json
+import pickle
 from itertools import product
 
 import pytest
@@ -6,8 +7,10 @@ import pytest
 from smoothwords import (Alphabet, ChainFailure, EPSILON, Word, REASON_BAD_LETTER,
                          REASON_INTERIOR_RUN, REASON_RUN_TOO_LONG, delta,
                          derivative, is_differentiable, is_smooth, mirror,
-                         rho, rho_by_formula, smooth_chain)
-from smoothwords.errors import NotDifferentiableError
+                         closure, rho, rho_by_formula, smooth_chain)
+from smoothwords import calculus, core
+from smoothwords.calculus import chain_levels
+from smoothwords.errors import NotClosableError, NotDifferentiableError
 
 
 def _length_failure(w: Word, ab: Alphabet) -> str | None:
@@ -200,3 +203,62 @@ class TestSmoothChain:
                 w = Word(tup)
                 if is_smooth(delta(w), ab12):
                     assert is_smooth(w, ab12)
+
+
+class TestFailureMessages:
+    """closure and derivative render the failing word only when their
+    message is read: the text, and the stderr of ``closure`` and ``derive``,
+    stay as they were."""
+
+    @pytest.fixture
+    def renders(self, monkeypatch):
+        calls = []
+
+        def counting(w):
+            calls.append(len(w))
+            return to_text(w)
+
+        to_text = core.word_to_text
+        monkeypatch.setattr(core, "word_to_text", counting)
+        monkeypatch.setattr(calculus, "word_to_text", counting)
+        return calls
+
+    def test_failing_chain_renders_nothing(self, renders, ab12, ab13):
+        long_run = Word("12" * 5000 + "111" + "21" * 5000)
+        for w, ab, failure in [(long_run, ab12, (0, REASON_RUN_TOO_LONG)),
+                               (Word("113133"), ab13, (1, REASON_INTERIOR_RUN)),
+                               (Word("113311"), ab13, (0, REASON_INTERIOR_RUN))]:
+            chain = chain_levels(w, ab)
+            with pytest.raises(StopIteration) as stop:
+                while True:
+                    next(chain)
+            assert stop.value.value == ("not-smooth", ChainFailure(*failure))
+            assert not renders
+        with pytest.raises(NotClosableError) as err:
+            closure(long_run, ab12)
+        assert not renders
+        assert str(err.value).startswith("run 10000 of '1212")
+        assert renders == [len(long_run)]
+        str(err.value)
+        assert renders == [len(long_run)]
+
+    @pytest.mark.parametrize("call, cls, run_index, text", [
+        (lambda: closure(Word("1112"), Alphabet(1, 2)), NotClosableError, 0,
+         "run 0 of '1112' has length 3 > b=2"),
+        (lambda: derivative(Word("1221"), Alphabet(1, 3)), NotDifferentiableError, 1,
+         "'1221' is not differentiable over 1,3: run 1 has length 2"),
+        (lambda: closure(Word("2222"), Alphabet(1, 3)), NotClosableError, 0,
+         "run 0 of '2222' has length 4 > b=3"),
+        (lambda: derivative(Word("2222"), Alphabet(1, 3)), NotDifferentiableError, 0,
+         "'2222' is not differentiable over 1,3: run 0 has length 4"),
+    ], ids=["run-too-long", "interior-run", "single-run-closure", "single-run-derivative"])
+    def test_message_text_and_pickling(self, call, cls, run_index, text):
+        with pytest.raises(cls) as err:
+            call()
+        exc = err.value
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(exc, protocol=protocol))
+            assert type(back) is cls
+            assert (str(back), back.run_index, back.args) == (text, run_index, (text,))
+        assert (str(exc), exc.run_index, exc.args) == (text, run_index, (text,))
+        assert repr(exc) == f"{cls.__name__}({text!r})"

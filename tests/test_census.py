@@ -7,7 +7,7 @@ from smoothwords import (Alphabet, Word, delta, enumerate_smooth, gamma,
                          h_delta, is_smooth, kolakoski_prefix, lift,
                          lift_family, scan_powers, smooth_chain, word_to_text)
 from smoothwords import census, search
-from smoothwords.census import _split
+from smoothwords.census import PowerWitness, _split
 from smoothwords.search import walk
 from smoothwords.errors import CertificationError
 
@@ -152,6 +152,44 @@ class TestScanPowers:
             scan_powers(ab12, 1, 5)
         with pytest.raises(ValueError):
             scan_powers(ab12, 2, 0)
+
+
+class TestWitnessStorage:
+    """A witness stores its base, exponent and primitive base; the power is
+    rebuilt when read, and a primitive base is the base object itself."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_power_derived_and_primitive_base_shared(self, ab13, n):
+        report = scan_powers(ab13, n, 30)
+        assert report.witnesses
+        shared = 0
+        for w in report.witnesses:
+            if len(w.primitive_base) == len(w.base):
+                assert w.primitive_base is w.base
+                shared += 1
+            assert type(w.power) is Word
+            assert w.power == w.base * n
+            assert w.exponent == n
+        assert shared
+
+    def test_exponent_one_power_is_the_base(self, ab12):
+        _, report = gamma(ab12, 1, 8)
+        assert report.witnesses
+        for w in report.witnesses:
+            assert w.power == w.base
+            assert w.primitive_base is w.base or len(w.primitive_base) < len(w.base)
+
+    @pytest.mark.parametrize("base, power", [
+        ("12", "121"), ("12", "1221"), ("12", "1"), ("", "1"), ("11", "111")])
+    def test_power_must_be_a_power_of_the_base(self, base, power):
+        with pytest.raises(ValueError):
+            PowerWitness(Word(base), Word(power), Word(base))
+
+    def test_power_is_not_stored(self):
+        assert "power" not in PowerWitness.__slots__
+        w = PowerWitness(Word("1"), Word("111"), Word("1"))
+        assert not hasattr(w, "__dict__")
+        assert (w.exponent, w.power) == (3, Word("111"))
 
 
 class TestGamma:
