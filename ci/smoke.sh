@@ -109,3 +109,14 @@ test "$(wc -l < chain100k.txt)" -eq 29
 test "$(tail -n 1 chain100k.txt)" = "verdict: smooth"
 python -m smoothwords.cli chain --alphabet 1,2 --word "$w" --format json > chain100k.json
 python -c "import json; t = open('chain100k.txt').read().splitlines(); assert [l.split(': ', 1)[1] for l in t[:-1]] == json.load(open('chain100k.json'))['levels']"
+# power-decomp derives every level with the literal calculus (README's example).
+python -m smoothwords.cli power-decomp --alphabet 1,3 --word 3111313111 -n 4 > decomp.txt
+grep -qx 'level 1: witness 1' decomp.txt
+grep -qx 'level 2: witness 111' decomp.txt
+# A huge exponent fails the copy-by-copy test before u^n is built: one line, exit 2.
+status=0
+python -m smoothwords.cli power-decomp --alphabet 1,3 --word 13 -n 100000000000000000000 > decomp_huge.txt 2> decomp_huge.err || status=$?
+test "$status" -eq 2
+test ! -s decomp_huge.txt
+test "$(wc -l < decomp_huge.err)" -eq 1
+grep -qx 'error: (13)^100000000000000000000 must be smooth over 1,3' decomp_huge.err

@@ -3,19 +3,19 @@
 ``enumerate_smooth`` lists the smooth words of a range of lengths with one
 walk; it serves the ``enumerate`` command and the x words of
 ``certify-concat --explore``.
-``scan_powers`` walks every smooth base up to a length bound (bases of smooth
-powers are necessarily smooth, because factors of smooth words are smooth)
-and tests the n-th power inside the walk (:func:`smoothwords.search.power_hits`).
-It walks only the bases that start with a: the complement of a smooth power
-is a smooth power, so the bases starting with b follow from those.  The walk
-is split into one task per smooth prefix of a depth that grows with the
-worker count, so the task list follows ``jobs``; the witnesses, and every
-output byte, do not.  A witness stores its base, exponent and primitive
-base, not the power word (:class:`PowerWitness`).
-``gamma`` counts the distinct power words found and applies a stabilization
-heuristic: a finite count is only reported as stable when no new power word
-appeared in the top quartile of base lengths.  With n = 1 it runs the same
-scan, which keeps every base, and reports the count as unbounded.
+``gamma`` runs the power scan: it walks every smooth base up to a length
+bound (bases of smooth powers are necessarily smooth, because factors of
+smooth words are smooth) and tests the n-th power inside the walk
+(:func:`smoothwords.search.power_hits`).  It walks only the bases that start
+with a: the complement of a smooth power is a smooth power, so the bases
+starting with b follow from those.  The walk is split into one task per
+smooth prefix of a depth that grows with the worker count, so the task list
+follows ``jobs``; the witnesses, and every output byte, do not.  A witness
+stores its base, exponent and primitive base, not the power word
+(:class:`PowerWitness`).  ``gamma`` counts the distinct power words found
+and reports a finite count as stable only when no new power word appeared
+in the top quartile of base lengths; with n = 1 the scan keeps every base
+and the count is unbounded.  ``scan_powers`` is its report for n >= 2.
 ``lift_family`` manufactures families of distinct smooth n-power bases by
 repeatedly pulling an even-length base back through ``delta_inv``, which is
 the constructive evidence for "infinitely many" power claims.
@@ -26,9 +26,9 @@ from __future__ import annotations
 from functools import partial
 from typing import NamedTuple
 
-from .core import Alphabet, EPSILON, Word, _FrozenRecord, delta_inv, word_to_csv, word_to_text
+from .core import Alphabet, Word, _FrozenRecord, delta_inv, word_to_csv, word_to_text
 from .errors import CertificationError
-from .search import is_power_smooth, map_tasks, power_hits, push, seeded_state, walk, worker_cap
+from .search import is_power_smooth, map_tasks, power_hits, seeded_state, walk, worker_cap
 
 __all__ = [
     "IndexPair", "PowerWitness", "CensusReport",
@@ -234,12 +234,6 @@ def _root_length(u: tuple) -> int:
     return n
 
 
-def _primitive_root(u) -> Word:
-    """The shortest r with u = r^k, as a word."""
-    u = tuple(u)
-    return Word._wrap(u[:_root_length(u)])
-
-
 def _witness_pairs(level: list[tuple], n: int, ab: Alphabet) -> list[PowerWitness]:
     """The witnesses of the bases in ``level`` (a-initial, lexicographic, all
     of one length), then those of their reversed complements.
@@ -282,44 +276,41 @@ def _split(ab: Alphabet, L: int, tasks: int) -> tuple[int, list[tuple]]:
     prefixes, and the prefixes of that depth that start with a, in
     lexicographic order.
 
-    One breadth-first walk below the letter a, a level at a time, each prefix
-    with its tower, stops at that depth; each length has as many smooth
-    words starting with b.
+    One breadth-first walk below the letter a, a level at a time, stops at
+    that depth; each length has as many smooth words starting with b.
     """
     a, b = ab.a, ab.b
-    depth, level = 1, [((a,), seeded_state(ab, (a,)))]
+    depth, level = 1, [(a,)]
     while depth < L and 2 * len(level) < tasks:
         depth += 1
-        longer = []
-        for p, tower in level:
-            for c in (a, b):
-                child = push(tower, c, a, b)
-                if child is not None:
-                    longer.append((p + (c,), child))
-        level = longer
-    return depth, [p for p, _ in level]
+        level = [p + (c,) for p in level for c in (a, b)
+                 if seeded_state(ab, p + (c,)) is not None]
+    return depth, level
 
 
 def scan_powers(ab: Alphabet, n: int, L: int, jobs: int = 1) -> CensusReport:
-    """Test u^n for smoothness over every smooth base u with 1 <= |u| <= L.
+    """Test u^n for smoothness over every smooth base u with 1 <= |u| <= L:
+    the report of :func:`gamma`, for n >= 2."""
+    if n < 2:
+        raise ValueError("exponent must be >= 2")
+    return gamma(ab, n, L, jobs)[1]
+
+
+def gamma(ab: Alphabet, n: int, L: int, jobs: int = 1) -> tuple[int, CensusReport]:
+    """Count distinct smooth power words u^n with |u| <= L: the scan tests
+    u^n over every smooth base u with 1 <= |u| <= L.
 
     Only the bases starting with a are walked; the rest are their reversed
     complements, each witness built with its complement's (the order of
-    :func:`enumerate_smooth`).  The walk is split into the subtrees below the
-    a-initial smooth prefixes of the shallowest depth with at least
-    ``8 * worker_cap(jobs)`` smooth prefixes, after the shorter bases; the
-    split depth and the map over the tasks
-    (:func:`smoothwords.search.map_tasks`) depend on ``jobs``, the witnesses
-    do not.
+    :func:`enumerate_smooth`).  The walk is split below the a-initial smooth
+    prefixes of the shallowest depth with at least ``8 * worker_cap(jobs)``
+    smooth prefixes, after the shorter bases; the split and the map over the
+    tasks (:func:`smoothwords.search.map_tasks`) depend on ``jobs``, the
+    witnesses do not.  For n = 1 every smooth word qualifies, so the count
+    can only grow with L; the report says so instead of pretending stability.
     """
-    if n < 2:
-        raise ValueError("exponent must be >= 2")
-    return _census(ab, n, L, jobs)
-
-
-def _census(ab: Alphabet, n: int, L: int, jobs: int) -> CensusReport:
-    """The report on u^n over every smooth base u with 1 <= |u| <= L, for
-    any n >= 1 (n = 1 keeps every base)."""
+    if n < 1:
+        raise ValueError("exponent must be >= 1")
     if L < 1:
         raise ValueError("base-length bound must be >= 1")
     depth, prefixes = _split(ab, L, 8 * worker_cap(jobs))
@@ -337,26 +328,13 @@ def _census(ab: Alphabet, n: int, L: int, jobs: int) -> CensusReport:
     for level in hits:
         witnesses += _witness_pairs(level, n, ab)
     last_new = len(witnesses[-1].base) if witnesses else None
-    stable, note = _stability(L, last_new)
-    return CensusReport(alphabet=ab, exponent=n, bound=L,
-                        witnesses=tuple(witnesses), gamma=len(witnesses),
-                        last_new_base_length=last_new, stable=stable, note=note)
-
-
-def gamma(ab: Alphabet, n: int, L: int, jobs: int = 1) -> tuple[int, CensusReport]:
-    """Count distinct smooth power words u^n with |u| <= L.
-
-    For n = 1 every smooth word qualifies, so the count can only grow with L;
-    the report says so instead of pretending stability.
-    """
-    if n < 1:
-        raise ValueError("exponent must be >= 1")
     if n == 1:
-        report = _census(ab, 1, L, jobs)._replace(stable=False,
-                                                   note="unbounded at this bound")
+        stable, note = False, "unbounded at this bound"
     else:
-        report = scan_powers(ab, n, L, jobs=jobs)
-    return report.gamma, report
+        stable, note = _stability(L, last_new)
+    return len(witnesses), CensusReport(
+        alphabet=ab, exponent=n, bound=L, witnesses=tuple(witnesses),
+        gamma=len(witnesses), last_new_base_length=last_new, stable=stable, note=note)
 
 
 def lift(u, alpha: int, k: int, ab: Alphabet) -> Word:
@@ -429,19 +407,13 @@ def kolakoski_prefix(ab: Alphabet, first: int, length: int) -> Word:
         raise ValueError(f"first letter {first} is not in alphabet {ab}")
     if length < 0:
         raise ValueError("length must be >= 0")
-    if length == 0:
-        return EPSILON
     out: list[int] = []
-    i = 0
+    total = ab.a + ab.b
     cur = first
-    other = ab.complement_of(first)
+    i = 0
     while len(out) < length:
-        if i < len(out):
-            out.extend([cur] * out[i])
-        else:
-            # The pointer caught up: this run's first letter is also its length.
-            out.append(cur)
-            out.extend([cur] * (cur - 1))
-        cur, other = other, cur
+        # Once the pointer catches up, a run's first letter is also its length.
+        out += [cur] * (out[i] if i < len(out) else cur)
+        cur = total - cur
         i += 1
     return Word._wrap(tuple(out[:length]))

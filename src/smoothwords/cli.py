@@ -2,9 +2,9 @@
 
 Each process runs one command, so start-up counts.  Only ``core`` and
 ``errors`` load at the top; each branch of :func:`run` imports the modules its
-command runs (``calculus``, ``census`` with ``search``, or ``concat`` with
-``search``, and ``census`` too for ``certify-concat --explore``), so
-``delta``, ``closure`` and ``--help`` load none of the engines.
+command runs (``calculus``, or ``census`` or ``concat`` with ``search``;
+``power-decomp`` adds ``calculus``, ``certify-concat --explore`` ``census``),
+so ``delta``, ``closure`` and ``--help`` load none of the engines.
 
 :func:`run` takes the parsed ``argparse.Namespace`` that :func:`parse_config`
 returns, with ``alphabet`` already parsed, and reads each option under its

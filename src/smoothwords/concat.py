@@ -6,7 +6,9 @@ depends only on the alphabet class; :func:`certify_concat` re-verifies the
 splitting exhaustively at bounded length, and :func:`empirical_middle_set`
 rebuilds the table from scratch as a least fixpoint, independent of the
 stored literals.  :func:`power_decomposition` applies the same splitting to
-powers: D^j(u^n) = (D^j(u) w)^(n-1) D^j(u), checked level by level.
+powers: D^j(u^n) = (D^j(u) w)^(n-1) D^j(u), checked level by level.  The
+one-word certifiers, :func:`middle_witness` and :func:`power_decomposition`,
+derive with the literal ``calculus.derivative``, imported when they run.
 
 Both certifiers run on one scan (:func:`_scan`) over a list of x words:
 one walk over u, and one walk over v per distinct tower of u·x whatever the
@@ -25,10 +27,10 @@ from __future__ import annotations
 from functools import partial
 from typing import NamedTuple
 
-from .core import Alphabet, Word, _FrozenRecord, mirror, run_lengths, runs, word_to_text
+from .core import Alphabet, Word, _FrozenRecord, mirror, run_lengths, word_to_text
 from .errors import CertificationError
-from .search import (complement_tower, derivative_from_runs, fast_derivative, is_power_smooth,
-                     is_smooth_fast, map_tasks, push, push_copies, walk)
+from .search import (complement_tower, derivative_from_runs, is_power_smooth, map_tasks, push,
+                     push_copies, walk)
 
 __all__ = [
     "DsigmaTable", "ConcatViolation", "ConcatCertificate", "PowerDecomposition",
@@ -114,16 +116,14 @@ def middle_witness(u, x, v, ab: Alphabet) -> Word | None:
     """The middle word w with D(uxv) = D(u) w D(v), or None if no such slice.
 
     Requires uxv smooth.  Absence of a witness is data for the certifier,
-    not an error.
+    not an error.  It reads the literal calculus, which the scans never load.
     """
+    from .calculus import derivative, is_smooth
     u, x, v = Word(u), Word(x), Word(v)
     full = u + x + v
-    if not is_smooth_fast(full, ab):
+    if not is_smooth(full, ab):
         raise ValueError(f"u·x·v = {word_to_text(full)!r} must be smooth over {ab}")
-    b = ab.b
-    mid = _extract_middle(fast_derivative(u, b), fast_derivative(v, b),
-                          fast_derivative(full, b))
-    return Word._wrap(mid) if mid is not None else None
+    return _extract_middle(derivative(u, ab), derivative(v, ab), derivative(full, ab))
 
 
 def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int = 1):
@@ -150,8 +150,9 @@ def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int
     """
     a, b = ab.a, ab.b
     counts = dict.fromkeys(xs, 0)
-    # An x with a letter outside {a, b} has no triple; push does not check.
-    xs = sorted((x for x in xs if all(c == a or c == b for c in x)), key=_shortlex)
+    # An x with a letter outside {a, b} has no triple (push does not check).
+    # Each x is a plain tuple: the walk indexes it per u, a Word by a call.
+    xs = sorted((tuple(x) for x in xs if all(c == a or c == b for c in x)), key=_shortlex)
     index = {x: i for i, x in enumerate(xs)}
     # Each x as (x, its runs), with the index of x less its last letter, or
     # -1 when that is not an x (or x is ε).
@@ -381,14 +382,15 @@ def certify_concat(ab: Alphabet, L: int, jobs: int = 1,
     if L < 1:
         raise ValueError("length bound must be >= 1")
     if explore is None:
-        check: frozenset | None = frozenset(tuple(w) for w in dsigma_table(ab).words)
+        # A Word hashes and compares as its tuple, so the table serves as is.
+        check: frozenset | None = dsigma_table(ab).words
         xs = list(check)
         x_source = "table"
     else:
         if explore < 0:
             raise ValueError("length bound must be >= 0")
         from .census import enumerate_smooth  # only explore mode lists its x words
-        xs = [tuple(w) for w in enumerate_smooth(ab, explore, min_len=0)]
+        xs = enumerate_smooth(ab, explore, min_len=0)
         check = None
         x_source = f"smooth-x<={explore}"
 
@@ -449,32 +451,24 @@ def power_decomposition(u, n: int, ab: Alphabet) -> PowerDecomposition:
     the table, raises :class:`CertificationError` carrying the level and both
     sides; it is never silently repaired.
     """
+    from .calculus import derivative  # the literal calculus, as middle_witness
     u = Word(u)
     if n < 2:
         raise ValueError("exponent must be >= 2")
-    if runs(u).r < 2:
+    if len(run_lengths(u)) < 2:
         raise ValueError(f"base {word_to_text(u)!r} must have at least two runs")
     # Tested copy by copy first, so a huge n fails without building u^n.
     if not is_power_smooth(u, n, ab):
         raise ValueError(f"({word_to_text(u)})^{n} must be smooth over {ab}")
-    power = u * n
-    b = ab.b
-    table_items = frozenset(tuple(w) for w in dsigma_table(ab).words)
+    table = dsigma_table(ab).words
 
-    # Derivative towers of the base and of the power (plain derivative).
-    # The base tower stops at the last level with at least two runs.
-    base_levels = [tuple(u)]
-    while len(run_lengths(base_levels[-1])) >= 2:
-        base_levels.append(fast_derivative(base_levels[-1], b))
-    k = len(base_levels) - 1
-    power_levels = [tuple(power)]
-    for _ in range(k):
-        power_levels.append(fast_derivative(power_levels[-1], b))
-
+    # D^j(u) and D^j(u^n) side by side, down to the last level of the base
+    # with at least two runs.
+    duj, dpj = u, u * n
     levels: list[tuple[int, Word]] = []
-    for j in range(1, k + 1):
-        duj = base_levels[j]
-        dpj = power_levels[j]
+    while len(run_lengths(duj)) >= 2:
+        j = len(levels) + 1
+        duj, dpj = derivative(duj, ab), derivative(dpj, ab)
         slack = len(dpj) - n * len(duj)
         if slack < 0 or slack % (n - 1):
             raise CertificationError(
@@ -488,9 +482,9 @@ def power_decomposition(u, n: int, ab: Alphabet) -> PowerDecomposition:
             raise CertificationError(
                 f"level {j}: (D^{j}(u) w)^{n - 1} D^{j}(u) does not reproduce D^{j}(u^{n})",
                 level=j, expected=dpj, actual=rebuilt)
-        if w not in table_items:
+        if w not in table:
             raise CertificationError(
-                f"level {j}: middle word {word_to_text(Word._wrap(w))!r} is outside the table",
+                f"level {j}: middle word {word_to_text(w)!r} is outside the table",
                 level=j, expected=None, actual=w)
-        levels.append((j, Word._wrap(w)))
+        levels.append((j, w))
     return PowerDecomposition(base=u, exponent=n, alphabet=ab, levels=tuple(levels))

@@ -64,16 +64,19 @@ split depth follows the worker count, the certifier's tasks do not), and
 run a round-robin share while the caller runs the first, and pipes the
 results back; there is no process pool, so a command with ``--jobs`` above 1
 pays a fork per extra worker and not a pool's start-up.
+
+The module exports only what the walks use; one-word derivatives come from
+the literal calculus (``smoothwords.calculus``).
 """
 
 from __future__ import annotations
 
 import os
 
-from .core import Alphabet, run_lengths
+from .core import Alphabet
 
 __all__ = ["push", "seeded_state", "complement_tower", "is_smooth_fast",
-           "is_power_smooth", "push_copies", "fast_derivative", "derivative_from_runs", "walk",
+           "is_power_smooth", "push_copies", "derivative_from_runs", "walk",
            "power_hits", "worker_cap", "map_tasks"]
 
 
@@ -185,15 +188,6 @@ def is_power_smooth(letters, n: int, ab: Alphabet) -> bool:
         raise ValueError(f"exponent must be >= 1, got {n}")
     tower = seeded_state(ab, letters)
     return tower is not None and push_copies(ab, tower, letters, n - 1) is not None
-
-
-def fast_derivative(letters, b: int) -> tuple[int, ...]:
-    """Derivative of a known-differentiable word, as a plain tuple.
-
-    No validation: callers must only pass words whose smoothness (hence
-    differentiability) is already established.
-    """
-    return derivative_from_runs(run_lengths(letters), b)
 
 
 def derivative_from_runs(lens: list[int], b: int) -> tuple[int, ...]:

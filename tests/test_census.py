@@ -12,6 +12,14 @@ from smoothwords.search import walk
 from smoothwords.errors import CertificationError
 
 
+def root_of_power(p):
+    """The shortest r with p = r^k: the definition, on the whole power word."""
+    n = len(p)
+    for d in range(1, n + 1):
+        if n % d == 0 and p[:d] * (n // d) == p:
+            return p[:d]
+
+
 class TestHDelta:
     def test_table(self):
         cases = {(1, 2): (3, 3), (1, 3): (5, 5), (1, 4): (4, 5), (1, 5): (5, 6),
@@ -118,12 +126,6 @@ class TestScanPowers:
     @pytest.mark.parametrize("ab, exponents, L", [
         (Alphabet(1, 3), (2, 3, 4), 16), (Alphabet(10, 12), (2,), 24)])
     def test_primitive_base_is_the_roots_of_the_power(self, ab, exponents, L):
-        def root_of_power(p):  # the definition, on the whole power word
-            n = len(p)
-            for d in range(1, n + 1):
-                if n % d == 0 and p[:d] * (n // d) == p:
-                    return p[:d]
-
         for n in exponents:
             report = scan_powers(ab, n, L)
             assert report.witnesses
@@ -143,7 +145,7 @@ class TestScanPowers:
             assert report.witnesses
             for w in report.witnesses:
                 assert w.power == w.base * n
-                assert w.primitive_base == census._primitive_root(w.base)
+                assert w.primitive_base == root_of_power(w.power)
                 assert all(type(v) is Word for v in w)
                 assert w.texts() == tuple(map(word_to_text, w))
 

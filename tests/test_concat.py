@@ -9,8 +9,9 @@ from smoothwords import (Alphabet, EPSILON, Word, certify_concat, complement, de
                          middle_witness, mirror, power_decomposition, word_to_text)
 from smoothwords import concat
 from smoothwords.concat import DsigmaTable, _extract_middle, _scan
+from smoothwords.core import run_lengths
 from smoothwords.errors import CertificationError
-from smoothwords.search import fast_derivative, is_smooth_fast, seeded_state, walk
+from smoothwords.search import derivative_from_runs, is_smooth_fast, seeded_state, walk
 
 
 def words(texts):
@@ -364,14 +365,15 @@ class TestComplementHalving:
     def _epsilon(ab, L, check):
         """(tested, violations, middles) over every (u, ε, v)."""
         words = [tuple(w) for w in enumerate_smooth(ab, L, min_len=0)]
-        derivs = {w: fast_derivative(w, ab.b) for w in words}
+        derivs = {w: derivative_from_runs(run_lengths(w), ab.b) for w in words}
         tested, violations, middles = 0, [], set()
         for u in words:
             for v in words:
                 if not is_smooth_fast(u + v, ab):
                     continue
                 tested += 1
-                mid = _extract_middle(derivs[u], derivs[v], fast_derivative(u + v, ab.b))
+                mid = _extract_middle(derivs[u], derivs[v],
+                                      derivative_from_runs(run_lengths(u + v), ab.b))
                 if mid is None:
                     violations.append((u, (), v, "no-middle-decomposition"))
                     continue
@@ -447,7 +449,7 @@ class TestTripleSplitting:
             pool = [tuple(w) for w in enumerate_smooth(ab, max_len, min_len=0)]
             table = {tuple(w) for w in dsigma_table(ab).words}
             b = ab.b
-            derivs = {w: fast_derivative(w, b) for w in pool}
+            derivs = {w: derivative_from_runs(run_lengths(w), b) for w in pool}
             tested = 0
             for u1 in pool:
                 for u2 in pool:
@@ -460,7 +462,7 @@ class TestTripleSplitting:
                             continue
                         tested += 1
                         assert self._splits(derivs[u1], derivs[u2], derivs[u3],
-                                            fast_derivative(full, b), table), \
+                                            derivative_from_runs(run_lengths(full), b), table), \
                             (ab, u1, u2, u3)
             assert tested > 1000
 

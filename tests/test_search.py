@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from smoothwords import (Alphabet, Word, certify_concat, complement, enumerate_smooth, gamma,
                          is_smooth, kolakoski_prefix, runs, scan_powers, smooth_chain)
 from smoothwords import census, concat, search
-from smoothwords.search import (complement_tower, fast_derivative, is_power_smooth,
+from smoothwords.core import run_lengths
+from smoothwords.search import (complement_tower, derivative_from_runs, is_power_smooth,
                                 is_smooth_fast, map_tasks, power_hits, push, push_copies,
                                 seeded_state, walk)
 
@@ -78,7 +79,7 @@ def test_fast_derivative_matches_public():
         for tup in product(ab.letters, repeat=n):
             w = Word(tup)
             if is_smooth(w, ab):
-                assert fast_derivative(tuple(w), ab.b) == tuple(derivative(w, ab))
+                assert derivative_from_runs(run_lengths(tuple(w)), ab.b) == tuple(derivative(w, ab))
 
 
 def test_enumerator_orders_and_counts():

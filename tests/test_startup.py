@@ -64,8 +64,16 @@ WORD = ("--alphabet", "1,2", "--word", "1211")
     # Only explore mode lists its x words with census.enumerate_smooth.
     (("certify-concat", "--alphabet", "1,3", "-L", "5", "--explore", "3", "--jobs", "1"),
      "4349 smooth triples tested, 0 violations", {"concat", "census", "search"}),
+    # The one-word power certifier derives with the literal calculus.
+    (("power-decomp", "--alphabet", "1,3", "--word", "3111313111", "-n", "4"),
+     "level 2: witness 111", {"calculus", "concat", "search"}),
+    (("dsigma", "--alphabet", "1,2"), "11211", {"concat", "search"}),
+    (("lift", "--alphabet", "2,4", "--word", "22", "--alpha", "2", "-k", "1"),
+     "2244", {"census", "search"}),
+    (("kolakoski", "--alphabet", "1,2", "--alpha", "1", "-n", "19"),
+     "1221121221221121122", {"census", "search"}),
 ], ids=["chain", "derive", "rho", "delta", "closure", "help", "gamma", "certify-concat",
-        "certify-concat-explore"])
+        "certify-concat-explore", "power-decomp", "dsigma", "lift", "kolakoski"])
 def test_chain_command_skips_deferred_imports(argv, line, engines):
     out, added = run_fresh(*argv)
     assert line in out
