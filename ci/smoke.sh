@@ -120,3 +120,17 @@ test "$status" -eq 2
 test ! -s decomp_huge.txt
 test "$(wc -l < decomp_huge.err)" -eq 1
 grep -qx 'error: (13)^100000000000000000000 must be smooth over 1,3' decomp_huge.err
+# A letter outside the alphabet: lift and kolakoski exit 2 with one error
+# line and no stdout; chain reports it as the failure of level 0.
+status=0
+python -m smoothwords.cli lift --alphabet 1,2 --word 12 --alpha 3 > lift_bad.txt 2> lift_bad.err || status=$?
+test "$status" -eq 2
+test ! -s lift_bad.txt
+grep -qx 'error: starting letter 3 is not in alphabet 1,2' lift_bad.err
+status=0
+python -m smoothwords.cli kolakoski --alphabet 1,2 --alpha 3 -n 5 > kolakoski_bad.txt 2> kolakoski_bad.err || status=$?
+test "$status" -eq 2
+test ! -s kolakoski_bad.txt
+grep -qx 'error: first letter 3 is not in alphabet 1,2' kolakoski_bad.err
+python -m smoothwords.cli chain --alphabet 1,2 --word 13 > chain_bad.txt
+grep -qx 'failure: level 0 (letter-not-in-alphabet)' chain_bad.txt

@@ -60,9 +60,7 @@ class DerivativeChain(NamedTuple):
 def is_differentiable(w: Word, ab: Alphabet) -> bool:
     """True iff every run is <= b and every interior run length is a or b."""
     w = w if isinstance(w, Word) else Word(w)
-    for i, c in enumerate(w):
-        if c not in ab:
-            raise ValueError(f"letter {c} at position {i} is not in alphabet {ab}")
+    ab.require_word(w)
     try:
         derivative(w, ab)
     except NotDifferentiableError:
@@ -139,11 +137,9 @@ def chain_levels(w: Word, ab: Alphabet) -> Generator[Word, None, tuple[str, Chai
     comes holds one word instead of the whole chain.
     """
     w = w if isinstance(w, Word) else Word(w)
-    a, b = ab.a, ab.b
     yield w
-    for c in w:
-        if c != a and c != b:
-            return "not-smooth", ChainFailure(level=0, reason=REASON_BAD_LETTER)
+    if ab.first_foreign(w) is not None:
+        return "not-smooth", ChainFailure(level=0, reason=REASON_BAD_LETTER)
     # |rho(w)| < |w| guarantees termination within |w| steps.
     for level in range(len(w) + 1):
         if not w:

@@ -1,8 +1,9 @@
 """Power census: exhaustive scans for smooth powers, counts, and witnesses.
 
-``enumerate_smooth`` lists the smooth words of a range of lengths with one
-walk; it serves the ``enumerate`` command and the x words of
-``certify-concat --explore``.
+``enumerate_smooth`` lists the smooth words of a range of lengths: they are
+the power scan's bases for n = 1 (:func:`smoothwords.search.power_hits`),
+so it collects them with that walk.  It serves the ``enumerate`` command and
+the x words of ``certify-concat --explore``.
 ``gamma`` runs the power scan: it walks every smooth base up to a length
 bound (bases of smooth powers are necessarily smooth, because factors of
 smooth words are smooth) and tests the n-th power inside the walk
@@ -28,7 +29,7 @@ from typing import NamedTuple
 
 from .core import Alphabet, Word, _FrozenRecord, delta_inv, word_to_csv, word_to_text
 from .errors import CertificationError
-from .search import is_power_smooth, map_tasks, power_hits, seeded_state, walk, worker_cap
+from .search import is_power_smooth, map_tasks, power_hits, seeded_state, worker_cap
 
 __all__ = [
     "IndexPair", "PowerWitness", "CensusReport",
@@ -68,10 +69,12 @@ def enumerate_smooth(ab: Alphabet, n: int, min_len: int | None = None) -> list[W
     """The smooth words w over {a, b} with min_len <= |w| <= n, in shortlex
     order; ``min_len`` defaults to n, which gives exactly the length n.
 
-    One walk to depth n below the letter a keeps the words of the lengths
-    asked for (preorder visits each length in lexicographic order); shorter
-    words are walked through, not kept.  The words starting with b are built
-    from those by the complement (swapping a and b), which is exact:
+    The words starting with a are the hits of
+    :func:`smoothwords.search.power_hits` at exponent 1 below the letter a:
+    one walk to depth n keeps the lengths asked for, each in lexicographic
+    order, and walks through the shorter words without keeping them.  The
+    words starting with b are built from those by the complement (swapping
+    a and b), which is exact:
 
     * the swap keeps every run length, so it keeps the derivative, smoothness
       and smooth powers (w^n is smooth exactly when its complement is);
@@ -89,24 +92,16 @@ def enumerate_smooth(ab: Alphabet, n: int, min_len: int | None = None) -> list[W
     if n < 0:
         raise ValueError("length must be >= 0")
     low = n if min_len is None else min_len
-    # The lists grow only on a hit, so a huge n allocates nothing up front.
-    by_len: list[list[Word]] = [[]]
-    wrap = Word._wrap
-
-    def visit(tower: tuple, path: list[int]) -> None:
-        if len(path) >= low:
-            while len(by_len) <= len(path):
-                by_len.append([])
-            by_len[len(path)].append(wrap(tuple(path)))
-
+    words = [Word()] if low <= 0 else []
     if n:
-        walk(ab, seeded_state(ab, (ab.a,)), [ab.a], n, visit)
+        wrap = Word._wrap
         swap = (ab.a + ab.b).__sub__
-        for level in by_len[1:]:
-            level += [wrap(map(swap, w)) for w in reversed(level)]
-    if low <= 0:
-        by_len[0].append(Word())
-    return [w for level in by_len for w in level]
+        for level in power_hits(ab, 1, n, (ab.a,), max(low, 1)):
+            # In place: a level's tuples are freed before the next level is made.
+            level[:] = map(wrap, level)
+            words += level
+            words += [wrap(map(swap, w)) for w in reversed(level)]
+    return words
 
 
 class PowerWitness(_FrozenRecord):
@@ -116,15 +111,15 @@ class PowerWitness(_FrozenRecord):
 
     It stores u, n (``exponent``) and the root, and rebuilds ``power`` when
     it is read; a census's witness of a primitive u holds u as its root, so
-    each word is held once.  A ``power`` that is not a power of ``base``
-    raises ``ValueError``.
+    each word is held once.  A ``power`` that is not a power of ``base``, the
+    empty power of a non-empty base included, raises ``ValueError``.
     """
 
     __slots__ = ("base", "exponent", "primitive_base")
 
     def __init__(self, base: Word, power: Word, primitive_base: Word):
         exponent = len(power) // len(base) if base else 1
-        if base * exponent != power:
+        if exponent < 1 or base * exponent != power:
             raise ValueError(f"power {word_to_text(power)!r} is not a power of "
                              f"base {word_to_text(base)!r}")
         self._init(base, exponent, primitive_base)
@@ -188,8 +183,9 @@ class CensusReport(NamedTuple):
     """Witnesses and counts from one power scan.
 
     ``gamma`` counts distinct power words (not bases); each witness also
-    records the primitive base of its power word so double representations
-    stay visible.  ``stable`` applies the top-quartile heuristic.
+    records the primitive base of its power word.  For one exponent n,
+    u^n = v^n forces u = v, so the witnesses' powers are already distinct.
+    ``stable`` applies the top-quartile heuristic.
     """
 
     alphabet: Alphabet
@@ -203,7 +199,7 @@ class CensusReport(NamedTuple):
 
     @property
     def distinct_powers(self) -> tuple[Word, ...]:
-        return tuple(dict.fromkeys(w.power for w in self.witnesses))
+        return tuple(w.power for w in self.witnesses)
 
     def to_json(self) -> dict:
         return {
@@ -341,12 +337,9 @@ def lift(u, alpha: int, k: int, ab: Alphabet) -> Word:
     """Apply delta_inv k times, restarting from letter alpha at each level."""
     if k < 0:
         raise ValueError("lift depth must be >= 0")
-    if alpha not in ab:
-        raise ValueError(f"starting letter {alpha} is not in alphabet {ab}")
+    ab.require_letter(alpha)
     w = Word(u)
-    for i, c in enumerate(w):
-        if c not in ab:
-            raise ValueError(f"letter {c} at position {i} is not in alphabet {ab}")
+    ab.require_word(w)
     for _ in range(k):
         w = delta_inv(w, alpha, ab)
     return w
@@ -371,8 +364,7 @@ def lift_family(u, n: int, alpha: int, K: int, ab: Alphabet) -> list[Word]:
         raise ValueError(f"base length {len(u)} must be even")
     if (a - b) % 2:
         raise ValueError(f"alphabet letters {a},{b} must have the same parity")
-    if alpha not in ab:
-        raise ValueError(f"starting letter {alpha} is not in alphabet {ab}")
+    ab.require_letter(alpha)
     if not is_power_smooth(u, n, ab):
         raise ValueError(f"({word_to_text(u)})^{n} must be smooth over {ab}")
     # u's letters are in the alphabet (is_power_smooth said so), so depth k
@@ -403,8 +395,7 @@ def kolakoski_prefix(ab: Alphabet, first: int, length: int) -> Word:
     run j has the length given by letter j of the word being generated.
     Runs in O(length) with no recursion.
     """
-    if first not in ab:
-        raise ValueError(f"first letter {first} is not in alphabet {ab}")
+    ab.require_letter(first, "first letter")
     if length < 0:
         raise ValueError("length must be >= 0")
     out: list[int] = []

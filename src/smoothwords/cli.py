@@ -26,7 +26,7 @@ import os
 import sys
 
 from .core import Alphabet, Word, closure, delta, word_from_text, word_to_csv, word_to_text
-from .errors import CertificationError, WordParseError
+from .errors import CertificationError
 
 SCHEMA_VERSION = "1"
 # Exit status when stdout is closed before the output is written.
@@ -300,12 +300,11 @@ def main(argv=None) -> int:
         # search.map_tasks: a forked share exited without sending its results.
         print(f"error: a --jobs worker process died ({exc})", file=sys.stderr)
         return EXIT_WORKER_DIED
-    except WordParseError as exc:
-        pos = f" at position {exc.position}" if exc.position is not None else ""
-        print(f"error: {exc}{pos}", file=sys.stderr)
-        return 2
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A WordParseError carries the position of the offending character.
+        position = getattr(exc, "position", None)
+        pos = f" at position {position}" if position is not None else ""
+        print(f"error: {exc}{pos}", file=sys.stderr)
         return 2
 
 

@@ -152,7 +152,7 @@ def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int
     counts = dict.fromkeys(xs, 0)
     # An x with a letter outside {a, b} has no triple (push does not check).
     # Each x is a plain tuple: the walk indexes it per u, a Word by a call.
-    xs = sorted((tuple(x) for x in xs if all(c == a or c == b for c in x)), key=_shortlex)
+    xs = sorted((tuple(x) for x in xs if ab.first_foreign(x) is None), key=_shortlex)
     index = {x: i for i, x in enumerate(xs)}
     # Each x as (x, its runs), with the index of x less its last letter, or
     # -1 when that is not an x (or x is ε).

@@ -62,7 +62,8 @@ class _FrozenRecord:
 
 
 class Alphabet(_FrozenRecord):
-    """Ordered two-letter alphabet {a, b} of positive integers with a < b."""
+    """Ordered two-letter alphabet {a, b} of positive integers with a < b;
+    the one owner of letter membership (:meth:`first_foreign`)."""
 
     __slots__ = ("a", "b")
 
@@ -92,14 +93,32 @@ class Alphabet(_FrozenRecord):
 
     def complement_of(self, letter: int) -> int:
         """The involution a <-> b."""
-        if letter == self.a:
-            return self.b
-        if letter == self.b:
-            return self.a
-        raise ValueError(f"letter {letter} is not in alphabet {self}")
+        self.require_letter(letter, "letter")
+        return self.a + self.b - letter
 
     def __contains__(self, letter: object) -> bool:
         return letter == self.a or letter == self.b
+
+    def first_foreign(self, letters: Sequence[int]) -> int | None:
+        """The position of the first letter outside {a, b}, or None."""
+        a = self.a
+        b = self.b
+        for c in letters:
+            if c != a and c != b:
+                # No earlier letter equals c: it would be outside {a, b} too.
+                return letters.index(c)
+        return None
+
+    def require_letter(self, letter: int, role: str = "starting letter") -> None:
+        """Raise ``ValueError`` when ``letter`` (named by ``role``) is not a or b."""
+        if letter not in self:
+            raise ValueError(f"{role} {letter} is not in alphabet {self}")
+
+    def require_word(self, letters: Sequence[int]) -> None:
+        """Raise ``ValueError`` naming the first letter outside {a, b}."""
+        i = self.first_foreign(letters)
+        if i is not None:
+            raise ValueError(f"letter {letters[i]} at position {i} is not in alphabet {self}")
 
     def __str__(self) -> str:
         return f"{self.a},{self.b}"
@@ -339,14 +358,14 @@ def delta_inv(u: Iterable[int], alpha: int, ab: Alphabet) -> Word:
 
     Inverse of ``delta`` on its image: ``delta(delta_inv(u, alpha, ab)) == u``.
     """
-    if alpha not in ab:
-        raise ValueError(f"starting letter {alpha} is not in alphabet {ab}")
+    ab.require_letter(alpha)
     u = u if isinstance(u, Word) else Word(u)
     out = []
     cur = alpha
+    total = ab.a + ab.b
     for length in u:
         out.extend([cur] * length)
-        cur = ab.complement_of(cur)
+        cur = total - cur
     return Word._wrap(tuple(out))
 
 
@@ -357,16 +376,9 @@ def mirror(w: Iterable[int]) -> Word:
 
 def complement(w: Iterable[int], ab: Alphabet) -> Word:
     """Swap a <-> b in every position; an involution commuting with mirror."""
-    a, b = ab.a, ab.b
-    out = []
-    for i, c in enumerate(w):
-        if c == a:
-            out.append(b)
-        elif c == b:
-            out.append(a)
-        else:
-            raise ValueError(f"letter {c} at position {i} is not in alphabet {ab}")
-    return Word._wrap(tuple(out))
+    w = tuple(w)
+    ab.require_word(w)
+    return Word._wrap(tuple(map((ab.a + ab.b).__sub__, w)))
 
 
 def closure(w: Iterable[int], ab: Alphabet) -> Word:

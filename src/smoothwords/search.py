@@ -44,18 +44,18 @@ Every bulk workload runs on one walker, :func:`walk`: a preorder,
 explicit-stack walk of the smooth words extending a seed (letter a before b),
 calling a visitor with the tower and the letters of every node, the seed
 included.  Preorder visits the words of one length in lexicographic order, so
-collecting per length gives shortlex order.  Enumeration
-(``census.enumerate_smooth``), the power census (:func:`power_hits`) and the
-concatenation certifier (``concat._scan``) are visitors on it.  The power
-visitor fuses the n-th power test into the walk: at node u it pushes n-1
-more copies of u onto u's tower, so u^n is tested without a list of bases
-and without re-deriving u's tower.  The certifier nests two walks: one walk
-over u pushes every x onto each u's tower and groups the pairs (u, x) with a
-smooth u·x by the tower of u·x, whatever the x, or by the tower of its
-complement (:func:`complement_tower`) when u·x ends in b; then one walk over
-v runs from each distinct tower, and the pairs of its group are judged once
-per junction signature of v (first letter, first run length, one run or
-more), which fixes every verdict.
+collecting per length gives shortlex order.  The power census
+(:func:`power_hits`) and the concatenation certifier (``concat._scan``) are
+visitors on it, and enumeration (``census.enumerate_smooth``) is the power
+census at n = 1.  The power visitor fuses the n-th power test into the walk:
+at node u it pushes n-1 more copies of u onto u's tower, so u^n is tested
+without a list of bases and without re-deriving u's tower.  The certifier
+nests two walks: one walk over u pushes every x onto each u's tower and
+groups the pairs (u, x) with a smooth u·x by the tower of u·x, whatever the
+x, or by the tower of its complement (:func:`complement_tower`) when u·x ends
+in b; then one walk over v runs from each distinct tower, and the pairs of
+its group are judged once per junction signature of v (first letter, first
+run length, one run or more), which fixes every verdict.
 
 The scans and the certifier split their walks into a task list (the scans'
 split depth follows the worker count, the certifier's tasks do not), and
@@ -118,11 +118,9 @@ def push(tower: tuple, letter: int, a: int, b: int) -> tuple | None:
 def seeded_state(ab: Alphabet, letters) -> tuple | None:
     """The tower of ``letters``, or None if they do not form a smooth word
     over ``ab`` (letters outside {a, b} fail)."""
-    a = ab.a
-    b = ab.b
-    for c in letters:
-        if c != a and c != b:
-            return None
+    letters = tuple(letters)  # read twice, so an iterator is taken once
+    if ab.first_foreign(letters) is not None:
+        return None
     return push_copies(ab, (), letters, 1)
 
 
@@ -186,8 +184,8 @@ def is_power_smooth(letters, n: int, ab: Alphabet) -> bool:
     without building the power (see :func:`push_copies`)."""
     if n < 1:
         raise ValueError(f"exponent must be >= 1, got {n}")
-    tower = seeded_state(ab, letters)
-    return tower is not None and push_copies(ab, tower, letters, n - 1) is not None
+    letters = tuple(letters)
+    return ab.first_foreign(letters) is None and push_copies(ab, (), letters, n) is not None
 
 
 def derivative_from_runs(lens: list[int], b: int) -> tuple[int, ...]:
@@ -263,15 +261,17 @@ def walk(ab: Alphabet, tower: tuple, path: list[int], max_len: int, visit) -> No
                 retract()
 
 
-def power_hits(ab: Alphabet, n: int, max_len: int, prefix=()) -> list[list[tuple]]:
-    """Smooth words u extending ``prefix`` with 1 <= |u| <= max_len and u^n
-    smooth, grouped by length (index i holds length i, up to the longest
-    hit) and lexicographic within a length.
+def power_hits(ab: Alphabet, n: int, max_len: int, prefix=(),
+               min_len: int = 1) -> list[list[tuple]]:
+    """Smooth words u extending ``prefix`` with min_len <= |u| <= max_len
+    (``min_len`` >= 1) and u^n smooth, grouped by length (index i holds
+    length i, up to the longest hit) and lexicographic within a length.
 
     The test is fused into the walk: at node u the other n-1 copies of u are
     pushed onto u's tower (:func:`push_copies`), so a base that fails early in
-    its second copy costs a few pushes and no base list is ever built.  The
-    lists grow only on a hit, so a huge ``max_len`` allocates nothing.
+    its second copy costs a few pushes and no base list is ever built; with
+    n = 1 every node of the lengths asked for is a hit.  The lists grow only
+    on a hit, so a huge ``max_len`` allocates nothing.
     """
     tower = seeded_state(ab, prefix)
     hits: list[list[tuple]] = []
@@ -280,7 +280,7 @@ def power_hits(ab: Alphabet, n: int, max_len: int, prefix=()) -> list[list[tuple
     copies = n - 1
 
     def visit(tower: tuple, path: list[int]) -> None:
-        if path and push_copies(ab, tower, path, copies) is not None:
+        if len(path) >= min_len and push_copies(ab, tower, path, copies) is not None:
             while len(hits) <= len(path):
                 hits.append([])
             hits[len(path)].append(tuple(path))

@@ -302,6 +302,16 @@ def test_power_test_matches_literal_power():
     assert not is_power_smooth((1,), 2, ab)  # a letter outside the alphabet
 
 
+@pytest.mark.parametrize("letters, n", [((1, 1, 1), 1), ((1, 3), 1), ((1, 2), 3),
+                                        ((1, 1, 2), 2), ((2, 1, 3), 2)])
+def test_letters_may_be_an_iterator(letters, n):
+    # The letters are read more than once (membership, then the pushes).
+    ab = Alphabet(1, 2)
+    want = is_power_smooth(letters, n, ab)
+    assert is_power_smooth(iter(letters), n, ab) == want
+    assert is_smooth_fast(iter(letters), ab) == is_smooth_fast(letters, ab)
+
+
 def test_huge_exponent_stops_at_the_first_failed_copy():
     # 10**20 copies cannot be built; the copies are pushed one at a time and
     # the first failure ends the test.
