@@ -134,3 +134,15 @@ test ! -s kolakoski_bad.txt
 grep -qx 'error: first letter 3 is not in alphabet 1,2' kolakoski_bad.err
 python -m smoothwords.cli chain --alphabet 1,2 --word 13 > chain_bad.txt
 grep -qx 'failure: level 0 (letter-not-in-alphabet)' chain_bad.txt
+# A well-formed command line is read without argparse; other spellings of
+# the same flags (an abbreviation, --flag=value) go through argparse and
+# give the same bytes.
+python -m smoothwords.cli delta --alphabet 1,2 --word 1122 > delta_plain.txt
+python -m smoothwords.cli delta --alph 1,2 --word=1122 > delta_argparse.txt
+cmp delta_plain.txt delta_argparse.txt
+status=0
+python -m smoothwords.cli gamma --alphabet 1,2 > gamma_usage.txt 2> gamma_usage.err || status=$?
+test "$status" -eq 2
+test ! -s gamma_usage.txt
+grep -qx 'smoothwords gamma: error: the following arguments are required: -n' gamma_usage.err
+python -c "import sys; from smoothwords.cli import main; assert main(['chain', '--alphabet', '1,2', '--word', '1211']) == 0; assert 'argparse' not in sys.modules"

@@ -6,9 +6,13 @@ command runs (``calculus``, or ``census`` or ``concat`` with ``search``;
 ``power-decomp`` adds ``calculus``, ``certify-concat --explore`` ``census``),
 so ``delta``, ``closure`` and ``--help`` load none of the engines.
 
-:func:`run` takes the parsed ``argparse.Namespace`` that :func:`parse_config`
-returns, with ``alphabet`` already parsed, and reads each option under its
-own flag name (``args.format``, ``args.L``).
+Every command and flag is declared once, in the flag table (``_COMMANDS``).
+:func:`parse_config` reads a well-formed command line straight from it; only
+``--help``, a usage error or another spelling (``--flag=value``, an
+abbreviated flag) imports ``argparse``, whose parser :func:`build_parser`
+makes from the same table.  Both paths give a namespace with the same
+attributes: :func:`run` takes it with ``alphabet`` already parsed, and reads
+each option under its own flag name (``args.format``, ``args.L``).
 
 Exit codes: 0 = success (findings such as census witnesses are data, not
 errors), 1 = a certified identity failed (certification violation), 2 =
@@ -20,10 +24,10 @@ SIGPIPE).  JSON output carries a top-level schema_version field "1".
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import os
 import sys
+import types
 
 from .core import Alphabet, Word, closure, delta, word_from_text, word_to_csv, word_to_text
 from .errors import CertificationError
@@ -42,85 +46,121 @@ _LINE_BATCH = 256
 _CSV_COMMANDS = {"scan-powers", "gamma", "enumerate"}
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--alphabet", required=True, metavar="a,b",
-                        help="two-letter alphabet, e.g. 1,2")
-    common.add_argument("--format", choices=("text", "json", "csv"),
-                        default="text", help="output format")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for scans (default 1), at most one "
-                             "per CPU and per task; never changes the output")
-    return common
+def _flag(*option_strings, **spec):
+    """One flag of the table: its option strings and the keyword arguments of
+    ``ArgumentParser.add_argument`` (``dest`` always, ``type`` when not str)."""
+    return option_strings, spec
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Every command and flag, declared once: build_parser makes argparse's parser
+# of this table, _parse_plain reads a well-formed command line by it.  Each
+# command takes the _COMMON flags first, then its own.
+_COMMON = (
+    _flag("--alphabet", dest="alphabet", required=True, metavar="a,b",
+          help="two-letter alphabet, e.g. 1,2"),
+    _flag("--format", dest="format", choices=("text", "json", "csv"), default="text",
+          help="output format"),
+    _flag("--jobs", dest="jobs", type=int, default=1,
+          help="parallel workers for scans (default 1), at most one "
+               "per CPU and per task; never changes the output"),
+)
+_WORD = _flag("--word", "-w", dest="word", required=True, help="input word text")
+_BOUND = _flag("-L", dest="L", type=int, default=None,
+               help="base-length bound (default 60 for squares, else 30)")
+_COMMANDS = {
+    "delta": ("run-length word", (_WORD,)),
+    "closure": ("pad boundary runs longer than a up to b", (_WORD,)),
+    "derive": ("derivative: run lengths, short boundary runs dropped", (_WORD,)),
+    "rho": ("derivative of the closure", (_WORD,)),
+    "chain": ("full derivative chain with smoothness verdict", (_WORD,)),
+    "lift": ("apply delta_inv repeatedly", (
+        _WORD,
+        _flag("--alpha", dest="alpha", type=int, required=True, help="starting letter"),
+        _flag("-k", dest="k", type=int, default=1, help="lift depth (default 1)"))),
+    "enumerate": ("all smooth words of one length", (
+        _flag("-n", dest="n", type=int, required=True, help="word length"),)),
+    "kolakoski": ("prefix of the run-length self-generating word", (
+        _flag("--alpha", dest="alpha", type=int, required=True, help="first letter"),
+        _flag("-n", dest="n", type=int, required=True, help="prefix length"))),
+    "dsigma": ("the middle-word table", ()),
+    "certify-concat": ("exhaustively certify the concatenation splitting", (
+        _flag("-L", dest="L", type=int, default=8,
+              help="length bound for u and v (default 8)"),
+        _flag("--explore", dest="explore", type=int, default=None, metavar="XLEN",
+              help="scan all smooth x up to this length instead of the table; "
+                   "middles are reported, not asserted"))),
+    "power-decomp": ("middle words at every derivative level of u^n", (
+        _flag("--word", "-w", dest="word", required=True, help="base word"),
+        _flag("-n", dest="n", type=int, required=True, help="exponent (>= 2)"))),
+    "scan-powers": ("scan smooth bases for smooth powers", (
+        _flag("-n", dest="n", type=int, required=True, help="exponent (>= 2)"), _BOUND)),
+    "gamma": ("count distinct smooth power words u^n with |u| <= L", (
+        _flag("-n", dest="n", type=int, required=True, help="exponent (>= 1)"), _BOUND)),
+}
+
+
+def build_parser():
+    """argparse's parser of the flag table: it writes --help, usage and error
+    texts, and reads every command line that _parse_plain declines."""
+    import argparse  # only --help and usage errors pay for it
+
     top = argparse.ArgumentParser(
         prog="smoothwords",
         description="Run-length calculus over two-letter integer alphabets.")
     sub = top.add_subparsers(dest="command", required=True, metavar="command")
-    common = _common_flags()
-
-    def word_command(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.add_argument("--word", "-w", required=True, help="input word text")
-        return p
-
-    word_command("delta", "run-length word")
-    word_command("closure", "pad boundary runs longer than a up to b")
-    word_command("derive", "derivative: run lengths, short boundary runs dropped")
-    word_command("rho", "derivative of the closure")
-    word_command("chain", "full derivative chain with smoothness verdict")
-
-    p = word_command("lift", "apply delta_inv repeatedly")
-    p.add_argument("--alpha", type=int, required=True, help="starting letter")
-    p.add_argument("-k", type=int, default=1, help="lift depth (default 1)")
-
-    p = sub.add_parser("enumerate", parents=[common], help="all smooth words of one length")
-    p.add_argument("-n", type=int, required=True, help="word length")
-
-    p = sub.add_parser("kolakoski", parents=[common],
-                       help="prefix of the run-length self-generating word")
-    p.add_argument("--alpha", type=int, required=True, help="first letter")
-    p.add_argument("-n", type=int, required=True, help="prefix length")
-
-    sub.add_parser("dsigma", parents=[common], help="the middle-word table")
-
-    p = sub.add_parser("certify-concat", parents=[common],
-                       help="exhaustively certify the concatenation splitting")
-    p.add_argument("-L", type=int, default=8, help="length bound for u and v (default 8)")
-    p.add_argument("--explore", type=int, default=None, metavar="XLEN",
-                   help="scan all smooth x up to this length instead of the table; "
-                        "middles are reported, not asserted")
-
-    p = sub.add_parser("power-decomp", parents=[common],
-                       help="middle words at every derivative level of u^n")
-    p.add_argument("--word", "-w", required=True, help="base word")
-    p.add_argument("-n", type=int, required=True, help="exponent (>= 2)")
-
-    p = sub.add_parser("scan-powers", parents=[common], help="scan smooth bases for smooth powers")
-    p.add_argument("-n", type=int, required=True, help="exponent (>= 2)")
-    p.add_argument("-L", type=int, default=None,
-                   help="base-length bound (default 60 for squares, else 30)")
-
-    p = sub.add_parser("gamma", parents=[common],
-                       help="count distinct smooth power words u^n with |u| <= L")
-    p.add_argument("-n", type=int, required=True, help="exponent (>= 1)")
-    p.add_argument("-L", type=int, default=None,
-                   help="base-length bound (default 60 for squares, else 30)")
-
+    for name, (help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option_strings, spec in _COMMON + flags:
+            p.add_argument(*option_strings, **spec)
     return top
 
 
-def parse_config(argv=None) -> argparse.Namespace:
-    args = build_parser().parse_args(argv)
+def _parse_plain(argv):
+    """The namespace argparse would make of a well-formed ``argv``, or None.
+
+    Well-formed is the command's exact name, then flags of that command by
+    exact option string, each given once and followed by one value that does
+    not start with "-", every int value read by ``int()``, every choice valid
+    and every required flag present.  Any other argv (help, ``--flag=value``,
+    abbreviations, negative numbers, repeats, stray tokens) is left to
+    argparse, which reads it as always or writes its usage error.
+    """
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    flags = _COMMON + _COMMANDS[argv[0]][1]
+    by_option = {option: spec for option_strings, spec in flags for option in option_strings}
+    values = {"command": argv[0]}
+    for option, text in zip(argv[1::2], argv[2::2]):
+        spec = by_option.get(option)
+        if spec is None or spec["dest"] in values or text.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        values[spec["dest"]] = value
+    for _, spec in flags:
+        if spec["dest"] not in values:
+            if spec.get("required"):
+                return None
+            values[spec["dest"]] = spec.get("default")
+    return types.SimpleNamespace(**values)
+
+
+def parse_config(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_plain(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     args.alphabet = Alphabet.parse(args.alphabet)
     return args
 
 
-def _print_json(args: argparse.Namespace, payload: dict) -> None:
+def _print_json(args, payload: dict) -> None:
     import json  # only JSON output pays for the import
 
     doc = {"schema_version": SCHEMA_VERSION, "command": args.command}
@@ -138,7 +178,7 @@ def _write_batched(pieces, size: int) -> None:
         write(batch)
 
 
-def _emit_word(args: argparse.Namespace, result: Word) -> int:
+def _emit_word(args, result: Word) -> int:
     if args.format == "json":
         _print_json(args, {
             "alphabet": str(args.alphabet),
@@ -150,7 +190,7 @@ def _emit_word(args: argparse.Namespace, result: Word) -> int:
     return 0
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args) -> int:
     """Dispatch one parsed command; returns the process exit status."""
     ab = args.alphabet
     fmt = args.format
@@ -256,7 +296,7 @@ def run(args: argparse.Namespace) -> int:
                 print(f"level {j}: witness {word_to_text(w) or 'eps'}")
         return 0
 
-    # scan-powers or gamma: argparse accepts no other command.
+    # scan-powers or gamma: the flag table has no other command.
     from .census import PowerWitness, gamma, scan_powers
     bound = args.L if args.L is not None else 60 if args.n == 2 else 30
     if args.command == "gamma":

@@ -9,11 +9,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from smoothwords import (Alphabet, Word, delta_inv, kolakoski_prefix, scan_powers,
                          smooth_chain, word_from_text, word_to_text)
-from smoothwords.cli import main
+from smoothwords.cli import _COMMANDS, _COMMON, _parse_plain, build_parser, main
 from smoothwords.errors import WordParseError
 
 
@@ -407,7 +407,7 @@ class TestExitCodes:
 KILLED_WORKER = """
 import os, signal, sys
 from smoothwords import concat
-from smoothwords.cli import main
+from smoothwords.cli import _COMMANDS, _COMMON, _parse_plain, build_parser, main
 os.cpu_count = lambda: 2
 parent = os.getpid()
 scan_group = concat._scan_group
@@ -434,3 +434,110 @@ def test_dead_worker_exits_3_with_one_line():
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith("error: a --jobs worker process died (")
     assert "Traceback" not in proc.stderr
+
+
+# ------------------------------------------------------- the two parsers
+
+# --help, each command's --help, and per command one missing-required and one
+# invalid-value error, recorded with COLUMNS=80 from the hand-built argparse
+# parser that the flag table replaced.
+GOLDEN = json.loads((Path(__file__).with_name("cli_usage_golden.json")).read_text())
+
+
+@pytest.mark.parametrize("record", GOLDEN, ids=[" ".join(r["argv"]) or "(none)" for r in GOLDEN])
+def test_help_and_usage_texts_are_golden(capsys, monkeypatch, record):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, *record["argv"]) == (record["code"], record["stdout"],
+                                                record["stderr"])
+
+
+PARSER = build_parser()
+
+
+def argparse_vars(argv):
+    """vars() of argparse's namespace for ``argv``, or None when it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(PARSER.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+VALUES = ["", "-1", "\u0663", "x", "json", "csv", "text", "1,2", "2", "12", "0", " 3",
+          "1_0", "-", "--word"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command and its flags, mostly well-formed, with odd spellings mixed in."""
+    name = draw(st.sampled_from([*_COMMANDS, "bogus"]))
+    flags = _COMMON + _COMMANDS.get(name, ("", ()))[1]
+    options = [option for option_strings, _ in flags for option in option_strings]
+    value = st.sampled_from(VALUES) | st.text(max_size=2)
+    pieces = []
+    for option_strings, spec in flags:
+        if draw(st.integers(0, 9)) > 0 if spec.get("required") else draw(st.booleans()):
+            good = st.sampled_from(spec.get("choices", ("3", "12", "\u0663")))
+            text = draw(good if draw(st.integers(0, 3)) else value)
+            pieces.append([draw(st.sampled_from(option_strings)), text])
+    option = st.sampled_from(options)
+    odd = st.one_of(
+        st.tuples(option, value).map(list),  # maybe a repeat
+        st.tuples(option, value).map(lambda p: ["=".join(p)]),
+        st.tuples(option.filter(lambda o: o.startswith("--")), st.integers(3, 5),
+                  value).map(lambda p: [p[0][:p[1]], p[2]]),  # an abbreviation
+        st.tuples(option, value).map(lambda p: [p[0] + p[1]]),  # -n5
+        st.sampled_from([["-h"], ["--help"], ["--"], ["--bogus", "1"]]),
+        value.map(lambda v: [v]))  # a stray token
+    pieces += [draw(odd) for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])))]
+    return [name, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_plain_parser_agrees_with_argparse(argv):
+    plain = _parse_plain(argv)
+    expected = argparse_vars(argv)
+    if plain is not None:
+        assert vars(plain) == expected
+    if expected is None:
+        assert plain is None
+
+
+# Every command shape the benchmark runs, setup's --help aside.
+@pytest.mark.parametrize("argv", [
+    ["gamma", "--alphabet", "1,2", "-n", "2", "-L", "60", "--format", "text", "--jobs", "1"],
+    ["scan-powers", "--alphabet", "1,3", "-n", "4", "-L", "50", "--format", "csv",
+     "--jobs", "1"],
+    ["enumerate", "--alphabet", "1,3", "-n", "60", "--format", "json"],
+    ["scan-powers", "--alphabet", "1,3", "-n", "3", "-L", "60", "--format", "json",
+     "--jobs", "2"],
+    ["certify-concat", "--alphabet", "1,2", "-L", "16", "--format", "text", "--jobs", "1"],
+    ["certify-concat", "--alphabet", "1,3", "-L", "12", "--format", "json", "--jobs", "1",
+     "--explore", "5"],
+    *[[op, "--alphabet", "2,5", "--word", "22552"] for op in ("delta", "closure", "derive",
+                                                               "rho", "chain")],
+    ["chain", "--alphabet", "1,2", "--word", "1211", "--format", "json"],
+    ["lift", "--alphabet", "2,4", "--word", "22", "--alpha", "2", "-k", "3"],
+    ["power-decomp", "--alphabet", "1,3", "--word", "3111313111", "-n", "4",
+     "--format", "json"],
+    ["kolakoski", "--alphabet", "1,2", "--alpha", "2", "-n", "100000"],
+    ["dsigma", "--alphabet", "1,2", "--format", "text"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_benchmark_command_lines_take_the_plain_path(argv):
+    plain = _parse_plain(argv)
+    assert plain is not None
+    assert vars(plain) == argparse_vars(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["delta", "-h"], ["delta", "--alph", "1,2", "--word", "12"],
+    ["delta", "--alphabet=1,2", "--word", "12"], ["enumerate", "--alphabet", "1,2", "-n5"],
+    ["enumerate", "--alphabet", "1,2", "-n", "-1"],
+    ["enumerate", "--alphabet", "1,2", "-n", "3", "-n", "4"],
+    ["delta", "--alphabet", "1,2", "--word", "12", "-w", "21"],
+    ["delta", "--alphabet", "1,2", "--", "--word", "12"], ["delta", "--alphabet", "1,2", "x"],
+    ["delta", "--alphabet", "1,2", "--word", "12", "-n", "3"],
+])
+def test_other_spellings_are_left_to_argparse(argv):
+    assert _parse_plain(argv) is None

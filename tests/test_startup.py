@@ -13,6 +13,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # Imported only by the branches that need them (a forked child, JSON
 # output), or not at all.
 DEFERRED = {"concurrent", "multiprocessing", "pickle", "dataclasses", "json"}
+# argparse and what it imports: loaded only for --help and usage errors.
+PARSER = {"argparse", "gettext", "locale", "_locale"}
 
 CHILD = """
 import sys
@@ -77,9 +79,30 @@ WORD = ("--alphabet", "1,2", "--word", "1211")
 def test_chain_command_skips_deferred_imports(argv, line, engines):
     out, added = run_fresh(*argv)
     assert line in out
-    assert {name.split(".")[0] for name in added} & DEFERRED == set()
+    roots = {name.split(".")[0] for name in added}
+    assert roots & DEFERRED == set()
+    assert roots & PARSER == (PARSER if argv == ("--help",) else set())
     assert {name.split(".")[1] for name in added
             if name.startswith("smoothwords.")} & ENGINES == engines
+
+
+USAGE_CHILD = """
+import contextlib, io, sys
+bare = set(sys.modules)
+from smoothwords.cli import main
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    code = main(sys.argv[1:])
+print("exit", code)
+print(err.getvalue().splitlines()[-1])
+print("added", *sorted(set(sys.modules) - bare))
+"""
+
+
+def test_usage_error_loads_argparse():
+    *out, code, error, added = python_fresh(USAGE_CHILD, "gamma", "--alphabet", "1,2")
+    assert (out, code) == ([], "exit 2")
+    assert error == "smoothwords gamma: error: the following arguments are required: -n"
+    assert "argparse" in added.split()[1:]
 
 
 # CHILD on a machine of two CPUs, counting the children forked.
