@@ -441,7 +441,7 @@ def test_dead_worker_exits_3_with_one_line():
 # --help, each command's --help, and per command one missing-required and one
 # invalid-value error, recorded with COLUMNS=80 from the hand-built argparse
 # parser that the flag table replaced.
-GOLDEN = json.loads((Path(__file__).with_name("cli_usage_golden.json")).read_text())
+GOLDEN = json.loads(Path(__file__).with_name("cli_usage_golden.json").read_text())
 
 
 @pytest.mark.parametrize("record", GOLDEN, ids=[" ".join(r["argv"]) or "(none)" for r in GOLDEN])
