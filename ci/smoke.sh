@@ -146,3 +146,13 @@ test "$status" -eq 2
 test ! -s gamma_usage.txt
 grep -qx 'smoothwords gamma: error: the following arguments are required: -n' gamma_usage.err
 python -c "import sys; from smoothwords.cli import main; assert main(['chain', '--alphabet', '1,2', '--word', '1211']) == 0; assert 'argparse' not in sys.modules"
+# dsigma prints the stored middle-word table; the {1,3} table lists 3111
+# but not 133 or 331, which certify-concat finds (C07 fails on purpose).
+python -m smoothwords.cli dsigma --alphabet 1,3 > dsigma13.txt
+grep -qx '3111' dsigma13.txt
+test "$(grep -cx '133' dsigma13.txt)" -eq 0
+python -m smoothwords.cli dsigma --alphabet 1,3 --format json > dsigma13.json
+python -c "import json; d = json.load(open('dsigma13.json')); assert d['alphabet'] == [1, 3] and d['words'] == open('dsigma13.txt').read().splitlines(), d"
+# lift, kolakoski and dsigma compile neither the scans nor the certifier
+# nor the engine.
+python -c "import sys; from smoothwords.cli import main; assert main(['lift', '--alphabet', '2,4', '--word', '22', '--alpha', '2', '-k', '1']) == 0; assert main(['kolakoski', '--alphabet', '1,2', '--alpha', '1', '-n', '19']) == 0; assert main(['dsigma', '--alphabet', '1,3']) == 0; loaded = {'smoothwords.census', 'smoothwords.concat', 'smoothwords.search'} & set(sys.modules); assert not loaded, loaded"

@@ -17,21 +17,22 @@ __version__ = "0.1.0"
 # Public name -> the submodule that defines it.
 _SUBMODULE = {
     **dict.fromkeys(
-        ["Alphabet", "EPSILON", "Run", "RunDecomposition", "Word",
-         "closure", "complement", "delta", "delta_inv", "mirror", "runs",
-         "word_from_text", "word_to_text"], "core"),
+        ["Alphabet", "EPSILON", "Word", "closure", "complement", "delta", "delta_inv",
+         "mirror", "word_from_text", "word_to_text"], "core"),
     **dict.fromkeys(
         ["ChainFailure", "DerivativeChain", "REASON_BAD_LETTER",
-         "REASON_INTERIOR_RUN", "REASON_RUN_TOO_LONG",
+         "REASON_INTERIOR_RUN", "REASON_RUN_TOO_LONG", "Run", "RunDecomposition",
          "chain_levels", "derivative", "is_differentiable", "is_smooth", "rho",
-         "rho_by_formula", "smooth_chain"], "calculus"),
+         "rho_by_formula", "runs", "smooth_chain"], "calculus"),
+    **dict.fromkeys(["DsigmaTable", "dsigma_table"], "dsigma"),
     **dict.fromkeys(
-        ["ConcatCertificate", "ConcatViolation", "DsigmaTable", "PowerDecomposition",
-         "certify_concat", "dsigma_table", "empirical_middle_set", "middle_witness",
-         "power_decomposition"], "concat"),
+        ["ConcatCertificate", "ConcatViolation", "certify_concat", "empirical_middle_set",
+         "middle_witness"], "concat"),
     **dict.fromkeys(
-        ["CensusReport", "IndexPair", "PowerWitness", "enumerate_smooth", "gamma",
-         "h_delta", "kolakoski_prefix", "lift", "lift_family", "scan_powers"],
+        ["IndexPair", "PowerDecomposition", "h_delta", "kolakoski_prefix", "lift",
+         "lift_family", "power_decomposition"], "powers"),
+    **dict.fromkeys(
+        ["CensusReport", "PowerWitness", "enumerate_smooth", "gamma", "scan_powers"],
         "census"),
     "is_smooth_fast": "search",
     **dict.fromkeys(

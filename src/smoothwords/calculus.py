@@ -5,20 +5,24 @@ every interior run length is exactly ``a`` or ``b`` (boundary runs may have
 any length 1..b).  Its derivative is the run-length word with a boundary run
 dropped when shorter than ``b``.  ``rho`` composes closure and derivative;
 a word is smooth when iterating ``rho`` reaches the empty word.
+``chain_levels`` yields that chain level by level, and ``chain_text``
+renders it as it comes: that is the text of the ``chain`` command.  ``runs``
+decomposes a word into :class:`Run` records.  No command calls it, so it
+lives here rather than in ``core``, which every command compiles.
 """
 
 from __future__ import annotations
 
-from typing import Generator, NamedTuple
+from typing import Generator, Iterable, Iterator, NamedTuple
 
-from .core import Alphabet, EPSILON, Word, closure, run_lengths, word_to_text
+from .core import Alphabet, EPSILON, Word, _FrozenRecord, closure, run_lengths, word_to_text
 from .errors import NotClosableError, NotDifferentiableError
 
 __all__ = [
     "REASON_RUN_TOO_LONG", "REASON_INTERIOR_RUN", "REASON_BAD_LETTER",
-    "ChainFailure", "DerivativeChain",
-    "is_differentiable", "derivative", "rho", "rho_by_formula",
-    "chain_levels", "smooth_chain", "is_smooth",
+    "ChainFailure", "DerivativeChain", "Run", "RunDecomposition",
+    "runs", "is_differentiable", "derivative", "rho", "rho_by_formula",
+    "chain_levels", "chain_text", "smooth_chain", "is_smooth",
 ]
 
 REASON_RUN_TOO_LONG = "run-too-long"
@@ -157,6 +161,29 @@ def chain_levels(w: Word, ab: Alphabet) -> Generator[Word, None, tuple[str, Chai
     raise RuntimeError("derivative chain failed to shrink; closure rule is broken")
 
 
+def chain_text(w: Word, ab: Alphabet) -> Iterator[str]:
+    """The lines of the ``chain`` text report: ``level i: <word>`` for each
+    level of :func:`chain_levels`, then the verdict and, for a word that is
+    not smooth, the failing level and its reason.
+
+    Each level is rendered as it comes and not kept, so a caller that writes
+    each line before asking for the next holds one level at a time.
+    """
+    levels = chain_levels(w, ab)
+    del w  # chain_levels drops each level for the next; this frame must not keep level 0
+    i = 0
+    while True:
+        try:
+            yield f"level {i}: {word_to_text(next(levels))}\n"
+        except StopIteration as stop:
+            verdict, failure = stop.value
+            break
+        i += 1
+    yield f"verdict: {verdict}\n"
+    if failure is not None:
+        yield f"failure: level {failure.level} ({failure.reason})\n"
+
+
 def smooth_chain(w: Word, ab: Alphabet) -> DerivativeChain:
     """Collect every level of :func:`chain_levels` with its verdict; never raises."""
     levels = []
@@ -172,3 +199,74 @@ def smooth_chain(w: Word, ab: Alphabet) -> DerivativeChain:
 def is_smooth(w: Word, ab: Alphabet) -> bool:
     """Convenience wrapper: the verdict of :func:`smooth_chain`."""
     return smooth_chain(w, ab).is_smooth
+
+
+class Run(NamedTuple):
+    letter: int
+    length: int
+
+
+class RunDecomposition(_FrozenRecord):
+    """The runs of a word, in order; adjacent runs always differ in letter."""
+
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: tuple[Run, ...]):
+        self._init(runs)
+
+    @property
+    def r(self) -> int:
+        """Number of runs."""
+        return len(self.runs)
+
+    @property
+    def fr(self) -> Run:
+        """First run."""
+        if not self.runs:
+            raise ValueError("empty word has no runs")
+        return self.runs[0]
+
+    @property
+    def lr(self) -> Run:
+        """Last run."""
+        if not self.runs:
+            raise ValueError("empty word has no runs")
+        return self.runs[-1]
+
+    @property
+    def lfr(self) -> int:
+        """Length of the first run."""
+        return self.fr.length
+
+    @property
+    def llr(self) -> int:
+        """Length of the last run."""
+        return self.lr.length
+
+    @property
+    def lengths(self) -> tuple[int, ...]:
+        return tuple(run.length for run in self.runs)
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        return tuple(run.letter for run in self.runs)
+
+    def to_word(self) -> Word:
+        """Re-expand the runs; inverse of :func:`runs`."""
+        out = []
+        for letter, length in self.runs:
+            out.extend([letter] * length)
+        return Word._wrap(tuple(out))
+
+    def __iter__(self) -> Iterator[Run]:
+        return iter(self.runs)
+
+
+def runs(w: Iterable[int]) -> RunDecomposition:
+    """Decompose a word into its maximal runs."""
+    w = tuple(w)
+    out, start = [], 0
+    for length in run_lengths(w):
+        out.append(Run(w[start], length))
+        start += length
+    return RunDecomposition(tuple(out))

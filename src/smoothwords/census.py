@@ -17,9 +17,12 @@ stores its base, exponent and primitive base, not the power word
 and reports a finite count as stable only when no new power word appeared
 in the top quartile of base lengths; with n = 1 the scan keeps every base
 and the count is unbounded.  ``scan_powers`` is its report for n >= 2.
-``lift_family`` manufactures families of distinct smooth n-power bases by
-repeatedly pulling an even-length base back through ``delta_inv``, which is
-the constructive evidence for "infinitely many" power claims.
+A :class:`CensusReport` renders itself as text, JSON or CSV.
+
+The one-word power objects (``h_delta``, ``lift``, ``lift_family``,
+``kolakoski_prefix`` and ``power_decomposition``) live in
+:mod:`smoothwords.powers`, so ``lift`` and ``kolakoski`` compile neither
+this module nor the engine.
 """
 
 from __future__ import annotations
@@ -27,42 +30,10 @@ from __future__ import annotations
 from functools import partial
 from typing import NamedTuple
 
-from .core import Alphabet, Word, _FrozenRecord, delta_inv, word_to_csv, word_to_text
-from .errors import CertificationError
-from .search import is_power_smooth, map_tasks, power_hits, seeded_state, worker_cap
+from .core import Alphabet, Word, _FrozenRecord, word_to_csv, word_to_text
+from .search import map_tasks, power_hits, seeded_state, worker_cap
 
-__all__ = [
-    "IndexPair", "PowerWitness", "CensusReport",
-    "h_delta", "enumerate_smooth", "scan_powers", "gamma",
-    "lift", "lift_family", "kolakoski_prefix",
-]
-
-
-class IndexPair(NamedTuple):
-    """Power-freeness threshold h and exact power-free index delta for one alphabet."""
-
-    h: int
-    delta: int
-
-
-def h_delta(ab: Alphabet) -> IndexPair:
-    """The threshold h(a,b) beyond which multi-letter smooth bases have no
-    smooth powers, and the exact power-free index delta(a,b).
-
-    h: b+2 for {1,3}; (b+4)/2 for even b; (b+5)/2 for odd b with a=1 (b != 3);
-    (b+3)/2 for odd b with a >= 2.  delta: b+2 for {1,3}, else b+1.
-    """
-    a, b = ab.a, ab.b
-    if a == 1 and b == 3:
-        h = b + 2
-    elif b % 2 == 0:
-        h = (b + 4) // 2
-    elif a == 1:
-        h = (b + 5) // 2
-    else:
-        h = (b + 3) // 2
-    delta_index = b + 2 if (a == 1 and b == 3) else b + 1
-    return IndexPair(h=h, delta=delta_index)
+__all__ = ["PowerWitness", "CensusReport", "enumerate_smooth", "scan_powers", "gamma"]
 
 
 def enumerate_smooth(ab: Alphabet, n: int, min_len: int | None = None) -> list[Word]:
@@ -219,6 +190,15 @@ class CensusReport(NamedTuple):
             lines.append(f"{word_to_csv(w.base)},{len(w.base)},{len(w.base) * w.exponent}")
         return "\n".join(lines) + "\n"
 
+    def text_lines(self):
+        """The text report: four header lines, then one line per witness."""
+        yield f"alphabet {self.alphabet}  exponent {self.exponent}  bound {self.bound}\n"
+        yield f"{len(self.witnesses)} witnesses\n"
+        yield f"gamma={self.gamma} stable={str(self.stable).lower()}\n"
+        yield f"note: {self.note}\n"
+        for base, power, primitive in map(PowerWitness.texts, self.witnesses):
+            yield f"witness: base={base} power={power} primitive={primitive}\n"
+
 
 def _root_length(u: tuple) -> int:
     """The length of the shortest r with u = r^k; r is also the primitive
@@ -331,80 +311,3 @@ def gamma(ab: Alphabet, n: int, L: int, jobs: int = 1) -> tuple[int, CensusRepor
     return len(witnesses), CensusReport(
         alphabet=ab, exponent=n, bound=L, witnesses=tuple(witnesses),
         gamma=len(witnesses), last_new_base_length=last_new, stable=stable, note=note)
-
-
-def lift(u, alpha: int, k: int, ab: Alphabet) -> Word:
-    """Apply delta_inv k times, restarting from letter alpha at each level."""
-    if k < 0:
-        raise ValueError("lift depth must be >= 0")
-    ab.require_letter(alpha)
-    w = Word(u)
-    ab.require_word(w)
-    for _ in range(k):
-        w = delta_inv(w, alpha, ab)
-    return w
-
-
-def lift_family(u, n: int, alpha: int, K: int, ab: Alphabet) -> list[Word]:
-    """The bases lift(u, alpha, k) for k = 0..K-1, each certified.
-
-    Requires n >= 1, |u| even, a and b of the same parity, and u^n smooth
-    (tested copy by copy, without building u^n): then every lift has even
-    length and its n-th power stays smooth.  A lift violating that raises
-    :class:`CertificationError` (a certified-claim failure, never silently
-    dropped); the same applies if the K bases are not distinct.
-    """
-    u = Word(u)
-    a, b = ab.a, ab.b
-    if n < 1:
-        raise ValueError("exponent must be >= 1")
-    if K < 1:
-        raise ValueError("family size must be >= 1")
-    if len(u) % 2:
-        raise ValueError(f"base length {len(u)} must be even")
-    if (a - b) % 2:
-        raise ValueError(f"alphabet letters {a},{b} must have the same parity")
-    ab.require_letter(alpha)
-    if not is_power_smooth(u, n, ab):
-        raise ValueError(f"({word_to_text(u)})^{n} must be smooth over {ab}")
-    # u's letters are in the alphabet (is_power_smooth said so), so depth k
-    # is lift(u, alpha, k): one delta_inv of depth k - 1.
-    family: list[Word] = []
-    v = u
-    for k in range(K):
-        if k:
-            v = delta_inv(v, alpha, ab)
-        if len(v) % 2:
-            raise CertificationError(
-                f"lift depth {k} of {word_to_text(u)!r} has odd length {len(v)}",
-                level=k, actual=v)
-        if not is_power_smooth(v, n, ab):
-            raise CertificationError(
-                f"lift depth {k}: ({word_to_text(v)})^{n} is not smooth over {ab}",
-                level=k, actual=v)
-        family.append(v)
-    if len(set(family)) != K:
-        raise CertificationError(f"lifted bases of {word_to_text(u)!r} are not pairwise distinct")
-    return family
-
-
-def kolakoski_prefix(ab: Alphabet, first: int, length: int) -> Word:
-    """Prefix of the self-generating word whose run lengths spell the word itself.
-
-    Letters alternate between a and b run by run, starting with ``first``;
-    run j has the length given by letter j of the word being generated.
-    Runs in O(length) with no recursion.
-    """
-    ab.require_letter(first, "first letter")
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    out: list[int] = []
-    total = ab.a + ab.b
-    cur = first
-    i = 0
-    while len(out) < length:
-        # Once the pointer catches up, a run's first letter is also its length.
-        out += [cur] * (out[i] if i < len(out) else cur)
-        cur = total - cur
-        i += 1
-    return Word._wrap(tuple(out[:length]))

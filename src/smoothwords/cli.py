@@ -1,10 +1,21 @@
 """Command-line interface over the whole calculus.
 
-Each process runs one command, so start-up counts.  Only ``core`` and
+Each process runs one command, so start-up counts, and with bytecode
+writing off every module it imports is compiled again.  Only ``core`` and
 ``errors`` load at the top; each branch of :func:`run` imports the modules its
-command runs (``calculus``, or ``census`` or ``concat`` with ``search``;
-``power-decomp`` adds ``calculus``, ``certify-concat --explore`` ``census``),
-so ``delta``, ``closure`` and ``--help`` load none of the engines.
+command runs: ``calculus`` for ``derive``, ``rho`` and ``chain``; ``powers``
+for ``lift`` and ``kolakoski``; ``dsigma`` for ``dsigma``; ``powers`` with
+``calculus``, ``dsigma`` and ``search`` for ``power-decomp``; ``census`` with
+``search`` for ``enumerate``, ``scan-powers`` and ``gamma``; ``concat`` with
+``dsigma`` and ``search`` for ``certify-concat``, whose ``--explore`` adds
+``census``.  ``delta``, ``closure`` and ``--help`` load none of them.
+
+:func:`run` renders the word commands itself.  The reports render
+themselves: each record (``CensusReport``, ``ConcatCertificate``,
+``DsigmaTable``, ``PowerDecomposition``) has ``to_json()`` and
+``text_lines()``, ``CensusReport`` also ``to_csv()``, and one emitter
+(:func:`_emit_report`) writes the format asked for.  Text ``chain`` writes
+the lines of ``calculus.chain_text`` one level at a time.
 
 Every command and flag is declared once, in the flag table (``_COMMANDS``).
 :func:`parse_config` reads a well-formed command line straight from it; only
@@ -190,6 +201,18 @@ def _emit_word(args, result: Word) -> int:
     return 0
 
 
+def _emit_report(args, report) -> int:
+    """Write a report record in the chosen format: its ``to_json()``
+    document, its ``to_csv()`` text, or its ``text_lines()`` in batches."""
+    if args.format == "json":
+        _print_json(args, report.to_json())
+    elif args.format == "csv":
+        sys.stdout.write(report.to_csv())
+    else:
+        _write_batched(report.text_lines(), _LINE_BATCH)
+    return 0
+
+
 def run(args) -> int:
     """Dispatch one parsed command; returns the process exit status."""
     ab = args.alphabet
@@ -209,26 +232,17 @@ def run(args) -> int:
         from .calculus import rho
         return _emit_word(args, rho(word_from_text(args.word), ab))
     if args.command == "lift":
-        from .census import lift
+        from .powers import lift
         return _emit_word(args, lift(word_from_text(args.word), args.alpha, args.k, ab))
 
     if args.command == "chain":
-        from .calculus import chain_levels, smooth_chain
+        from .calculus import chain_text, smooth_chain
         if fmt == "json":
             chain = smooth_chain(word_from_text(args.word), ab)
             _print_json(args, {"alphabet": str(ab), **chain.to_json()})
-            return 0
-        # Text streams the levels: each is printed as it comes, then dropped.
-        levels = chain_levels(word_from_text(args.word), ab)
-        for i in itertools.count():
-            try:
-                print(f"level {i}: {word_to_text(next(levels))}")
-            except StopIteration as stop:
-                verdict, failure = stop.value
-                break
-        print(f"verdict: {verdict}")
-        if failure is not None:
-            print(f"failure: level {failure.level} ({failure.reason})")
+        else:
+            # One line per write: each level is written before the next is derived.
+            _write_batched(chain_text(word_from_text(args.word), ab), 1)
         return 0
 
     if args.command == "enumerate":
@@ -248,7 +262,7 @@ def run(args) -> int:
         return 0
 
     if args.command == "kolakoski":
-        from .census import kolakoski_prefix
+        from .powers import kolakoski_prefix
         w = kolakoski_prefix(ab, args.alpha, args.n)
         if fmt == "json":
             _print_json(args, {"alphabet": str(ab), "first": args.alpha,
@@ -258,64 +272,24 @@ def run(args) -> int:
         return 0
 
     if args.command == "dsigma":
-        from .concat import dsigma_table
-        table = dsigma_table(ab)
-        if fmt == "json":
-            _print_json(args, table.to_json())
-        else:
-            for w in table.sorted_words:
-                print(word_to_text(w))
-        return 0
-
+        from .dsigma import dsigma_table
+        return _emit_report(args, dsigma_table(ab))
+    if args.command == "power-decomp":
+        from .powers import power_decomposition
+        return _emit_report(args, power_decomposition(word_from_text(args.word), args.n, ab))
     if args.command == "certify-concat":
         from .concat import certify_concat
         cert = certify_concat(ab, args.L, jobs=args.jobs, explore=args.explore)
-        if fmt == "json":
-            _print_json(args, cert.to_json())
-        else:
-            print(f"alphabet {ab}  bound {cert.bound}  x from {cert.x_source}")
-            print(f"{cert.tested_triples} smooth triples tested, "
-                  f"{len(cert.violations)} violations")
-            print("middle set: " + " ".join(word_to_text(w) or "eps"
-                                            for w in cert.middle_set))
-            for v in cert.violations:
-                print(f"violation: u={word_to_text(v.u)} x={word_to_text(v.x)} "
-                      f"v={word_to_text(v.v)} ({v.reason})")
-        if args.explore is None and cert.violations:
-            return 1
-        return 0
-
-    if args.command == "power-decomp":
-        from .concat import power_decomposition
-        decomp = power_decomposition(word_from_text(args.word), args.n, ab)
-        if fmt == "json":
-            _print_json(args, decomp.to_json())
-        else:
-            print(f"base {word_to_text(decomp.base)}  exponent {decomp.exponent}")
-            for j, w in decomp.levels:
-                print(f"level {j}: witness {word_to_text(w) or 'eps'}")
-        return 0
+        _emit_report(args, cert)
+        # Only the table is asserted: explore mode reports its middles.
+        return 1 if args.explore is None and cert.violations else 0
 
     # scan-powers or gamma: the flag table has no other command.
-    from .census import PowerWitness, gamma, scan_powers
+    from .census import gamma, scan_powers
     bound = args.L if args.L is not None else 60 if args.n == 2 else 30
     if args.command == "gamma":
-        _, report = gamma(ab, args.n, bound, jobs=args.jobs)
-    else:
-        report = scan_powers(ab, args.n, bound, jobs=args.jobs)
-    if fmt == "json":
-        _print_json(args, report.to_json())
-    elif fmt == "csv":
-        sys.stdout.write(report.to_csv())
-    else:
-        print(f"alphabet {ab}  exponent {report.exponent}  bound {report.bound}")
-        print(f"{len(report.witnesses)} witnesses")
-        print(f"gamma={report.gamma} stable={str(report.stable).lower()}")
-        print(f"note: {report.note}")
-        lines = (f"witness: base={base} power={power} primitive={primitive}\n"
-                 for base, power, primitive in map(PowerWitness.texts, report.witnesses))
-        _write_batched(lines, _LINE_BATCH)
-    return 0
+        return _emit_report(args, gamma(ab, args.n, bound, jobs=args.jobs)[1])
+    return _emit_report(args, scan_powers(ab, args.n, bound, jobs=args.jobs))
 
 
 def main(argv=None) -> int:

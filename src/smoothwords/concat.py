@@ -1,14 +1,17 @@
-"""Middle-word tables and the concatenation/power derivative identities.
+"""The concatenation derivative identity: its certifier and the middle-word fixpoint.
 
-For smooth uxv with x drawn from a fixed finite table, the derivative splits
-as D(uxv) = D(u) w D(v) with the middle word w again in the table.  The table
-depends only on the alphabet class; :func:`certify_concat` re-verifies the
-splitting exhaustively at bounded length, and :func:`empirical_middle_set`
-rebuilds the table from scratch as a least fixpoint, independent of the
-stored literals.  :func:`power_decomposition` applies the same splitting to
-powers: D^j(u^n) = (D^j(u) w)^(n-1) D^j(u), checked level by level.  The
-one-word certifiers, :func:`middle_witness` and :func:`power_decomposition`,
-derive with the literal ``calculus.derivative``, imported when they run.
+For smooth uxv with x drawn from a fixed finite table (the stored tables are
+in :mod:`smoothwords.dsigma`), the derivative splits as D(uxv) = D(u) w D(v)
+with the middle word w again in the table.  The table depends only on the
+alphabet class; :func:`certify_concat` re-verifies the splitting
+exhaustively at bounded length, and :func:`empirical_middle_set` rebuilds
+the table from scratch as a least fixpoint, independent of the stored
+literals.  The one-word certifier :func:`middle_witness` derives with the
+literal ``calculus.derivative``, imported when it runs.  A
+:class:`ConcatCertificate` renders itself as text or JSON.  The same
+splitting applied to powers, :func:`smoothwords.powers.power_decomposition`,
+lives with the other one-word power objects, so neither ``dsigma`` nor
+``power-decomp`` compiles this module.
 
 Both certifiers run on one scan (:func:`_scan`) over a list of x words:
 one walk over u, and one walk over v per distinct tower of u·x whatever the
@@ -27,81 +30,12 @@ from __future__ import annotations
 from functools import partial
 from typing import NamedTuple
 
-from .core import Alphabet, Word, _FrozenRecord, mirror, run_lengths, word_to_text
-from .errors import CertificationError
-from .search import (complement_tower, derivative_from_runs, is_power_smooth, map_tasks, push,
-                     push_copies, walk)
+from .core import Alphabet, Word, run_lengths, word_to_text
+from .dsigma import _shortlex, dsigma_table
+from .search import complement_tower, derivative_from_runs, map_tasks, push, push_copies, walk
 
-__all__ = [
-    "DsigmaTable", "ConcatViolation", "ConcatCertificate", "PowerDecomposition",
-    "dsigma_table", "middle_witness", "certify_concat", "empirical_middle_set",
-    "power_decomposition",
-]
-
-_D12 = ("", "1", "2", "12", "21", "11", "22", "112", "211", "121", "122",
-        "221", "212", "1121", "1211", "1212", "2121", "2112", "1221", "1122",
-        "2211", "11211")
-_D13 = ("", "1", "3", "13", "31", "11", "33", "113", "311", "131", "313",
-        "111", "3111", "1113", "1311", "1131")
-_D14 = ("", "1", "4", "14", "41", "11", "44", "111", "411", "114", "141",
-        "414", "1111", "4111", "1114")
-
-
-def _shortlex(t):
-    return (len(t), tuple(t))
-
-
-class DsigmaTable(_FrozenRecord):
-    """The finite set of possible middle words for one alphabet."""
-
-    __slots__ = ("alphabet", "words")
-
-    def __init__(self, alphabet: Alphabet, words: frozenset[Word]):
-        if Word() not in words:
-            raise ValueError("middle-word table must contain the empty word")
-        for w in words:
-            if mirror(w) not in words:
-                raise ValueError(f"middle-word table is not mirror-closed at {w}")
-        self._init(alphabet, words)
-
-    @property
-    def sorted_words(self) -> tuple[Word, ...]:
-        return tuple(sorted(self.words, key=_shortlex))
-
-    def __contains__(self, w) -> bool:
-        return Word(w) in self.words
-
-    def to_json(self) -> dict:
-        return {
-            "alphabet": [self.alphabet.a, self.alphabet.b],
-            "words": [word_to_text(w) for w in self.sorted_words],
-        }
-
-
-def dsigma_table(ab: Alphabet) -> DsigmaTable:
-    """The middle-word table for the alphabet, selected by alphabet class.
-
-    Six classes: {1,2}; {1,3}; {1,4}; {1,b} with b >= 5; {2,b}; {a,b} with
-    a >= 3.  Parametric entries are instantiated with the concrete letters.
-    """
-    a, b = ab.a, ab.b
-    if (a, b) == (1, 2):
-        words = [Word(t) for t in _D12]
-    elif (a, b) == (1, 3):
-        words = [Word(t) for t in _D13]
-    elif (a, b) == (1, 4):
-        words = [Word(t) for t in _D14]
-    elif a == 1:  # b >= 5
-        words = [Word(t) for t in
-                 [(), (1,), (b,), (1, b), (b, 1), (1, 1), (b, b),
-                  (1, 1, b), (b, 1, 1), (1, 1, 1), (1, 1, 1, 1)]]
-    elif a == 2:
-        words = [Word(t) for t in
-                 [(), (2,), (b,), (2, b), (b, 2), (2, 2), (b, b), (2, 2, 2)]]
-    else:  # a >= 3
-        words = [Word(t) for t in
-                 [(), (a,), (b,), (a, a), (b, b), (a, b), (b, a)]]
-    return DsigmaTable(alphabet=ab, words=frozenset(words))
+__all__ = ["ConcatViolation", "ConcatCertificate", "middle_witness", "certify_concat",
+           "empirical_middle_set"]
 
 
 def _extract_middle(du: tuple, dv: tuple, dfull: tuple) -> tuple | None:
@@ -366,6 +300,17 @@ class ConcatCertificate(NamedTuple):
             "middle_set": [word_to_text(w) for w in self.middle_set],
         }
 
+    def text_lines(self):
+        """The text report: bound and x source, counts, the middle set, then
+        one line per violation."""
+        yield f"alphabet {self.alphabet}  bound {self.bound}  x from {self.x_source}\n"
+        yield (f"{self.tested_triples} smooth triples tested, "
+               f"{len(self.violations)} violations\n")
+        yield "middle set: " + " ".join(word_to_text(w) or "eps" for w in self.middle_set) + "\n"
+        for v in self.violations:
+            yield (f"violation: u={word_to_text(v.u)} x={word_to_text(v.x)} "
+                   f"v={word_to_text(v.v)} ({v.reason})\n")
+
 
 def certify_concat(ab: Alphabet, L: int, jobs: int = 1,
                    explore: int | None = None) -> ConcatCertificate:
@@ -424,67 +369,3 @@ def empirical_middle_set(ab: Alphabet, L: int, size_limit: int = 512) -> set[Wor
                 f"middle-word fixpoint exceeded {size_limit} elements over {ab}; "
                 "the splitting property is broken")
     return {Word._wrap(t) for t in found}
-
-
-class PowerDecomposition(NamedTuple):
-    """Per-level middle words of a smooth power: D^j(u^n) = (D^j(u) w_j)^(n-1) D^j(u)."""
-
-    base: Word
-    exponent: int
-    alphabet: Alphabet
-    levels: tuple[tuple[int, Word], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "alphabet": [self.alphabet.a, self.alphabet.b],
-            "base": word_to_text(self.base),
-            "exponent": self.exponent,
-            "levels": [{"j": j, "witness": word_to_text(w)} for j, w in self.levels],
-        }
-
-
-def power_decomposition(u, n: int, ab: Alphabet) -> PowerDecomposition:
-    """Extract and verify the middle word at every derivative level of u^n.
-
-    Requires u^n smooth and u with at least two runs.  Any mismatch between
-    the reconstruction and the actual derivative, or a middle word outside
-    the table, raises :class:`CertificationError` carrying the level and both
-    sides; it is never silently repaired.
-    """
-    from .calculus import derivative  # the literal calculus, as middle_witness
-    u = Word(u)
-    if n < 2:
-        raise ValueError("exponent must be >= 2")
-    if len(run_lengths(u)) < 2:
-        raise ValueError(f"base {word_to_text(u)!r} must have at least two runs")
-    # Tested copy by copy first, so a huge n fails without building u^n.
-    if not is_power_smooth(u, n, ab):
-        raise ValueError(f"({word_to_text(u)})^{n} must be smooth over {ab}")
-    table = dsigma_table(ab).words
-
-    # D^j(u) and D^j(u^n) side by side, down to the last level of the base
-    # with at least two runs.
-    duj, dpj = u, u * n
-    levels: list[tuple[int, Word]] = []
-    while len(run_lengths(duj)) >= 2:
-        j = len(levels) + 1
-        duj, dpj = derivative(duj, ab), derivative(dpj, ab)
-        slack = len(dpj) - n * len(duj)
-        if slack < 0 or slack % (n - 1):
-            raise CertificationError(
-                f"level {j}: |D^{j}(u^{n})| = {len(dpj)} does not fit "
-                f"(|D^{j}(u)| {len(duj)})·{n} + (n-1)·|w|",
-                level=j, expected=None, actual=dpj)
-        wlen = slack // (n - 1)
-        w = dpj[len(duj):len(duj) + wlen]
-        rebuilt = (duj + w) * (n - 1) + duj
-        if rebuilt != dpj:
-            raise CertificationError(
-                f"level {j}: (D^{j}(u) w)^{n - 1} D^{j}(u) does not reproduce D^{j}(u^{n})",
-                level=j, expected=dpj, actual=rebuilt)
-        if w not in table:
-            raise CertificationError(
-                f"level {j}: middle word {word_to_text(w)!r} is outside the table",
-                level=j, expected=None, actual=w)
-        levels.append((j, w))
-    return PowerDecomposition(base=u, exponent=n, alphabet=ab, levels=tuple(levels))

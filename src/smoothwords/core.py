@@ -13,13 +13,12 @@ safe to share between threads or processes.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import NotClosableError, WordParseError
 
 __all__ = [
-    "Alphabet", "Word", "EPSILON", "Run", "RunDecomposition",
-    "runs", "delta", "delta_inv", "mirror", "complement", "closure",
+    "Alphabet", "Word", "EPSILON", "delta", "delta_inv", "mirror", "complement", "closure",
     "word_to_text", "word_to_csv", "word_from_text",
 ]
 
@@ -257,77 +256,6 @@ def _first_non_digit(s: str) -> int | None:
         if not "0" <= ch <= "9":
             return i
     return None
-
-
-class Run(NamedTuple):
-    letter: int
-    length: int
-
-
-class RunDecomposition(_FrozenRecord):
-    """The runs of a word, in order; adjacent runs always differ in letter."""
-
-    __slots__ = ("runs",)
-
-    def __init__(self, runs: tuple[Run, ...]):
-        self._init(runs)
-
-    @property
-    def r(self) -> int:
-        """Number of runs."""
-        return len(self.runs)
-
-    @property
-    def fr(self) -> Run:
-        """First run."""
-        if not self.runs:
-            raise ValueError("empty word has no runs")
-        return self.runs[0]
-
-    @property
-    def lr(self) -> Run:
-        """Last run."""
-        if not self.runs:
-            raise ValueError("empty word has no runs")
-        return self.runs[-1]
-
-    @property
-    def lfr(self) -> int:
-        """Length of the first run."""
-        return self.fr.length
-
-    @property
-    def llr(self) -> int:
-        """Length of the last run."""
-        return self.lr.length
-
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(run.length for run in self.runs)
-
-    @property
-    def letters(self) -> tuple[int, ...]:
-        return tuple(run.letter for run in self.runs)
-
-    def to_word(self) -> Word:
-        """Re-expand the runs; inverse of :func:`runs`."""
-        out = []
-        for letter, length in self.runs:
-            out.extend([letter] * length)
-        return Word._wrap(tuple(out))
-
-    def __iter__(self) -> Iterator[Run]:
-        return iter(self.runs)
-
-
-def runs(w: Iterable[int]) -> RunDecomposition:
-    """Decompose a word into its maximal runs."""
-    w = tuple(w)
-    out, start = [], 0
-    for length in run_lengths(w):
-        out.append(Run(w[start], length))
-        start += length
-    return RunDecomposition(tuple(out))
 
 
 def run_lengths(w: Iterable[int]) -> list[int]:

@@ -436,6 +436,23 @@ def test_dead_worker_exits_3_with_one_line():
     assert "Traceback" not in proc.stderr
 
 
+# ------------------------------------------------------- the report texts
+
+# Every report command in each format it takes (text, JSON, CSV where
+# defined, and one rejected CSV), certify-concat with its violation lines,
+# chain failures of every reason and comma-form words over {10,12}: stdout,
+# stderr and exit code, recorded from the CLI before each report record
+# rendered its own text.
+OUTPUT_GOLDEN = json.loads(Path(__file__).with_name("cli_output_golden.json").read_text())
+
+
+@pytest.mark.parametrize("record", OUTPUT_GOLDEN,
+                         ids=[" ".join(r["argv"]) for r in OUTPUT_GOLDEN])
+def test_report_outputs_are_golden(capsys, record):
+    assert run_cli(capsys, *record["argv"]) == (record["code"], record["stdout"],
+                                                record["stderr"])
+
+
 # ------------------------------------------------------- the two parsers
 
 # --help, each command's --help, and per command one missing-required and one

@@ -8,8 +8,9 @@ from smoothwords import (Alphabet, EPSILON, Word, certify_concat, complement, de
                          dsigma_table, empirical_middle_set, enumerate_smooth, is_smooth,
                          middle_witness, mirror, power_decomposition, word_to_text)
 from smoothwords import concat
-from smoothwords.concat import DsigmaTable, _extract_middle, _scan
+from smoothwords.concat import _extract_middle, _scan
 from smoothwords.core import run_lengths
+from smoothwords.dsigma import DsigmaTable
 from smoothwords.errors import CertificationError
 from smoothwords.search import derivative_from_runs, is_smooth_fast, seeded_state, walk
 

@@ -13,7 +13,7 @@ from smoothwords import (Alphabet, CensusReport, ChainFailure, ConcatCertificate
                          DerivativeChain, DsigmaTable, IndexPair, PowerDecomposition,
                          PowerWitness, Word, runs)
 from smoothwords.concat import ConcatViolation
-from smoothwords.core import Run, RunDecomposition
+from smoothwords.calculus import Run, RunDecomposition
 
 AB = Alphabet(1, 2)
 WITNESS = PowerWitness(Word("12"), Word("1212"), Word("12"))

@@ -44,10 +44,10 @@ def run_fresh(*argv):
     return lines[:-2], added
 
 
-# The modules behind the word calculus, the scans and the certifier.  Each
-# command loads only those it runs, so with bytecode writing off it compiles
-# no other.
-ENGINES = {"calculus", "census", "concat", "search"}
+# The modules behind the word calculus, the one-word power objects, the
+# middle-word tables, the scans and the certifier.  Each command loads only
+# those it runs, so with bytecode writing off it compiles no other.
+ENGINES = {"calculus", "census", "concat", "dsigma", "powers", "search"}
 WORD = ("--alphabet", "1,2", "--word", "1211")
 
 
@@ -62,20 +62,22 @@ WORD = ("--alphabet", "1,2", "--word", "1211")
     (("gamma", "--alphabet", "1,2", "-n", "2", "-L", "8", "--jobs", "1"),
      "gamma=10 stable=true", {"census", "search"}),
     (("certify-concat", "--alphabet", "1,2", "-L", "4", "--jobs", "1"),
-     "2654 smooth triples tested, 0 violations", {"concat", "search"}),
+     "2654 smooth triples tested, 0 violations", {"concat", "dsigma", "search"}),
     # Only explore mode lists its x words with census.enumerate_smooth.
     (("certify-concat", "--alphabet", "1,3", "-L", "5", "--explore", "3", "--jobs", "1"),
-     "4349 smooth triples tested, 0 violations", {"concat", "census", "search"}),
-    # The one-word power certifier derives with the literal calculus.
+     "4349 smooth triples tested, 0 violations", {"concat", "census", "dsigma", "search"}),
+    # The one-word power certifier derives with the literal calculus, tests
+    # u^n copy by copy with the engine and reads the middle-word table.
     (("power-decomp", "--alphabet", "1,3", "--word", "3111313111", "-n", "4"),
-     "level 2: witness 111", {"calculus", "concat", "search"}),
-    (("dsigma", "--alphabet", "1,2"), "11211", {"concat", "search"}),
+     "level 2: witness 111", {"calculus", "dsigma", "powers", "search"}),
+    (("dsigma", "--alphabet", "1,2"), "11211", {"dsigma"}),
     (("lift", "--alphabet", "2,4", "--word", "22", "--alpha", "2", "-k", "1"),
-     "2244", {"census", "search"}),
+     "2244", {"powers"}),
     (("kolakoski", "--alphabet", "1,2", "--alpha", "1", "-n", "19"),
-     "1221121221221121122", {"census", "search"}),
+     "1221121221221121122", {"powers"}),
+    (("enumerate", "--alphabet", "1,2", "-n", "4"), "1211", {"census", "search"}),
 ], ids=["chain", "derive", "rho", "delta", "closure", "help", "gamma", "certify-concat",
-        "certify-concat-explore", "power-decomp", "dsigma", "lift", "kolakoski"])
+        "certify-concat-explore", "power-decomp", "dsigma", "lift", "kolakoski", "enumerate"])
 def test_chain_command_skips_deferred_imports(argv, line, engines):
     out, added = run_fresh(*argv)
     assert line in out
