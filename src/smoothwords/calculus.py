@@ -84,8 +84,8 @@ def derivative(w: Word, ab: Alphabet) -> Word:
     for i, length in enumerate(lengths):
         if length > b or (0 < i < len(lengths) - 1 and length != a and length != b):
             raise NotDifferentiableError(
-                lambda: (f"{word_to_text(w)!r} is not differentiable over {ab}: "
-                         f"run {i} has length {length}"),
+                f"{word_to_text(w)!r} is not differentiable over {ab}: "
+                f"run {i} has length {length}",
                 run_index=i)
     if not lengths:
         return EPSILON

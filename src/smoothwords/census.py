@@ -31,7 +31,7 @@ from functools import partial
 from typing import NamedTuple
 
 from .core import Alphabet, Word, _FrozenRecord, word_to_csv, word_to_text
-from .search import map_tasks, power_hits, seeded_state, worker_cap
+from .search import map_tasks, power_hits, worker_cap
 
 __all__ = ["PowerWitness", "CensusReport", "enumerate_smooth", "scan_powers", "gamma"]
 
@@ -252,15 +252,14 @@ def _split(ab: Alphabet, L: int, tasks: int) -> tuple[int, list[tuple]]:
     prefixes, and the prefixes of that depth that start with a, in
     lexicographic order.
 
-    One breadth-first walk below the letter a, a level at a time, stops at
-    that depth; each length has as many smooth words starting with b.
+    Each depth's prefixes are the hits of
+    :func:`smoothwords.search.power_hits` at exponent 1 below the letter a,
+    that length only; each length has as many smooth words starting with b.
     """
-    a, b = ab.a, ab.b
-    depth, level = 1, [(a,)]
+    depth, level = 1, [(ab.a,)]
     while depth < L and 2 * len(level) < tasks:
         depth += 1
-        level = [p + (c,) for p in level for c in (a, b)
-                 if seeded_state(ab, p + (c,)) is not None]
+        level = power_hits(ab, 1, depth, (ab.a,), depth)[depth]
     return depth, level
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import partial
 from typing import NamedTuple
 
-from .core import Alphabet, Word, run_lengths, word_to_text
+from .core import Alphabet, Word, delta_inv, run_lengths, word_to_text
 from .dsigma import _shortlex, dsigma_table
 from .search import complement_tower, derivative_from_runs, map_tasks, push, push_copies, walk
 
@@ -78,9 +78,10 @@ def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int
     ((runs of u, last letter of u), (x, runs of x), flip), the first two
     shared by all pairs of that u or x.  That is all the group needs: D(u)
     and the runs of u·x follow, and u's letters are rebuilt from its runs
-    only for a violation.  The x are taken in shortlex order, so an
-    x whose prefix one letter shorter is also an x (tables and explore lists
-    are prefix-closed) costs one push onto that prefix's tower.
+    and last letter by :func:`smoothwords.core.delta_inv`, only for a
+    violation.  The x are taken in shortlex order, so an x whose prefix one
+    letter shorter is also an x (tables and explore lists are prefix-closed)
+    costs one push onto that prefix's tower.
     """
     a, b = ab.a, ab.b
     counts = dict.fromkeys(xs, 0)
@@ -250,19 +251,11 @@ def _judge(ab: Alphabet, pairs: tuple, tail: int, v: list[int],
             if table_set is None or mid in table_set:
                 continue
         reason = "no-middle-decomposition" if mid is None else "middle-not-in-table"
-        failing += [(_word_of_runs(ur, last, a + b), x, flip, reason)
+        # u from its runs: an odd run count starts on the last letter.
+        failing += [(delta_inv(ur, last if len(ur) % 2 else a + b - last, ab) if ur else (),
+                     x, flip, reason)
                     for (ur, last), (x, _), flip in group]
     return failing
-
-
-def _word_of_runs(lens: tuple, last: int, total: int) -> tuple:
-    """The word over {a, b}, a + b = ``total``, with run lengths ``lens``
-    and last letter ``last``."""
-    letters = ()
-    for n in reversed(lens):
-        letters = (last,) * n + letters
-        last = total - last
-    return letters
 
 
 class ConcatViolation(NamedTuple):

@@ -326,9 +326,8 @@ def closure(w: Iterable[int], ab: Alphabet) -> Word:
         return EPSILON
     if max(lengths) > b:
         i = next(i for i, length in enumerate(lengths) if length > b)
-        raise NotClosableError(
-            lambda: f"run {i} of {word_to_text(w)!r} has length {lengths[i]} > b={b}",
-            run_index=i)
+        raise NotClosableError(f"run {i} of {word_to_text(w)!r} has length {lengths[i]} > b={b}",
+                               run_index=i)
     first, last = lengths[0], lengths[-1]
     if len(lengths) == 1:
         if first > a:

@@ -1,8 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each carries a plain message string, and pickles the default way.
+"""
 
 from __future__ import annotations
-
-from typing import Callable
 
 
 class WordParseError(ValueError):
@@ -17,28 +18,13 @@ class _RunLengthError(ValueError):
     """A word's run lengths break a rule of the calculus; ``run_index`` names
     the run.
 
-    ``message`` may be a function of no arguments that returns the text: it
-    is called when the message is first read (``str``, ``repr`` or pickling)
-    and the text then replaces it in ``args``.  The raisers render the whole
-    word into the message, so a caller that only catches the error, as
-    :func:`smoothwords.calculus.chain_levels` does, never renders it.
+    The message renders the whole word.  Default exception pickling keeps
+    the text and ``run_index``.
     """
 
-    def __init__(self, message: str | Callable[[], str], run_index: int | None = None):
+    def __init__(self, message: str, run_index: int | None = None):
         super().__init__(message)
         self.run_index = run_index
-
-    def __str__(self) -> str:
-        if callable(self.args[0]):
-            self.args = (self.args[0](),)
-        return super().__str__()
-
-    def __repr__(self) -> str:
-        str(self)
-        return super().__repr__()
-
-    def __reduce__(self):
-        return type(self), (str(self), self.run_index)
 
 
 class NotClosableError(_RunLengthError):

@@ -8,8 +8,6 @@ from smoothwords import (Alphabet, ChainFailure, EPSILON, Word, REASON_BAD_LETTE
                          REASON_INTERIOR_RUN, REASON_RUN_TOO_LONG, delta,
                          derivative, is_differentiable, is_smooth, mirror,
                          closure, rho, rho_by_formula, smooth_chain)
-from smoothwords import calculus, core
-from smoothwords.calculus import chain_levels
 from smoothwords.errors import NotClosableError, NotDifferentiableError
 
 
@@ -206,41 +204,8 @@ class TestSmoothChain:
 
 
 class TestFailureMessages:
-    """closure and derivative render the failing word only when their
-    message is read: the text, and the stderr of ``closure`` and ``derive``,
-    stay as they were."""
-
-    @pytest.fixture
-    def renders(self, monkeypatch):
-        calls = []
-
-        def counting(w):
-            calls.append(len(w))
-            return to_text(w)
-
-        to_text = core.word_to_text
-        monkeypatch.setattr(core, "word_to_text", counting)
-        monkeypatch.setattr(calculus, "word_to_text", counting)
-        return calls
-
-    def test_failing_chain_renders_nothing(self, renders, ab12, ab13):
-        long_run = Word("12" * 5000 + "111" + "21" * 5000)
-        for w, ab, failure in [(long_run, ab12, (0, REASON_RUN_TOO_LONG)),
-                               (Word("113133"), ab13, (1, REASON_INTERIOR_RUN)),
-                               (Word("113311"), ab13, (0, REASON_INTERIOR_RUN))]:
-            chain = chain_levels(w, ab)
-            with pytest.raises(StopIteration) as stop:
-                while True:
-                    next(chain)
-            assert stop.value.value == ("not-smooth", ChainFailure(*failure))
-            assert not renders
-        with pytest.raises(NotClosableError) as err:
-            closure(long_run, ab12)
-        assert not renders
-        assert str(err.value).startswith("run 10000 of '1212")
-        assert renders == [len(long_run)]
-        str(err.value)
-        assert renders == [len(long_run)]
+    """closure and derivative raise with the failing word in the message;
+    the text, ``run_index`` and both survive pickling."""
 
     @pytest.mark.parametrize("call, cls, run_index, text", [
         (lambda: closure(Word("1112"), Alphabet(1, 2)), NotClosableError, 0,

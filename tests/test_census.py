@@ -3,10 +3,10 @@ from itertools import product
 
 import pytest
 
-from smoothwords import (Alphabet, Word, delta, enumerate_smooth, gamma,
+from smoothwords import (Alphabet, Word, delta, delta_inv, enumerate_smooth, gamma,
                          h_delta, is_smooth, kolakoski_prefix, lift,
                          lift_family, scan_powers, smooth_chain, word_to_text)
-from smoothwords import search
+from smoothwords import census, powers, search
 from smoothwords.census import PowerWitness, _split
 from smoothwords.search import walk
 from smoothwords.errors import CertificationError
@@ -253,6 +253,10 @@ class TestHugeBounds:
         def walk_root(ab, tower, path, max_len, visit):
             visit(tower, path)
 
+        # _split walks only as deep as its task count needs, whatever the
+        # bound, so it keeps the real walk: its split is taken before the stub.
+        split = _split(Alphabet(1, 2), 10**20, 8)
+        monkeypatch.setattr(census, "_split", lambda ab, L, tasks: split)
         monkeypatch.setattr(search, "walk", walk_root)
 
     @staticmethod
@@ -345,6 +349,23 @@ class TestLiftFamily:
     def test_exponent_below_one_rejected(self, n):
         with pytest.raises(ValueError, match="exponent must be >= 1"):
             lift_family(Word("2244"), n, 2, 2, Alphabet(2, 4))
+
+    @pytest.mark.parametrize("module, name, stub, text, level, actual", [
+        (powers, "delta_inv", lambda w, alpha, ab: delta_inv(w, alpha, ab) + Word((alpha,)),
+         "lift depth 1 of '2244' has odd length 13", 1, Word("2244222244442")),
+        (search, "is_power_smooth", lambda w, n, ab: w == Word("2244"),
+         "lift depth 1: (224422224444)^3 is not smooth over 2,4", 1, Word("224422224444")),
+        (powers, "delta_inv", lambda w, alpha, ab: w,
+         "lifted bases of '2244' are not pairwise distinct", None, None),
+    ], ids=["odd-length", "not-smooth", "not-distinct"])
+    def test_certification_violations(self, monkeypatch, module, name, stub, text, level,
+                                      actual):
+        # A lift that breaks the certified claim is forced by a stub.
+        monkeypatch.setattr(module, name, stub)
+        with pytest.raises(CertificationError) as err:
+            lift_family(Word("2244"), 3, 2, 3, Alphabet(2, 4))
+        exc = err.value
+        assert (str(exc), exc.level, exc.expected, exc.actual) == (text, level, None, actual)
 
 
 class TestKolakoski:

@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 from smoothwords import (Alphabet, EPSILON, Word, certify_concat, complement, derivative,
                          dsigma_table, empirical_middle_set, enumerate_smooth, is_smooth,
                          middle_witness, mirror, power_decomposition, word_to_text)
-from smoothwords import concat
+from smoothwords import calculus, concat, dsigma
+from smoothwords.cli import main
 from smoothwords.concat import _extract_middle, _scan
 from smoothwords.core import run_lengths
 from smoothwords.dsigma import DsigmaTable
@@ -304,6 +305,18 @@ class TestScanDifferential:
             assert _scan(ab12, 10**20, [x], None) == ({x: 1}, [], {()})
 
 
+@pytest.mark.parametrize("du, dv, dfull", [
+    pytest.param((1, 2), (1,), (2, 2, 1), id="prefix-mismatch"),
+    pytest.param((1,), (2,), (1, 2, 1), id="suffix-mismatch"),
+    # Both ends match, but D(u) and D(v) would share the letter 2.
+    pytest.param((1, 2), (2, 1), (1, 2, 1), id="overlap"),
+])
+def test_no_middle_is_extracted(du, dv, dfull):
+    # The triple is then a no-middle-decomposition violation.
+    assert _extract_middle(du, dv, dfull) is None
+    assert _extract_middle(du, dv, du + (3,) + dv) == (3,)
+
+
 def _literal_middle(u, x, v, ab):
     """The middle of u·x·v by the literal ``calculus.derivative``, or None."""
     mid = _extract_middle(*(tuple(derivative(Word(w), ab)) for w in (u, v, u + x + v)))
@@ -485,6 +498,18 @@ class TestTripleSplitting:
         return False
 
 
+def _tamper_power_level(change):
+    """The literal derivative, with D((3111313111)^4) passed through ``change``."""
+    real, power = calculus.derivative, Word("3111313111") * 4
+    return lambda w, ab: change(real(w, ab)) if w == power else real(w, ab)
+
+
+def _table_without(word):
+    """The stored middle-word tables, without ``word``."""
+    real = dsigma.dsigma_table
+    return lambda ab: DsigmaTable(ab, real(ab).words - {word})
+
+
 class TestPowerDecomposition:
     def test_square_of_12(self, ab12):
         pd = power_decomposition(Word("12"), 2, ab12)
@@ -517,3 +542,27 @@ class TestPowerDecomposition:
         doc = power_decomposition(Word("12"), 2, ab12).to_json()
         assert doc == {"alphabet": [1, 2], "base": "12", "exponent": 2,
                        "levels": [{"j": 1, "witness": "11"}]}
+
+    @pytest.mark.parametrize("module, name, stub, text, expected, actual", [
+        (calculus, "derivative", _tamper_power_level(lambda d: d + Word("1")),
+         "|D^1(u^4)| = 24 does not fit (|D^1(u)| 5)·4 + (n-1)·|w|",
+         None, Word("311131311131311131311131")),
+        (calculus, "derivative", _tamper_power_level(lambda d: d[:-1] + Word("1")),
+         "(D^1(u) w)^3 D^1(u) does not reproduce D^1(u^4)",
+         Word("31113131113131113131111"), Word("31113131113131113131113")),
+        (dsigma, "dsigma_table", _table_without(Word("1")),
+         "middle word '1' is outside the table", None, Word("1")),
+    ], ids=["does-not-fit", "does-not-reproduce", "outside-the-table"])
+    def test_certification_violations(self, monkeypatch, capsys, ab13, module, name, stub,
+                                      text, expected, actual):
+        # Each check is forced to fail at level 1 of (3111313111)^4; the CLI
+        # reports the violation on stderr alone and exits 1.
+        monkeypatch.setattr(module, name, stub)
+        with pytest.raises(CertificationError) as err:
+            power_decomposition(Word("3111313111"), 4, ab13)
+        exc = err.value
+        assert (str(exc), exc.level, exc.expected, exc.actual) == (
+            f"level 1: {text}", 1, expected, actual)
+        code = main(["power-decomp", "--alphabet", "1,3", "--word", "3111313111", "-n", "4"])
+        out, err_text = capsys.readouterr()
+        assert (code, out, err_text) == (1, "", f"certification violation: level 1: {text}\n")

@@ -1,10 +1,13 @@
 """Letters outside the alphabet: the exact error text of every operator that
-rejects one, and the silent answer of those that only report a failure."""
+rejects one, and the silent answer of those that only report a failure.
+Lengths, exponents and bounds below their range: the exact error text."""
 
 import pytest
 
-from smoothwords import (Alphabet, Word, complement, delta_inv, is_differentiable,
-                         kolakoski_prefix, lift, lift_family, smooth_chain)
+from smoothwords import (Alphabet, Word, certify_concat, complement, delta_inv,
+                         empirical_middle_set, enumerate_smooth, gamma, is_differentiable,
+                         kolakoski_prefix, lift, lift_family, power_decomposition,
+                         smooth_chain)
 from smoothwords.calculus import REASON_BAD_LETTER, ChainFailure
 from smoothwords.concat import _scan
 from smoothwords.search import seeded_state
@@ -45,3 +48,24 @@ def test_letters_outside_the_alphabet(call, expected):
         assert str(info.value) == str(expected)
     else:
         assert call() == expected
+
+
+@pytest.mark.parametrize("call, text", [
+    pytest.param(lambda: enumerate_smooth(AB, -1), "length must be >= 0", id="enumerate_smooth"),
+    pytest.param(lambda: gamma(AB, 0, 4), "exponent must be >= 1", id="gamma"),
+    pytest.param(lambda: certify_concat(AB, 0), "length bound must be >= 1",
+                 id="certify_concat"),
+    pytest.param(lambda: empirical_middle_set(AB, 0), "length bound must be >= 1",
+                 id="empirical_middle_set"),
+    pytest.param(lambda: power_decomposition(Word("12"), 1, AB), "exponent must be >= 2",
+                 id="power_decomposition"),
+    pytest.param(lambda: lift(Word("12"), 1, -1, AB), "lift depth must be >= 0", id="lift"),
+    pytest.param(lambda: lift_family(Word("2244"), 3, 2, 0, Alphabet(2, 4)),
+                 "family size must be >= 1", id="lift_family"),
+    pytest.param(lambda: kolakoski_prefix(AB, 1, -1), "length must be >= 0",
+                 id="kolakoski_prefix"),
+])
+def test_arguments_below_their_range(call, text):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == text

@@ -1,8 +1,12 @@
 """Value semantics of the result records.
 
-Every record keeps the behaviour it had as a frozen dataclass: positional
-and keyword construction, defaults, equality and hash by value, the
-``Name(field=value, ...)`` repr, no assignment, and pickling.
+Every record keeps most of the behaviour it had as a frozen dataclass:
+positional and keyword construction, defaults, equality and hash by value,
+the ``Name(field=value, ...)`` repr, no assignment, and pickling.  Equality
+is the exception for the seven ``NamedTuple`` records: they compare equal to
+plain tuples and to one another field by field (``IndexPair(3, 4) == (3, 4)``
+and ``ChainFailure(0, "x") == IndexPair(0, "x")``).  Only the four slotted
+records compare with their own type alone, as a dataclass did.
 """
 
 import pickle
@@ -69,6 +73,14 @@ def test_construction_and_fields(cls, fields, expected):
     assert type(by_position) is cls
     for name, value in fields.items():
         assert getattr(by_keyword, name) == value
+
+
+def test_named_tuple_records_compare_as_tuples():
+    named = {cls for cls, _, _ in CASES if issubclass(cls, tuple)}
+    assert len(named) == 7
+    assert IndexPair(3, 4) == (3, 4)
+    assert ChainFailure(0, "x") == IndexPair(0, "x")
+    assert Alphabet(3, 4) != (3, 4) and Alphabet(3, 4) != IndexPair(3, 4)
 
 
 @pytest.mark.parametrize("cls,fields,expected", CASES, ids=IDS)
