@@ -156,3 +156,11 @@ python -c "import json; d = json.load(open('dsigma13.json')); assert d['alphabet
 # lift, kolakoski and dsigma compile neither the scans nor the certifier
 # nor the engine.
 python -c "import sys; from smoothwords.cli import main; assert main(['lift', '--alphabet', '2,4', '--word', '22', '--alpha', '2', '-k', '1']) == 0; assert main(['kolakoski', '--alphabet', '1,2', '--alpha', '1', '-n', '19']) == 0; assert main(['dsigma', '--alphabet', '1,3']) == 0; loaded = {'smoothwords.census', 'smoothwords.concat', 'smoothwords.search'} & set(sys.modules); assert not loaded, loaded"
+# A zero letter in comma form is reported at the zero, past the part's
+# leading blanks.
+status=0
+python -m smoothwords.cli delta --alphabet 1,2 --word '1, 0' > zero_letter.txt 2> zero_letter.err || status=$?
+test "$status" -eq 2
+test ! -s zero_letter.txt
+test "$(cat zero_letter.err)" = "error: zero letter in '1, 0' at position 3"
+test "$(wc -l < zero_letter.err)" -eq 1

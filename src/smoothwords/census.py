@@ -10,8 +10,8 @@ smooth words are smooth) and tests the n-th power inside the walk
 (:func:`smoothwords.search.power_hits`).  It walks only the bases that start
 with a: the complement of a smooth power is a smooth power, so the bases
 starting with b follow from those.  The walk is split into one task per
-smooth prefix of a depth that grows with the worker count, so the task list
-follows ``jobs``; the witnesses, and every output byte, do not.  A witness
+a-initial smooth prefix of a depth that the alphabet and the bound fix
+(``_split``), so every ``jobs`` runs the same task list.  A witness
 stores its base, exponent and primitive base, not the power word
 (:class:`PowerWitness`).  ``gamma`` counts the distinct power words found
 and reports a finite count as stable only when no new power word appeared
@@ -31,9 +31,12 @@ from functools import partial
 from typing import NamedTuple
 
 from .core import Alphabet, Word, _FrozenRecord, word_to_csv, word_to_text
-from .search import map_tasks, power_hits, worker_cap
+from .search import map_tasks, power_hits
 
 __all__ = ["PowerWitness", "CensusReport", "enumerate_smooth", "scan_powers", "gamma"]
+
+# The scans' least task count (:func:`_split`), enough to balance a few workers.
+_SPLIT_PREFIXES = 32
 
 
 def enumerate_smooth(ab: Alphabet, n: int, min_len: int | None = None) -> list[Word]:
@@ -247,17 +250,13 @@ def _stability(bound: int, last_new: int | None) -> tuple[bool, str]:
                    f"length {last_new}, inside the top quartile {start}..{bound}")
 
 
-def _split(ab: Alphabet, L: int, tasks: int) -> tuple[int, list[tuple]]:
-    """The shallowest depth (at most L) with at least ``tasks`` smooth
-    prefixes, and the prefixes of that depth that start with a, in
-    lexicographic order.
-
-    Each depth's prefixes are the hits of
-    :func:`smoothwords.search.power_hits` at exponent 1 below the letter a,
-    that length only; each length has as many smooth words starting with b.
-    """
+def _split(ab: Alphabet, L: int) -> tuple[int, list[tuple]]:
+    """The shallowest depth (at most L) with at least ``_SPLIT_PREFIXES``
+    smooth prefixes that start with a, and those prefixes in lexicographic
+    order: the hits of :func:`smoothwords.search.power_hits` at exponent 1
+    below the letter a, that length only."""
     depth, level = 1, [(ab.a,)]
-    while depth < L and 2 * len(level) < tasks:
+    while depth < L and len(level) < _SPLIT_PREFIXES:
         depth += 1
         level = power_hits(ab, 1, depth, (ab.a,), depth)[depth]
     return depth, level
@@ -277,18 +276,18 @@ def gamma(ab: Alphabet, n: int, L: int, jobs: int = 1) -> tuple[int, CensusRepor
 
     Only the bases starting with a are walked; the rest are their reversed
     complements, each witness built with its complement's (the order of
-    :func:`enumerate_smooth`).  The walk is split below the a-initial smooth
-    prefixes of the shallowest depth with at least ``8 * worker_cap(jobs)``
-    smooth prefixes, after the shorter bases; the split and the map over the
-    tasks (:func:`smoothwords.search.map_tasks`) depend on ``jobs``, the
-    witnesses do not.  For n = 1 every smooth word qualifies, so the count
-    can only grow with L; the report says so instead of pretending stability.
+    :func:`enumerate_smooth`).  The shorter bases are tested first, then the
+    walk is split below the a-initial smooth prefixes of :func:`_split`'s
+    depth, one task each.  ``jobs`` only sets the workers that
+    :func:`smoothwords.search.map_tasks` maps that one task list over.  For
+    n = 1 every smooth word qualifies, so the count can only grow with L;
+    the report says so instead of pretending stability.
     """
     if n < 1:
         raise ValueError("exponent must be >= 1")
     if L < 1:
         raise ValueError("base-length bound must be >= 1")
-    depth, prefixes = _split(ab, L, 8 * worker_cap(jobs))
+    depth, prefixes = _split(ab, L)
     hits = power_hits(ab, n, depth - 1, (ab.a,))
     # Prefix order keeps each length's bases lexicographic.
     for part in map_tasks(partial(power_hits, ab, n, L), prefixes, jobs):

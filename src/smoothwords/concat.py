@@ -37,6 +37,9 @@ from .search import complement_tower, derivative_from_runs, map_tasks, push, pus
 __all__ = ["ConcatViolation", "ConcatCertificate", "middle_witness", "certify_concat",
            "empirical_middle_set"]
 
+# More middles than this in empirical_middle_set: the splitting property is broken.
+_MIDDLE_SET_LIMIT = 512
+
 
 def _extract_middle(du: tuple, dv: tuple, dfull: tuple) -> tuple | None:
     """The middle slice of dfull between a literal du prefix and dv suffix."""
@@ -116,8 +119,8 @@ def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int
                     ux_tower = push(ux_tower, x[-1], a, b)
             towers.append(ux_tower)
             if ux_tower is not None:
-                # The bottom level holds the last letter of u·x.
-                flip = bool(ux_tower) and ux_tower[1] == b
+                # The last letter of u·x: x's, or u's when x = ε (0 for u = ε).
+                flip = (x[-1] if x else u[1]) == b
                 if flip:
                     ux_tower = complement_tower(ux_tower, ab)
                 groups.setdefault(ux_tower, []).append((u, xinfo, flip))
@@ -178,8 +181,6 @@ def _scan_group(ab: Alphabet, L: int, table_set: frozenset | None, task: tuple):
     ux_tower, members = task
     a, b = ab.a, ab.b
     swap = (a + b).__sub__
-    # The last run length of u·x, read off the tower; 0 when u·x = ε.
-    tail = ux_tower[2] if ux_tower else 0
     # pairs[merge] maps (D(u), R) to the pairs (u, x) that have it.
     pairs = ({}, {})
     for member in members:
@@ -188,6 +189,8 @@ def _scan_group(ab: Alphabet, L: int, table_set: frozenset | None, task: tuple):
         du = derivative_from_runs(ur, b)
         pairs[0].setdefault((du, r), []).append(member)
         pairs[1].setdefault((du, r[:-1]), []).append(member)
+    # The last run length of u·x (0 for ε) is one per group: the tower holds it.
+    tail = r[-1] if r else 0
     violations: list[tuple[tuple, tuple, tuple, str]] = []
     middles: set[tuple] = set()
     # verdicts maps a signature (first letter, first run length, one run)
@@ -342,7 +345,7 @@ def certify_concat(ab: Alphabet, L: int, jobs: int = 1,
         x_source=x_source)
 
 
-def empirical_middle_set(ab: Alphabet, L: int, size_limit: int = 512) -> set[Word]:
+def empirical_middle_set(ab: Alphabet, L: int) -> set[Word]:
     """Least fixpoint of middle extraction, seeded with the empty word.
 
     This is the independent oracle for the stored tables: it never reads
@@ -357,8 +360,8 @@ def empirical_middle_set(ab: Alphabet, L: int, size_limit: int = 512) -> set[Wor
         _, _, mids = _scan(ab, L, list(new), None)
         new = mids - found
         found |= new
-        if len(found) > size_limit:
+        if len(found) > _MIDDLE_SET_LIMIT:
             raise RuntimeError(
-                f"middle-word fixpoint exceeded {size_limit} elements over {ab}; "
+                f"middle-word fixpoint exceeded {_MIDDLE_SET_LIMIT} elements over {ab}; "
                 "the splitting property is broken")
     return {Word._wrap(t) for t in found}

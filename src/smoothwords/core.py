@@ -228,14 +228,14 @@ def word_from_text(text: str) -> Word:
             token = part.strip()
             if not token:
                 raise WordParseError(f"malformed letter {part!r} in {text!r}", position=offset)
+            lead = len(part) - len(part.lstrip())
             bad = _first_non_digit(token)
             if bad is not None:
-                lead = len(part) - len(part.lstrip())
                 raise WordParseError(f"malformed letter {part!r} in {text!r}",
                                      position=offset + lead + bad)
             value = int(token)
             if value == 0:
-                raise WordParseError(f"zero letter in {text!r}", position=offset)
+                raise WordParseError(f"zero letter in {text!r}", position=offset + lead)
             letters.append(value)
             offset += len(part) + 1
         return Word._wrap(tuple(letters))

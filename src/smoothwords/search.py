@@ -57,13 +57,13 @@ in b; then one walk over v runs from each distinct tower, and the pairs of
 its group are judged once per junction signature of v (first letter, first
 run length, one run or more), which fixes every verdict.
 
-The scans and the certifier split their walks into a task list (the scans'
-split depth follows the worker count, the certifier's tasks do not), and
-:func:`map_tasks` maps a function over it; the results never depend on
-``--jobs``.  With more than one worker it forks child processes that each
-run a round-robin share while the caller runs the first, and pipes the
-results back; there is no process pool, so a command with ``--jobs`` above 1
-pays a fork per extra worker and not a pool's start-up.
+The scans and the certifier split their walks into a task list built from
+their inputs alone, and :func:`map_tasks` maps a function over it; it is the
+only reader of ``--jobs``, so every worker count runs the same tasks.  With
+more than one worker it forks child processes that each run a round-robin
+share while the caller runs the first, and pipes the results back; there is
+no process pool, so a command with ``--jobs`` above 1 pays a fork per extra
+worker and not a pool's start-up.
 
 The module exports only what the walks use; one-word derivatives come from
 the literal calculus (``smoothwords.calculus``).
@@ -77,7 +77,7 @@ from .core import Alphabet
 
 __all__ = ["push", "seeded_state", "complement_tower", "is_smooth_fast",
            "is_power_smooth", "push_copies", "derivative_from_runs", "walk",
-           "power_hits", "worker_cap", "map_tasks"]
+           "power_hits", "map_tasks"]
 
 
 # The bottom level of the empty tower, for the inline rules of walk and
@@ -289,16 +289,12 @@ def power_hits(ab: Alphabet, n: int, max_len: int, prefix=(),
     return hits
 
 
-def worker_cap(jobs: int) -> int:
-    """``jobs``, but no more than the machine's CPUs: more workers than CPUs
-    only add processes, and a huge ``jobs`` would start one per task."""
-    return min(jobs, os.cpu_count() or 1)
-
-
 def map_tasks(fn, tasks: list, jobs: int):
     """``fn(t)`` for each task, yielded in task order, on
-    ``min(worker_cap(jobs), len(tasks))`` workers, or in this process alone
-    when that is 1 or the platform has no ``os.fork`` (Windows).
+    ``min(jobs, os.cpu_count() or 1, len(tasks))`` workers (more than the
+    CPUs would only add processes), or in this process alone when that is 1
+    or the platform has no ``os.fork`` (Windows).  ``jobs`` picks only the
+    process that runs each task, never the tasks.
 
     The tasks are dealt round-robin into one share per worker.  One child
     process is forked per share after the first and runs its share while
@@ -311,7 +307,7 @@ def map_tasks(fn, tasks: list, jobs: int):
     The children are reaped on every path, and killed first when this
     process fails before it has read their results.  ``pickle`` is imported
     only when a child forks."""
-    workers = min(worker_cap(jobs), len(tasks))
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers <= 1 or not hasattr(os, "fork"):
         yield from map(fn, tasks)
         return

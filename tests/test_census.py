@@ -95,14 +95,16 @@ class TestScanPowers:
         assert report.gamma == 4
 
     def test_parallel_matches_sequential(self, ab12):
-        # jobs=2 splits at the first depth with 16 prefixes; the witnesses
-        # must straddle that depth so both the caller's part and the merged
-        # subtrees are compared.
-        for ab, n, L in [(ab12, 2, 14), (Alphabet(2, 3), 3, 12)]:
-            depth, prefixes = _split(ab, L, 16)
+        # Every jobs splits at the first depth with 32 prefixes that start
+        # with a; the witnesses must straddle that depth so both the caller's
+        # part and the merged subtrees are compared.
+        for ab, n, L in [(ab12, 2, 30), (Alphabet(3, 4), 3, 30)]:
+            depth, prefixes = _split(ab, L)
             assert 1 < depth < L
-            assert len(enumerate_smooth(ab, depth - 1)) < 16 <= len(enumerate_smooth(ab, depth))
-            assert prefixes == [tuple(w) for w in enumerate_smooth(ab, depth) if w[0] == ab.a]
+            shorter, split = ([tuple(w) for w in enumerate_smooth(ab, d) if w[0] == ab.a]
+                              for d in (depth - 1, depth))
+            assert len(shorter) < 32 <= len(split)
+            assert prefixes == split
             seq = scan_powers(ab, n, L, jobs=1)
             lengths = {len(w.base) for w in seq.witnesses}
             assert min(lengths) < depth <= max(lengths), (ab, depth, lengths)
@@ -111,7 +113,7 @@ class TestScanPowers:
     def test_parallel_split_at_depth_one(self, ab12):
         # With L = 1 the split depth is 1, so the caller has no shorter
         # a-initial bases to test and the one worker task is the prefix "1".
-        assert _split(ab12, 1, 16) == (1, [(1,)])
+        assert _split(ab12, 1) == (1, [(1,)])
         seq = scan_powers(ab12, 2, 1, jobs=1)
         assert [word_to_text(w.base) for w in seq.witnesses] == ["1", "2"]
         assert scan_powers(ab12, 2, 1, jobs=2) == seq
@@ -255,8 +257,8 @@ class TestHugeBounds:
 
         # _split walks only as deep as its task count needs, whatever the
         # bound, so it keeps the real walk: its split is taken before the stub.
-        split = _split(Alphabet(1, 2), 10**20, 8)
-        monkeypatch.setattr(census, "_split", lambda ab, L, tasks: split)
+        split = _split(Alphabet(1, 2), 10**20)
+        monkeypatch.setattr(census, "_split", lambda ab, L: split)
         monkeypatch.setattr(search, "walk", walk_root)
 
     @staticmethod
@@ -276,12 +278,12 @@ class TestHugeBounds:
 
     def test_huge_bound(self):
         report, count, words, up_to = self._run(10**20)
-        # The roots are "1" (the shorter bases) and the four-letter prefixes
-        # of _split; of their squares only 11 is smooth.
+        # The roots are "1" (the shorter bases) and the 39 twelve-letter
+        # prefixes of _split; of their squares only 11 is smooth.
         assert [word_to_text(w.base) for w in report.witnesses] == ["1", "2"]
         assert report.stable and report.last_new_base_length == 1
-        # n = 1 keeps every root: 1, 1121, 1122, 1211, 1212, 1221 and complements.
-        assert count == 12
+        # n = 1 keeps every root: 1, the 39 prefixes and their complements.
+        assert count == 80
         assert words == []
         assert up_to == [Word(), Word("1"), Word("2")]
 

@@ -57,6 +57,11 @@ class TestTables:
             table = dsigma_table(ab).words
             assert {mirror(w) for w in table} == table
 
+    def test_membership_takes_text_or_words(self):
+        table = dsigma_table(Alphabet(1, 2))
+        assert "12" in table and Word("12") in table
+        assert "3" not in table
+
     def test_json(self):
         doc = dsigma_table(Alphabet(2, 5)).to_json()
         assert doc["alphabet"] == [2, 5]
@@ -450,10 +455,11 @@ class TestEmpiricalMiddleSet:
     def test_contains_epsilon_at_tiny_bound(self, ab12):
         assert EPSILON in empirical_middle_set(ab12, 1)
 
-    def test_fixpoint_larger_than_the_limit_raises(self, ab12):
+    def test_fixpoint_larger_than_the_limit_raises(self, ab12, monkeypatch):
         # The {1,2} fixpoint at L = 8 has more than five middles.
+        monkeypatch.setattr(concat, "_MIDDLE_SET_LIMIT", 5)
         with pytest.raises(RuntimeError, match="exceeded 5 elements"):
-            empirical_middle_set(ab12, 8, size_limit=5)
+            empirical_middle_set(ab12, 8)
 
 
 class TestTripleSplitting:

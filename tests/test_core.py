@@ -68,6 +68,9 @@ class TestWord:
         assert u * 3 == Word("121212")
         assert isinstance(u * 2, Word)
         assert isinstance(u[1:], Word)
+        # A tuple on the left still gives a Word (Word.__radd__).
+        assert (1,) + Word("2") == Word("12")
+        assert isinstance((1,) + Word("2"), Word)
 
     def test_text_forms(self):
         assert word_to_text(Word("31113")) == "31113"
@@ -76,6 +79,7 @@ class TestWord:
         assert word_from_text("12,1,12") == (12, 1, 12)
         assert word_from_text("31113") == (3, 1, 1, 1, 3)
         assert word_from_text("") == EPSILON
+        assert Word("12").text == "12"
 
     def test_parse_rejects_zero_digit(self):
         with pytest.raises(WordParseError) as err:
@@ -98,6 +102,13 @@ class TestWord:
     ])
     def test_parse_accepts_only_ascii_digits(self, text, position):
         with pytest.raises(WordParseError) as err:
+            word_from_text(text)
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("text,position", [("1,0", 2), ("1, 0", 3), ("12, 00,3", 4)])
+    def test_zero_letter_is_reported_at_the_zero(self, text, position):
+        # Comma form counts a part's leading blanks, as for a malformed letter.
+        with pytest.raises(WordParseError, match="zero letter") as err:
             word_from_text(text)
         assert err.value.position == position
 
@@ -155,6 +166,9 @@ class TestRuns:
         assert rd.r == 0
         with pytest.raises(ValueError):
             rd.fr
+        for name in ("lr", "llr"):
+            with pytest.raises(ValueError, match="^empty word has no runs$"):
+                getattr(runs(Word("")), name)
 
     def test_short_scan(self):
         rd = runs(Word("122112"))

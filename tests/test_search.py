@@ -353,18 +353,40 @@ def test_pool_never_has_more_workers_than_tasks(monkeypatch):
     assert forks_and_tasks(partial(certify_concat, Alphabet(3, 4), 1), 16) == (5, [6])
     # With L = 1 the only task is the prefix "1": no child at all.
     assert forks_and_tasks(partial(scan_powers, Alphabet(1, 2), 2, 1), 3) == (0, [1])
-    # Nor more workers than CPUs, and the split is asked for 8 * 2 prefixes,
-    # not 8 * 5000: depth 6 is the first with sixteen smooth words or more
-    # (18), and nine start with 1.
+    # Nor more workers than CPUs, and the task list ignores jobs: depth 12
+    # is the first with 32 smooth words or more that start with 1 (39).
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     ab = Alphabet(1, 2)
-    assert forks_and_tasks(partial(gamma, ab, 2, 20), 5000) == (1, [9])
+    assert forks_and_tasks(partial(gamma, ab, 2, 20), 5000) == (1, [39])
     count, concat_tasks = forks_and_tasks(partial(certify_concat, ab, 6), 5000)
     assert count == 1 and concat_tasks[0] > 2
     # os.cpu_count() may be None: one worker, in this process, and the
-    # split asks for 8 prefixes: depth 4 has ten smooth words, five start with 1.
+    # same 39 tasks.
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert forks_and_tasks(partial(gamma, ab, 2, 20), 5000) == (0, [5])
+    assert forks_and_tasks(partial(gamma, ab, 2, 20), 5000) == (0, [39])
+
+
+def test_task_list_is_the_same_for_every_jobs(monkeypatch):
+    # Only the worker count follows --jobs: the scans and the certifier hand
+    # map_tasks one task list, built from their inputs alone.
+    seen = []
+
+    def recording_map(fn, task_list, jobs):
+        seen.append(list(task_list))
+        return search.map_tasks(fn, task_list, jobs)
+
+    monkeypatch.setattr(census, "map_tasks", recording_map)
+    monkeypatch.setattr(concat, "map_tasks", recording_map)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for run in (partial(scan_powers, Alphabet(1, 3), 2, 40), partial(gamma, Alphabet(1, 2), 1, 14),
+                partial(certify_concat, Alphabet(1, 3), 4)):
+        lists = []
+        for jobs in (1, 2, 3):
+            del seen[:]
+            run(jobs=jobs)
+            lists.append(seen[0])
+        assert len(lists[0]) > 3
+        assert lists[1] == lists[0] and lists[2] == lists[0], run
 
 
 def _fail_on_four(t):

@@ -23,5 +23,6 @@ def test_smoke_script_passes(tmp_path):
     proc = subprocess.run(["bash", str(ROOT / "ci" / "smoke.sh")], cwd=work, env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    # The script ran to its last check, which writes chain100k.json.
+    # The script ran to its last check, which writes zero_letter.err.
     assert (work / "chain100k.json").is_file()
+    assert (work / "zero_letter.err").is_file()
