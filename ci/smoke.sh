@@ -26,6 +26,11 @@ cmp gamma_n1.txt gamma_n1_2.txt
 python -m smoothwords.cli scan-powers --alphabet 1,3 -n 2 -L 40 --format json --jobs 1 > scan13_1.json
 python -m smoothwords.cli scan-powers --alphabet 1,3 -n 2 -L 40 --format json --jobs 3 > scan13_3.json
 cmp scan13_1.json scan13_3.json
+# Over {3,4} the towers at the split depth are deep, and forked children
+# continue them on the tables of upper states they inherited: same bytes.
+python -m smoothwords.cli scan-powers --alphabet 3,4 -n 3 -L 150 --jobs 1 > scan34_1.txt
+python -m smoothwords.cli scan-powers --alphabet 3,4 -n 3 -L 150 --jobs 3 > scan34_3.txt
+cmp scan34_1.txt scan34_3.txt
 # Forking for --jobs imports no process pool.
 python -c "import sys; from smoothwords.cli import main; assert main(['gamma', '--alphabet', '1,3', '-n', '2', '-L', '30', '--jobs', '2']) == 0; assert 'concurrent' not in sys.modules and 'multiprocessing' not in sys.modules"
 python -m smoothwords.cli certify-concat --alphabet 1,3 -L 5 --explore 3 > explore.txt

@@ -1,17 +1,20 @@
 """Incremental derivative-chain engine for bulk smoothness work.
 
 The whole tower w, rho(w), rho(rho(w)), ... is kept as one small tail state
-per level, so appending a letter costs O(tower height).  A tower is
-immutable: a chain of nodes ``(runs, last_letter, last_run_length, upper)``,
-one per level, where ``runs`` is 1 while the level is a single run and 2 once
-it has more (the rules below never need an exact count), ``upper`` is the
-tower of the level above and ``()`` is the empty tower.  :func:`push` returns a new
-tower and shares every level it does not touch with the old one, so a walk
-keeps the tower of each of its nodes and nothing is ever undone.  Towers are
-hashable, and :func:`push` reads nothing else, so words with equal towers
-have the same smooth extensions.  That makes prefix-pruned
-enumeration and the concatenation certifier run orders of magnitude faster
-than re-deriving every candidate from scratch.
+per level, so appending a letter costs O(tower height).  A level is
+``(runs, last_letter, last_run_length, upper)``, where ``runs`` is 1 while
+the level is a single run and 2 once it has more (the rules below never need
+an exact count) and ``upper`` stands for the tower of the level above.  A
+tower is its bottom level as such a 4-tuple, or ``()`` for the empty word.
+Everything above the bottom level is an *upper state*: a small int that
+indexes a table kept per alphabet, with 0 for the empty tower.  The table
+interns each distinct upper tower once, as its own bottom level (whose
+``upper`` is again a state) packed into one int, so equal upper towers have
+equal states and the towers of two words are equal exactly when their nested
+levels are.  Towers are immutable and hashable, and :func:`push` reads
+nothing else, so words with equal towers have the same smooth extensions.
+That makes prefix-pruned enumeration and the concatenation certifier run
+orders of magnitude faster than re-deriving every candidate from scratch.
 
 The update uses the fact that rho(w) is the interior run lengths of w framed
 by a ``b`` on each side where the corresponding boundary run is longer than
@@ -28,17 +31,24 @@ The first run of a level is exempt from the interior rule, as is the last
 (still growing) run.  Correctness against the literal closure/derivative
 composition is enforced by exhaustive tests at small lengths.
 
-Level 0 in locals.  The four rules are stated once, above, and :func:`push`
-applies them at every level.  Every letter a bulk workload appends changes
-the bottom level, but only some go further up (about half of all pushes
-touched the bottom level only), so the two loops that append letters,
-:func:`walk` and :func:`push_copies` (which :func:`seeded_state` runs on),
-hold the bottom level's fields in local variables, apply the four rules to
-them inline and call :func:`push` only for the letter a rule sends up.  The
-empty tower's bottom level is ``(0, 0, 0, ())`` there: no run yet, and a last
-letter no alphabet has.  A test checks both loops against repeated
-:func:`push` on every tower of every smooth word up to length 12 over five
-alphabets.
+Level 0 in locals, the levels above in a table.  Every letter appended
+changes the bottom level, but only some go further up.  So :func:`walk`,
+:func:`push_copies` (which :func:`seeded_state` runs on) and :func:`push` hold
+the bottom level's fields in local variables and apply the four rules to them
+inline; the empty tower's bottom level is ``(0, 0, 0, 0)`` there: no run yet,
+and a last letter no alphabet has.  A letter a rule sends up costs one list
+lookup in the alphabet's table, which holds the successor of each upper state
+on a and on b: a state, -1 when no smooth word extends that way, or 0 until
+the first lookup computes it (``_climb``: a loop that climbs while a letter
+goes up to a level with no entry yet, then interns the new levels).  Upper
+towers repeat far more than words: ``gamma --alphabet 1,2 -n 2 -L 60`` tests
+32,947 bases and sends 102,877 letters up, which took 274,349 recursive calls
+before the table, and its table ends with 3,371 states.  The table grows by
+one state per distinct upper tower, for the life of the process.  A state
+means nothing outside its process and is never pickled or written out; a child
+that :func:`map_tasks` forks inherits the tables as they were, so the towers
+in its tasks stay valid there.  Tests check both loops against :func:`push`,
+and the table against a reference engine of nested towers.
 
 Every bulk workload runs on one walker, :func:`walk`: a preorder,
 explicit-stack walk of the smooth words extending a seed (letter a before b),
@@ -81,34 +91,145 @@ __all__ = ["push", "seeded_state", "complement_tower", "is_smooth_fast",
 
 
 # The bottom level of the empty tower, for the inline rules of walk and
-# push_copies: no run yet, so the first letter starts run 1.
-_NO_LEVEL = (0, 0, 0, ())
+# push_copies: no run yet, and a last letter no alphabet has, under the empty
+# upper tower (state 0); also the level _level gives state 0.
+_NO_LEVEL = (0, 0, 0, 0)
+
+
+class _Table:
+    """The interned upper towers over {a, b}.  State s > 0 stands for the
+    level (runs, last, length, upper state) packed into the int
+    ``levels[s]`` (:func:`_intern`, :func:`_level`), and ``ids`` maps each
+    packed level back to its state; state 0 is the empty tower.  ``on_a[s]``
+    and ``on_b[s]`` are the successors of s on a and on b: a state (never 0),
+    -1 when no smooth word extends that way, or 0 while not yet computed."""
+
+    __slots__ = ("a", "b", "levels", "ids", "on_a", "on_b")
+
+    def __init__(self, a: int, b: int):
+        self.a = a
+        self.b = b
+        self.levels: list = [None]
+        self.ids: dict[int, int] = {}
+        self.on_a = [0]
+        self.on_b = [0]
+
+
+_tables: dict[tuple[int, int], _Table] = {}
+# The table used last, so calls over one alphabet skip the dict.
+_last = _Table(0, 0)
+
+
+def _table(a: int, b: int) -> _Table:
+    """The table of the upper states over {a, b}."""
+    global _last
+    table = _last
+    if table.a != a or table.b != b:
+        table = _tables.get((a, b))
+        if table is None:
+            table = _tables[a, b] = _Table(a, b)
+        _last = table
+    return table
+
+
+def _intern(table: _Table, runs: int, last: int, length: int, upper: int) -> int:
+    """The state of the level (runs, last, length, upper state), made on
+    first use.  The level is packed into one int, under half a tuple's size:
+    runs is 1 or 2, last is a or b and 1 <= length <= b."""
+    code = ((upper * (table.b + 1) + length) * 2 + (last == table.b)) * 2 + runs - 1
+    state = table.ids.get(code)
+    if state is None:
+        state = table.ids[code] = len(table.levels)
+        table.levels.append(code)
+        table.on_a.append(0)
+        table.on_b.append(0)
+    return state
+
+
+def _level(table: _Table, state: int) -> tuple[int, int, int, int]:
+    """The level (runs, last, length, upper state) of ``state``, or
+    ``_NO_LEVEL`` for the empty tower."""
+    if not state:
+        return _NO_LEVEL
+    rest, runs = divmod(table.levels[state], 2)
+    rest, is_b = divmod(rest, 2)
+    upper, length = divmod(rest, table.b + 1)
+    return runs + 1, table.b if is_b else table.a, length, upper
+
+
+def _climb(table: _Table, state: int, letter: int) -> int:
+    """The successor of ``state`` on ``letter``, entered into the table
+    together with that of every level above it that the letter reaches.
+
+    The four rules (module docstring) are applied level by level, climbing
+    while a rule sends a letter up to a level with no entry for it; then the
+    new levels are interned from the top down.  It is a loop, so a climb
+    through every level of a tall tower costs no more frames than one level.
+    """
+    a, b = table.a, table.b
+    on = {a: table.on_a, b: table.on_b}
+    # (state, letter, its new level less the upper state) per level climbed.
+    climbed = []
+    while True:
+        runs, last, length, upper = _level(table, state)
+        rise = 0
+        if letter == last:
+            if length == b:
+                found = -1
+                break
+            if length == a:
+                rise = b
+            level = (runs, last, length + 1)
+        else:
+            if runs > 1 and length != b:
+                if length != a:
+                    found = -1
+                    break
+                rise = a
+            level = (min(runs + 1, 2), letter, 1)
+        climbed.append((state, letter, level))
+        if not rise:
+            found = upper
+            break
+        state, letter = upper, rise
+        found = on[letter][state]
+        if found:
+            break
+    if found < 0:
+        on[letter][state] = -1
+    for state, letter, level in reversed(climbed):
+        if found >= 0:
+            found = _intern(table, *level, found)
+        on[letter][state] = found
+    return found
 
 
 def push(tower: tuple, letter: int, a: int, b: int) -> tuple | None:
     """The tower of the word in ``tower`` followed by ``letter``, over {a, b},
     or None when no smooth word extends the word that way.
 
-    Only the levels that change are rebuilt, one call per level, so the
-    recursion is as deep as the tower is high.
+    The bottom level is rebuilt here; a letter it sends up costs one lookup
+    in the table of upper states.
     """
     if not tower:
-        return (1, letter, 1, ())
+        return (1, letter, 1, 0)
     runs, last, length, upper = tower
     if letter == last:
         if length == b:
             return None
         if length == a:
             # The run crosses a: its boundary pad (or eventual interior b) goes up.
-            upper = push(upper, b, a, b)
-            if upper is None:
+            table = _table(a, b)
+            upper = table.on_b[upper] or _climb(table, upper, b)
+            if upper < 0:
                 return None
         return (runs, last, length + 1, upper)
     if runs > 1:
         # The closing run becomes interior; only lengths a and b survive.
         if length == a:
-            upper = push(upper, a, a, b)
-            if upper is None:
+            table = _table(a, b)
+            upper = table.on_a[upper] or _climb(table, upper, a)
+            if upper < 0:
                 return None
         elif length != b:
             return None
@@ -152,6 +273,9 @@ def push_copies(ab: Alphabet, tower: tuple, letters, copies: int) -> tuple | Non
         return tower
     a = ab.a
     b = ab.b
+    table = _table(a, b)
+    on_a = table.on_a
+    on_b = table.on_b
     # The bottom level in locals ("Level 0 in locals", module docstring).
     runs, last, length, upper = tower or _NO_LEVEL
     for _ in range(copies):
@@ -160,15 +284,15 @@ def push_copies(ab: Alphabet, tower: tuple, letters, copies: int) -> tuple | Non
                 if length == b:
                     return None
                 if length == a:
-                    upper = push(upper, b, a, b)
-                    if upper is None:
+                    upper = on_b[upper] or _climb(table, upper, b)
+                    if upper < 0:
                         return None
                 length += 1
             else:
                 if runs > 1:
                     if length == a:
-                        upper = push(upper, a, a, b)
-                        if upper is None:
+                        upper = on_a[upper] or _climb(table, upper, a)
+                        if upper < 0:
                             return None
                     elif length != b:
                         return None
@@ -210,6 +334,9 @@ def walk(ab: Alphabet, tower: tuple, path: list[int], max_len: int, visit) -> No
     """
     a = ab.a
     b = ab.b
+    table = _table(a, b)
+    on_a = table.on_a
+    on_b = table.on_b
     append = path.append
     retract = path.pop
     visit(tower, path)
@@ -232,15 +359,15 @@ def walk(ab: Alphabet, tower: tuple, path: list[int], max_len: int, visit) -> No
                 if length == b:
                     continue
                 if length == a:
-                    upper = push(upper, b, a, b)
-                    if upper is None:
+                    upper = on_b[upper] or _climb(table, upper, b)
+                    if upper < 0:
                         continue
                 tower = (runs, c, length + 1, upper)
             else:
                 if runs > 1:
                     if length == a:
-                        upper = push(upper, a, a, b)
-                        if upper is None:
+                        upper = on_a[upper] or _climb(table, upper, a)
+                        if upper < 0:
                             continue
                     elif length != b:
                         continue

@@ -252,6 +252,124 @@ def test_push_depth_is_bounded_by_tower_height():
     assert verdicts == [True, True]
 
 
+COLD_DEPTH_CHECK = """
+import ast, sys
+from smoothwords import Alphabet, kolakoski_prefix
+from smoothwords import search
+from smoothwords.search import is_smooth_fast, push
+
+def current_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+def intern(table, tower):
+    if not tower:
+        return 0
+    return search._intern(table, *tower[:3], intern(table, tower[3]))
+
+def nested(table, state):
+    levels = []
+    while state:
+        levels.append(search._level(table, state))
+        state = levels[-1][3]
+    tower = ()
+    for level in reversed(levels):
+        tower = level[:3] + (tower,)
+    return tower
+
+assert not search._tables
+# The states of a tower 27 levels high and none of their successors: the
+# push below misses and climbs through every level.
+table = search._tables[1, 2] = search._Table(1, 2)
+reference, letter, expected = ast.literal_eval(sys.stdin.read())
+tower = reference[:3] + (intern(table, reference[3]),)
+words = [(ab, kolakoski_prefix(ab, 1, 100_000)) for ab in (Alphabet(1, 2), Alphabet(1, 3))]
+sys.setrecursionlimit(current_depth() + 50)
+child = push(tower, letter, 1, 2)
+verdicts = [is_smooth_fast(w, ab) for ab, w in words]
+sys.setrecursionlimit(1000)
+assert child[:3] + (nested(table, child[3]),) == expected
+assert sum(map(bool, table.on_a + table.on_b)) >= 27
+print(verdicts)
+"""
+
+
+def _height(tower: tuple) -> int:
+    height = 0
+    while tower:
+        height, tower = height + 1, tower[3]
+    return height
+
+
+def test_push_depth_on_cold_tables_is_bounded():
+    # The Kolakoski checks of test_push_depth_is_bounded_by_tower_height in a
+    # fresh interpreter, so the tables of upper states start empty, within the
+    # same 50-frame budget.  Those words share their upper towers with their
+    # own shorter prefixes, so their misses climb one level or two; the check
+    # first pushes the letter that makes the {1,2} tower 27 levels high onto
+    # a table that holds the tower's states but none of their successors, a
+    # miss that climbs through every level.
+    word = kolakoski_prefix(Alphabet(1, 2), 1, 100_000)
+    tower = ()
+    for c in word:
+        child = _reference_push(tower, c, 1, 2)
+        if _height(child) > _height(tower):
+            grew = (tower, c, child)
+        tower = child
+    assert _height(grew[2]) == 27
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", COLD_DEPTH_CHECK], env=env, input=repr(grew),
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[True, True]\n")
+
+
+def _reference_push(tower: tuple, letter: int, a: int, b: int) -> tuple | None:
+    """The engine before its upper levels were interned: every level a
+    nested tuple (runs, last, length, upper), one recursive call per level."""
+    if not tower:
+        return (1, letter, 1, ())
+    runs, last, length, upper = tower
+    if letter == last:
+        if length == b:
+            return None
+        if length == a:
+            upper = _reference_push(upper, b, a, b)
+            if upper is None:
+                return None
+        return (runs, last, length + 1, upper)
+    if runs > 1:
+        if length == a:
+            upper = _reference_push(upper, a, a, b)
+            if upper is None:
+                return None
+        elif length != b:
+            return None
+    return (2, letter, 1, upper)
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (1, 3), (2, 3), (2, 5), (3, 4)])
+def test_interned_towers_match_the_reference_engine(a, b):
+    # Every smooth word up to 12 letters and each one-letter extension: the
+    # same verdict, and equal towers exactly when the nested towers are equal.
+    pairs = set()
+    frontier = [((), ())]
+    for _ in range(13):
+        grown = []
+        for reference, tower in frontier:
+            pairs.add((reference, tower))
+            for c in (a, b):
+                child = (_reference_push(reference, c, a, b), push(tower, c, a, b))
+                assert (child[0] is None) == (child[1] is None), (reference, c)
+                if child[0] is not None:
+                    grown.append(child)
+        frontier = grown
+    pairs.update(frontier)
+    assert len({r for r, _ in pairs}) == len({t for _, t in pairs}) == len(pairs)
+
+
 # The bulk walks visit only the words that start with a and build the rest
 # by the complement, so they are checked here against lists built without
 # the walker: every word of each length, filtered by the literal calculus.
