@@ -21,6 +21,14 @@ python -m smoothwords.cli gamma --alphabet 1,2 -n 1 -L 10 > gamma_n1.txt
 grep -qx 'gamma=206 stable=false' gamma_n1.txt
 python -m smoothwords.cli gamma --alphabet 1,2 -n 1 -L 10 --jobs 2 > gamma_n1_2.txt
 cmp gamma_n1.txt gamma_n1_2.txt
+# Census reports are written as they render (JSON one witness dict at a
+# time, CSV a batch of lines at a time), whichever process found each base.
+python -m smoothwords.cli gamma --alphabet 1,2 -n 1 -L 16 --format json --jobs 1 > gamma16_1.json
+python -m smoothwords.cli gamma --alphabet 1,2 -n 1 -L 16 --format json --jobs 3 > gamma16_3.json
+cmp gamma16_1.json gamma16_3.json
+python -m smoothwords.cli gamma --alphabet 1,2 -n 1 -L 16 --format csv --jobs 1 > gamma16_1.csv
+python -m smoothwords.cli gamma --alphabet 1,2 -n 1 -L 16 --format csv --jobs 3 > gamma16_3.csv
+cmp gamma16_1.csv gamma16_3.csv
 # --jobs 3 deals the prefixes round-robin into three shares, one run
 # by the calling process and two by forked children: same bytes.
 python -m smoothwords.cli scan-powers --alphabet 1,3 -n 2 -L 40 --format json --jobs 1 > scan13_1.json

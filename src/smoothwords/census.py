@@ -71,8 +71,6 @@ def enumerate_smooth(ab: Alphabet, n: int, min_len: int | None = None) -> list[W
         wrap = Word._wrap
         swap = (ab.a + ab.b).__sub__
         for level in power_hits(ab, 1, n, (ab.a,), max(low, 1)):
-            # In place: a level's tuples are freed before the next level is made.
-            level[:] = map(wrap, level)
             words += level
             words += [wrap(map(swap, w)) for w in reversed(level)]
     return words
@@ -176,6 +174,8 @@ class CensusReport(NamedTuple):
         return tuple(w.power for w in self.witnesses)
 
     def to_json(self) -> dict:
+        """The document; its ``witnesses`` are the :class:`PowerWitness`
+        records, whose ``to_json()`` the encoder's ``default`` must call."""
         return {
             "alphabet": str(self.alphabet),
             "exponent": self.exponent,
@@ -184,14 +184,14 @@ class CensusReport(NamedTuple):
             "stable": self.stable,
             "last_new_base_length": self.last_new_base_length,
             "note": self.note,
-            "witnesses": [w.to_json() for w in self.witnesses],
+            "witnesses": self.witnesses,
         }
 
-    def to_csv(self) -> str:
-        lines = ["base,base_length,power_length"]
+    def csv_lines(self):
+        """The CSV report: a header line, then one line per witness."""
+        yield "base,base_length,power_length\n"
         for w in self.witnesses:
-            lines.append(f"{word_to_csv(w.base)},{len(w.base)},{len(w.base) * w.exponent}")
-        return "\n".join(lines) + "\n"
+            yield f"{word_to_csv(w.base)},{len(w.base)},{len(w.base) * w.exponent}\n"
 
     def text_lines(self):
         """The text report: four header lines, then one line per witness."""
@@ -213,26 +213,27 @@ def _root_length(u: tuple) -> int:
     return n
 
 
-def _witness_pairs(level: list[tuple], n: int, ab: Alphabet) -> list[PowerWitness]:
+def _witness_pairs(level: list[Word], n: int, ab: Alphabet) -> list[PowerWitness]:
     """The witnesses of the bases in ``level`` (a-initial, lexicographic, all
-    of one length), then those of their reversed complements.
+    of one length; each kept as its witness's base), then those of their
+    reversed complements.
 
     The complement of a base has the same run lengths and period, so its
     primitive root is the complement's prefix of the same length: each root
-    length is found once per pair, on the plain tuple.
+    length is found once per pair, on the complement's plain tuple.
     """
     swap = (ab.a + ab.b).__sub__
     wrap = Word._wrap
     first, second = [], []
-    for t in level:
-        k = _root_length(t)
-        c = tuple(map(swap, t))
-        u, v = wrap(t), wrap(c)
-        if k == len(t):  # primitive: the base is its own root, one object
+    for u in level:
+        c = tuple(map(swap, u))
+        k = _root_length(c)
+        v = wrap(c)
+        if k == len(c):  # primitive: the base is its own root, one object
             first.append(_witness(u, n, u))
             second.append(_witness(v, n, v))
         else:
-            first.append(_witness(u, n, wrap(t[:k])))
+            first.append(_witness(u, n, u[:k]))
             second.append(_witness(v, n, wrap(c[:k])))
     second.reverse()
     return first + second
@@ -250,7 +251,7 @@ def _stability(bound: int, last_new: int | None) -> tuple[bool, str]:
                    f"length {last_new}, inside the top quartile {start}..{bound}")
 
 
-def _split(ab: Alphabet, L: int) -> tuple[int, list[tuple]]:
+def _split(ab: Alphabet, L: int) -> tuple[int, list[Word]]:
     """The shallowest depth (at most L) with at least ``_SPLIT_PREFIXES``
     smooth prefixes that start with a, and those prefixes in lexicographic
     order: the hits of :func:`smoothwords.search.power_hits` at exponent 1

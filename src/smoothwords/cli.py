@@ -13,9 +13,9 @@ for ``lift`` and ``kolakoski``; ``dsigma`` for ``dsigma``; ``powers`` with
 :func:`run` renders the word commands itself.  The reports render
 themselves: each record (``CensusReport``, ``ConcatCertificate``,
 ``DsigmaTable``, ``PowerDecomposition``) has ``to_json()`` and
-``text_lines()``, ``CensusReport`` also ``to_csv()``, and one emitter
-(:func:`_emit_report`) writes the format asked for.  Text ``chain`` writes
-the lines of ``calculus.chain_text`` one level at a time.
+``text_lines()``, ``CensusReport`` also ``csv_lines()``, and one emitter
+(:func:`_emit_report`) writes them in batches.  JSON asks a record inside a
+document (a ``PowerWitness``) for its ``to_json()`` only as it is written.
 
 Every command and flag is declared once, in the flag table (``_COMMANDS``).
 :func:`parse_config` reads a well-formed command line straight from it; only
@@ -50,7 +50,7 @@ EXIT_BROKEN_PIPE = 141
 EXIT_WORKER_DIED = 3
 
 # JSON chunks, or lines of text, joined into one write by _write_batched.
-_JSON_BATCH = 4096
+_JSON_BATCH = 1024
 _LINE_BATCH = 256
 
 # Commands whose reports can render as CSV.
@@ -174,9 +174,9 @@ def parse_config(argv=None):
 def _print_json(args, payload: dict) -> None:
     import json  # only JSON output pays for the import
 
-    doc = {"schema_version": SCHEMA_VERSION, "command": args.command}
-    doc.update(payload)
-    _write_batched(json.JSONEncoder(indent=2).iterencode(doc), _JSON_BATCH)
+    doc = {"schema_version": SCHEMA_VERSION, "command": args.command, **payload}
+    encoder = json.JSONEncoder(indent=2, default=lambda record: record.to_json())
+    _write_batched(encoder.iterencode(doc), _JSON_BATCH)
     sys.stdout.write("\n")
 
 
@@ -203,11 +203,11 @@ def _emit_word(args, result: Word) -> int:
 
 def _emit_report(args, report) -> int:
     """Write a report record in the chosen format: its ``to_json()``
-    document, its ``to_csv()`` text, or its ``text_lines()`` in batches."""
+    document, or its ``csv_lines()`` or ``text_lines()`` in batches."""
     if args.format == "json":
         _print_json(args, report.to_json())
     elif args.format == "csv":
-        sys.stdout.write(report.to_csv())
+        _write_batched(report.csv_lines(), _LINE_BATCH)
     else:
         _write_batched(report.text_lines(), _LINE_BATCH)
     return 0

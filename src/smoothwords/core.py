@@ -147,6 +147,10 @@ class Word(tuple):
         # Private constructor skipping validation; use only on known-good tuples.
         return tuple.__new__(cls, letters)
 
+    def __reduce__(self):
+        # Unpickled as _wrap builds it: its letters were checked when it was made.
+        return tuple.__new__, (Word, tuple(self))
+
     def __add__(self, other) -> "Word":
         return Word._wrap(tuple.__add__(self, tuple(other)))
 

@@ -42,13 +42,13 @@ on a and on b: a state, -1 when no smooth word extends that way, or 0 until
 the first lookup computes it (``_climb``: a loop that climbs while a letter
 goes up to a level with no entry yet, then interns the new levels).  Upper
 towers repeat far more than words: ``gamma --alphabet 1,2 -n 2 -L 60`` tests
-32,947 bases and sends 102,877 letters up, which took 274,349 recursive calls
-before the table, and its table ends with 3,371 states.  The table grows by
-one state per distinct upper tower, for the life of the process.  A state
-means nothing outside its process and is never pickled or written out; a child
-that :func:`map_tasks` forks inherits the tables as they were, so the towers
-in its tasks stay valid there.  Tests check both loops against :func:`push`,
-and the table against a reference engine of nested towers.
+32,947 bases and sends 102,877 letters up, and its table ends with 3,371
+states.  The table grows by one state per distinct upper tower, for the life
+of the process.  A state means nothing outside its process and is never
+pickled or written out; a child that :func:`map_tasks` forks inherits the
+tables as they were, so the towers in its tasks stay valid there.  Tests
+check both loops against :func:`push`, and the table against a reference
+engine of nested towers.
 
 Every bulk workload runs on one walker, :func:`walk`: a preorder,
 explicit-stack walk of the smooth words extending a seed (letter a before b),
@@ -83,7 +83,7 @@ from __future__ import annotations
 
 import os
 
-from .core import Alphabet
+from .core import Alphabet, Word
 
 __all__ = ["push", "seeded_state", "complement_tower", "is_smooth_fast",
            "is_power_smooth", "push_copies", "derivative_from_runs", "walk",
@@ -389,10 +389,11 @@ def walk(ab: Alphabet, tower: tuple, path: list[int], max_len: int, visit) -> No
 
 
 def power_hits(ab: Alphabet, n: int, max_len: int, prefix=(),
-               min_len: int = 1) -> list[list[tuple]]:
+               min_len: int = 1) -> list[list[Word]]:
     """Smooth words u extending ``prefix`` with min_len <= |u| <= max_len
     (``min_len`` >= 1) and u^n smooth, grouped by length (index i holds
-    length i, up to the longest hit) and lexicographic within a length.
+    length i, up to the longest hit) and lexicographic within a length;
+    each hit is a ``Word``, made once from the walk's path.
 
     The test is fused into the walk: at node u the other n-1 copies of u are
     pushed onto u's tower (:func:`push_copies`), so a base that fails early in
@@ -401,7 +402,7 @@ def power_hits(ab: Alphabet, n: int, max_len: int, prefix=(),
     on a hit, so a huge ``max_len`` allocates nothing.
     """
     tower = seeded_state(ab, prefix)
-    hits: list[list[tuple]] = []
+    hits: list[list[Word]] = []
     if tower is None or len(prefix) > max_len:
         return hits
     copies = n - 1
@@ -410,7 +411,7 @@ def power_hits(ab: Alphabet, n: int, max_len: int, prefix=(),
         if len(path) >= min_len and push_copies(ab, tower, path, copies) is not None:
             while len(hits) <= len(path):
                 hits.append([])
-            hits[len(path)].append(tuple(path))
+            hits[len(path)].append(Word._wrap(path))
 
     walk(ab, tower, list(prefix), max_len, visit)
     return hits

@@ -241,7 +241,7 @@ class TestGamma:
 
     def test_csv_shape(self, ab12):
         _, report = gamma(ab12, 2, 8)
-        lines = report.to_csv().strip().splitlines()
+        lines = "".join(report.csv_lines()).strip().splitlines()
         assert lines[0] == "base,base_length,power_length"
         assert len(lines) == 1 + len(report.witnesses)
 

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 from itertools import groupby, product
 
@@ -153,6 +154,20 @@ class TestWord:
     def test_text_round_trip_multidigit(self, letters):
         w = Word(letters)
         assert word_from_text(word_to_text(w)) == w
+
+    def test_pickle_skips_the_letter_check(self, monkeypatch):
+        # Words cross the --jobs pipe by the thousand; their letters were
+        # checked when they were made, so unpickling must not check them again.
+        words = [Word("1213"), Word("12,1,12"), EPSILON, Word("3")[:0]]
+
+        def checked(cls, letters=()):
+            raise AssertionError("Word.__new__ called")
+
+        monkeypatch.setattr(Word, "__new__", checked)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(words, protocol=protocol))
+            assert [type(w) for w in back] == [Word] * len(words)
+            assert back == words
 
 
 class TestRuns:

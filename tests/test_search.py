@@ -240,8 +240,12 @@ def test_enumeration_depth_is_not_bounded_by_recursion():
 
 
 def test_push_depth_is_bounded_by_tower_height():
-    # push recurses once per level it rebuilds; the 100,000-letter prefixes
-    # have towers 27 ({1,2}) and 15 ({1,3}) levels high, so 50 frames suffice.
+    # The 100,000-letter prefixes have towers 27 ({1,2}) and 15 ({1,3})
+    # levels high, and checking them must fit in 50 frames.  push does not
+    # recurse, and these words climb at most one level per table miss (their
+    # upper towers are those of their own shorter prefixes), so this checks
+    # the engine on warm tables; a climb through all 27 levels at once is
+    # pinned by test_push_depth_on_cold_tables_is_bounded.
     words = [(ab, kolakoski_prefix(ab, 1, 100_000)) for ab in (Alphabet(1, 2), Alphabet(1, 3))]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_current_depth() + 50)
