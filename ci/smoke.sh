@@ -34,6 +34,15 @@ cmp gamma16_1.csv gamma16_3.csv
 python -m smoothwords.cli scan-powers --alphabet 1,3 -n 2 -L 40 --format json --jobs 1 > scan13_1.json
 python -m smoothwords.cli scan-powers --alphabet 1,3 -n 2 -L 40 --format json --jobs 3 > scan13_3.json
 cmp scan13_1.json scan13_3.json
+# gamma_{2,3}(3) is 24 for every L >= 25, and the junction check in the
+# walk must not lose a cube base.
+python -m smoothwords.cli gamma --alphabet 2,3 -n 3 -L 60 > gamma23_3.txt
+grep -q '^gamma=24 ' gamma23_3.txt
+# A --jobs child sends its bases back as plain tuples; over {2,5} the
+# junction check rejects most bases before any copy is pushed: same bytes.
+python -m smoothwords.cli scan-powers --alphabet 2,5 -n 4 -L 60 --format csv --jobs 1 > scan25_1.csv
+python -m smoothwords.cli scan-powers --alphabet 2,5 -n 4 -L 60 --format csv --jobs 3 > scan25_3.csv
+cmp scan25_1.csv scan25_3.csv
 # Over {3,4} the towers at the split depth are deep, and forked children
 # continue them on the tables of upper states they inherited: same bytes.
 python -m smoothwords.cli scan-powers --alphabet 3,4 -n 3 -L 150 --jobs 1 > scan34_1.txt

@@ -32,40 +32,43 @@ The first run of a level is exempt from the interior rule, as is the last
 composition is enforced by exhaustive tests at small lengths.
 
 Level 0 in locals, the levels above in a table.  Every letter appended
-changes the bottom level, but only some go further up.  So :func:`walk`,
-:func:`push_copies` (which :func:`seeded_state` runs on) and :func:`push` hold
+changes the bottom level, but only some go further up.  So :func:`walk` and
+:func:`push_copies` (which :func:`push` and :func:`seeded_state` run on) hold
 the bottom level's fields in local variables and apply the four rules to them
-inline; the empty tower's bottom level is ``(0, 0, 0, 0)`` there: no run yet,
-and a last letter no alphabet has.  A letter a rule sends up costs one list
-lookup in the alphabet's table, which holds the successor of each upper state
-on a and on b: a state, -1 when no smooth word extends that way, or 0 until
-the first lookup computes it (``_climb``: a loop that climbs while a letter
-goes up to a level with no entry yet, then interns the new levels).  Upper
-towers repeat far more than words: ``gamma --alphabet 1,2 -n 2 -L 60`` tests
-32,947 bases and sends 102,877 letters up, and its table ends with 3,371
-states.  The table grows by one state per distinct upper tower, for the life
-of the process.  A state means nothing outside its process and is never
-pickled or written out; a child that :func:`map_tasks` forks inherits the
-tables as they were, so the towers in its tasks stay valid there.  Tests
-check both loops against :func:`push`, and the table against a reference
-engine of nested towers.
+inline.  A letter a rule sends up costs one list lookup in the alphabet's
+table, which holds the successor of each upper state on a and on b: a state,
+-1 when no smooth word extends that way, or 0 until the first lookup computes
+it (``_climb``: one loop, in one frame, that decodes each level it climbs to
+while a letter goes up to a level with no entry yet, then interns the new
+levels).  Upper towers repeat far more than words: ``gamma --alphabet 1,2 -n
+2 -L 60`` tests 32,947 bases and sends 99,254 letters up, 4,778 of them
+misses, and its table ends with 3,371 states.  The table grows by one state
+per distinct upper tower, for the life of the process.  A state means nothing
+outside its process and is never pickled or written out; a child that
+:func:`map_tasks` forks inherits the tables as they were, so the towers in
+its tasks stay valid there.  Tests check the walk's inline rules against
+:func:`push`, and push and the table against a reference engine of nested
+towers.
 
 Every bulk workload runs on one walker, :func:`walk`: a preorder,
 explicit-stack walk of the smooth words extending a seed (letter a before b),
 calling a visitor with the tower and the letters of every node, the seed
-included.  Preorder visits the words of one length in lexicographic order, so
-collecting per length gives shortlex order.  The power census
-(:func:`power_hits`) and the concatenation certifier (``concat._scan``) are
-visitors on it, and enumeration (``census.enumerate_smooth``) is the power
-census at n = 1.  The power visitor fuses the n-th power test into the walk:
-at node u it pushes n-1 more copies of u onto u's tower, so u^n is tested
-without a list of bases and without re-deriving u's tower.  The certifier
-nests two walks: one walk over u pushes every x onto each u's tower and
-groups the pairs (u, x) with a smooth u·x by the tower of u·x, whatever the
-x, or by the tower of its complement (:func:`complement_tower`) when u·x ends
-in b; then one walk over v runs from each distinct tower, and the pairs of
-its group are judged once per junction signature of v (first letter, first
-run length, one run or more), which fixes every verdict.
+included, and building both children of a node at once from its bottom level
+(the last run grows, or the other letter opens a run).  Preorder visits the
+words of one length in lexicographic order, so collecting per length gives
+shortlex order.  The power census (:func:`power_hits`) and the concatenation
+certifier (``concat._scan``) are visitors on it, and enumeration
+(``census.enumerate_smooth``) is the power census at n = 1.  The power visitor
+fuses the n-th power test into the walk: it rejects a base u of two or more
+runs whose junction in u·u has a run other than a or b, and pushes n-1 more
+copies of every other u onto u's tower, so u^n is tested without a list of
+bases.  The certifier nests two walks: one walk over u pushes every x onto
+each u's tower and groups the pairs (u, x) with a smooth u·x by the tower of
+u·x, whatever the x, or by the tower of its complement
+(:func:`complement_tower`) when u·x ends in b; then one walk over v runs from
+each distinct tower, and the pairs of its group are judged once per junction
+signature of v (first letter, first run length, one run or more), which fixes
+every verdict.
 
 The scans and the certifier split their walks into a task list built from
 their inputs alone, and :func:`map_tasks` maps a function over it; it is the
@@ -90,19 +93,13 @@ __all__ = ["push", "seeded_state", "complement_tower", "is_smooth_fast",
            "power_hits", "map_tasks"]
 
 
-# The bottom level of the empty tower, for the inline rules of walk and
-# push_copies: no run yet, and a last letter no alphabet has, under the empty
-# upper tower (state 0); also the level _level gives state 0.
-_NO_LEVEL = (0, 0, 0, 0)
-
-
 class _Table:
     """The interned upper towers over {a, b}.  State s > 0 stands for the
-    level (runs, last, length, upper state) packed into the int
-    ``levels[s]`` (:func:`_intern`, :func:`_level`), and ``ids`` maps each
-    packed level back to its state; state 0 is the empty tower.  ``on_a[s]``
-    and ``on_b[s]`` are the successors of s on a and on b: a state (never 0),
-    -1 when no smooth word extends that way, or 0 while not yet computed."""
+    level (runs, last, length, upper state) packed into the int ``levels[s]``
+    (:func:`_climb`), and ``ids`` maps each packed level back to its state;
+    state 0 is the empty tower.  ``on_a[s]`` and ``on_b[s]`` are the
+    successors of s on a and on b: a state (never 0), -1 when no smooth word
+    extends that way, or 0 while not yet computed."""
 
     __slots__ = ("a", "b", "levels", "ids", "on_a", "on_b")
 
@@ -132,31 +129,6 @@ def _table(a: int, b: int) -> _Table:
     return table
 
 
-def _intern(table: _Table, runs: int, last: int, length: int, upper: int) -> int:
-    """The state of the level (runs, last, length, upper state), made on
-    first use.  The level is packed into one int, under half a tuple's size:
-    runs is 1 or 2, last is a or b and 1 <= length <= b."""
-    code = ((upper * (table.b + 1) + length) * 2 + (last == table.b)) * 2 + runs - 1
-    state = table.ids.get(code)
-    if state is None:
-        state = table.ids[code] = len(table.levels)
-        table.levels.append(code)
-        table.on_a.append(0)
-        table.on_b.append(0)
-    return state
-
-
-def _level(table: _Table, state: int) -> tuple[int, int, int, int]:
-    """The level (runs, last, length, upper state) of ``state``, or
-    ``_NO_LEVEL`` for the empty tower."""
-    if not state:
-        return _NO_LEVEL
-    rest, runs = divmod(table.levels[state], 2)
-    rest, is_b = divmod(rest, 2)
-    upper, length = divmod(rest, table.b + 1)
-    return runs + 1, table.b if is_b else table.a, length, upper
-
-
 def _climb(table: _Table, state: int, letter: int) -> int:
     """The successor of ``state`` on ``letter``, entered into the table
     together with that of every level above it that the letter reaches.
@@ -165,75 +137,68 @@ def _climb(table: _Table, state: int, letter: int) -> int:
     while a rule sends a letter up to a level with no entry for it; then the
     new levels are interned from the top down.  It is a loop, so a climb
     through every level of a tall tower costs no more frames than one level.
+    It decodes and interns the levels itself: a level (runs, last, length,
+    upper state) is the int ``((upper * (b + 1) + length) * 2 + (last == b))
+    * 2 + runs - 1``, under half a tuple's size.
     """
     a, b = table.a, table.b
-    on = {a: table.on_a, b: table.on_b}
-    # (state, letter, its new level less the upper state) per level climbed.
+    step = 4 * (b + 1)  # the packed level's unit of upper state
+    levels = table.levels
+    on_a, on_b = table.on_a, table.on_b
+    # (state, letter, its new level packed less the upper state) per level.
     climbed = []
     while True:
-        runs, last, length, upper = _level(table, state)
+        if not state:  # the empty tower: the letter opens its first run
+            climbed.append((state, letter, 4 + 2 * (letter == b)))
+            found = 0
+            break
+        code = levels[state]
+        upper, low = divmod(code, step)
+        length = low >> 2
         rise = 0
-        if letter == last:
+        if letter == (b if code & 2 else a):
             if length == b:
                 found = -1
                 break
             if length == a:
                 rise = b
-            level = (runs, last, length + 1)
+            low += 4
         else:
-            if runs > 1 and length != b:
+            if code & 1 and length != b:
                 if length != a:
                     found = -1
                     break
                 rise = a
-            level = (min(runs + 1, 2), letter, 1)
-        climbed.append((state, letter, level))
+            low = 5 + 2 * (letter == b)
+        climbed.append((state, letter, low))
         if not rise:
             found = upper
             break
         state, letter = upper, rise
-        found = on[letter][state]
+        found = (on_a if letter == a else on_b)[state]
         if found:
             break
     if found < 0:
-        on[letter][state] = -1
-    for state, letter, level in reversed(climbed):
+        (on_a if letter == a else on_b)[state] = -1
+    ids = table.ids
+    for state, letter, low in reversed(climbed):
         if found >= 0:
-            found = _intern(table, *level, found)
-        on[letter][state] = found
+            code = found * step + low
+            found = ids.get(code)
+            if found is None:
+                found = ids[code] = len(levels)
+                levels.append(code)
+                on_a.append(0)
+                on_b.append(0)
+        (on_a if letter == a else on_b)[state] = found
     return found
 
 
 def push(tower: tuple, letter: int, a: int, b: int) -> tuple | None:
     """The tower of the word in ``tower`` followed by ``letter``, over {a, b},
-    or None when no smooth word extends the word that way.
-
-    The bottom level is rebuilt here; a letter it sends up costs one lookup
-    in the table of upper states.
-    """
-    if not tower:
-        return (1, letter, 1, 0)
-    runs, last, length, upper = tower
-    if letter == last:
-        if length == b:
-            return None
-        if length == a:
-            # The run crosses a: its boundary pad (or eventual interior b) goes up.
-            table = _table(a, b)
-            upper = table.on_b[upper] or _climb(table, upper, b)
-            if upper < 0:
-                return None
-        return (runs, last, length + 1, upper)
-    if runs > 1:
-        # The closing run becomes interior; only lengths a and b survive.
-        if length == a:
-            table = _table(a, b)
-            upper = table.on_a[upper] or _climb(table, upper, a)
-            if upper < 0:
-                return None
-        elif length != b:
-            return None
-    return (2, letter, 1, upper)
+    or None when no smooth word extends the word that way: the one letter
+    pushed by :func:`push_copies`."""
+    return push_copies(_table(a, b), tower, (letter,), 1)
 
 
 def seeded_state(ab: Alphabet, letters) -> tuple | None:
@@ -267,17 +232,17 @@ def push_copies(ab: Alphabet, tower: tuple, letters, copies: int) -> tuple | Non
     ``tower``, one letter at a time, or None at the first push that fails.
 
     No copy is built, so a huge ``copies`` costs only the pushes before the
-    failure.
+    failure.  Only ``ab.a`` and ``ab.b`` are read, so :func:`push` passes
+    the alphabet's table of upper states.
     """
     if not letters or copies < 1:
         return tower
-    a = ab.a
-    b = ab.b
+    a, b = ab.a, ab.b
     table = _table(a, b)
-    on_a = table.on_a
-    on_b = table.on_b
-    # The bottom level in locals ("Level 0 in locals", module docstring).
-    runs, last, length, upper = tower or _NO_LEVEL
+    on_a, on_b = table.on_a, table.on_b
+    # The bottom level in locals ("Level 0 in locals", module docstring); the
+    # empty tower's has no run and a last letter no alphabet has.
+    runs, last, length, upper = tower or (0, 0, 0, 0)
     for _ in range(copies):
         for c in letters:
             if c == last:
@@ -326,98 +291,108 @@ def walk(ab: Alphabet, tower: tuple, path: list[int], max_len: int, visit) -> No
     to ``max_len`` letters, in preorder with letter a tried before b, where
     ``tower`` is the extension's tower.
 
-    ``tower`` must be the tower of ``path``.  The walk appends to and pops
-    from ``path`` in place and leaves it as it found it; the visitor sees the
-    live list.  The root ``path`` itself is visited first.  An explicit stack
-    replaces recursion, so depth is bounded by memory, not by the
-    interpreter's recursion limit.
+    ``tower`` must be the tower of ``path``.  The walk writes to ``path`` in
+    place and leaves it as it found it; the visitor sees the live list.  The
+    root ``path`` itself is visited first.  Each node is expanded once: both
+    children are built from its bottom level, b's child is pushed onto one
+    explicit stack of (depth, letter, tower) and a's child is walked next,
+    so depth is bounded by memory, not by the interpreter's recursion limit.
     """
-    a = ab.a
-    b = ab.b
+    a, b = ab.a, ab.b
     table = _table(a, b)
-    on_a = table.on_a
-    on_b = table.on_b
+    on_a, on_b = table.on_a, table.on_b
     append = path.append
-    retract = path.pop
+    base = len(path)
     visit(tower, path)
-    room = max_len - len(path)
-    if room <= 0:
+    if max_len <= base:
         return
-    # towers[d] is the tower of the node d letters into the walk (_NO_LEVEL
-    # for an empty root), and nxt[d] the next letter to try below it; 0 once
-    # both letters have been tried.
-    # Each child's bottom level is built inline from its parent's ("Level 0
-    # in locals", module docstring).
-    towers = [tower or _NO_LEVEL]
-    nxt = [a]
-    while nxt:
-        c = nxt[-1]
-        if c:
-            nxt[-1] = b if c == a else 0
-            runs, last, length, upper = towers[-1]
-            if c == last:
-                if length == b:
-                    continue
-                if length == a:
-                    upper = on_b[upper] or _climb(table, upper, b)
-                    if upper < 0:
-                        continue
-                tower = (runs, c, length + 1, upper)
-            else:
+    stack = [(base, b, (1, b, 1, 0)), (base, a, (1, a, 1, 0))] if not tower else []
+    put = stack.append
+    depth = base if tower else max_len  # the empty root's children are stacked
+    while True:
+        if depth < max_len:
+            # The children's bottom levels ("Level 0 in locals", module
+            # docstring): the last run grows, or the other letter opens one.
+            runs, last, length, upper = tower
+            if length == a:
+                up = on_b[upper] or _climb(table, upper, b)
+                grown = (runs, last, a + 1, up) if up >= 0 else None
                 if runs > 1:
-                    if length == a:
-                        upper = on_a[upper] or _climb(table, upper, a)
-                        if upper < 0:
-                            continue
-                    elif length != b:
-                        continue
-                else:
-                    runs += 1
-                tower = (runs, c, 1, upper)
-            append(c)
-            visit(tower, path)
-            if len(nxt) < room:
-                towers.append(tower)
-                nxt.append(a)
+                    upper = on_a[upper] or _climb(table, upper, a)
+                opened = (2, a + b - last, 1, upper) if upper >= 0 else None
             else:
-                retract()
+                grown = (runs, last, length + 1, upper) if length != b else None
+                opened = (2, a + b - last, 1, upper) if runs == 1 or length == b else None
+            if last == a:
+                child_b, child_a = opened, grown
+            else:
+                child_b, child_a = grown, opened
+            if child_b:
+                put((depth, b, child_b))
         else:
-            towers.pop()
-            nxt.pop()
-            if nxt:
-                retract()
+            child_a = None
+        if child_a:  # walked next, so it skips the stack
+            tower = child_a
+            append(a)
+        elif stack:
+            depth, c, tower = stack.pop()
+            del path[depth:]
+            append(c)
+        else:
+            break
+        visit(tower, path)
+        depth += 1
+    del path[base:]
 
 
 def power_hits(ab: Alphabet, n: int, max_len: int, prefix=(),
-               min_len: int = 1) -> list[list[Word]]:
+               min_len: int = 1, make=Word._wrap) -> list[list]:
     """Smooth words u extending ``prefix`` with min_len <= |u| <= max_len
     (``min_len`` >= 1) and u^n smooth, grouped by length (index i holds
     length i, up to the longest hit) and lexicographic within a length;
-    each hit is a ``Word``, made once from the walk's path.
+    each hit is ``make(path)``, made once from the walk's path: a ``Word``,
+    or a plain tuple for a ``--jobs`` child to send back.
 
-    The test is fused into the walk: at node u the other n-1 copies of u are
-    pushed onto u's tower (:func:`push_copies`), so a base that fails early in
-    its second copy costs a few pushes and no base list is ever built; with
-    n = 1 every node of the lengths asked for is a hit.  The lists grow only
-    on a hit, so a huge ``max_len`` allocates nothing.
+    The test is fused into the walk: a u of two or more runs fails at once
+    when a run at its junction in u·u, interior in u^n, is not a or b (the
+    last run plus the first when u ends in its first letter, else each of
+    the two); every other u has its n-1 other copies pushed onto its tower
+    (:func:`push_copies`).  So no base list is built, and with n = 1 every
+    node of the lengths asked for is a hit.  The lists grow only on a hit,
+    so a huge ``max_len`` allocates nothing.
     """
     tower = seeded_state(ab, prefix)
-    hits: list[list[Word]] = []
+    hits: list[list] = []
     if tower is None or len(prefix) > max_len:
         return hits
     copies = n - 1
+    ends = (ab.a, ab.b)
+    swap = ab.a + ab.b
 
     def visit(tower: tuple, path: list[int]) -> None:
-        if len(path) >= min_len and push_copies(ab, tower, path, copies) is not None:
-            while len(hits) <= len(path):
-                hits.append([])
-            hits[len(path)].append(Word._wrap(path))
+        if len(path) < min_len:
+            return
+        if copies:
+            runs, last, length, _ = tower
+            if runs > 1:
+                first = path[0]
+                head = path.index(swap - first)  # the first run's length
+                if last == first:
+                    if length + head not in ends:
+                        return
+                elif length not in ends or head not in ends:
+                    return
+            if push_copies(ab, tower, path, copies) is None:
+                return
+        while len(hits) <= len(path):
+            hits.append([])
+        hits[len(path)].append(make(path))
 
     walk(ab, tower, list(prefix), max_len, visit)
     return hits
 
 
-def map_tasks(fn, tasks: list, jobs: int):
+def map_tasks(fn, tasks: list, jobs: int, child_fn=None, adopt=None):
     """``fn(t)`` for each task, yielded in task order, on
     ``min(jobs, os.cpu_count() or 1, len(tasks))`` workers (more than the
     CPUs would only add processes), or in this process alone when that is 1
@@ -428,7 +403,10 @@ def map_tasks(fn, tasks: list, jobs: int):
     process is forked per share after the first and runs its share while
     this process runs share 0; each child sends the list of its results (or
     the exception it raised) back pickled through a pipe, and a child's
-    exception is raised again here.  The program starts no threads, so a
+    exception is raised again here.  A child runs ``child_fn`` instead of
+    ``fn`` when one is given, and this process passes each result it
+    receives to ``adopt``: so a child can send a form that pickles faster
+    (plain tuples for ``Word`` objects), turned back into ``fn``'s here.  The program starts no threads, so a
     fork copies it whole, ``fn`` and the tasks included: nothing is pickled
     on the way out.  A child always leaves through ``os._exit``, so it never
     returns into the caller's code nor flushes the caller's buffered output.
@@ -448,7 +426,7 @@ def map_tasks(fn, tasks: list, jobs: int):
             with open(w, "wb") as out:  # this process's copy closes after the fork
                 pid = os.fork()
                 if pid == 0:
-                    _run_share(fn, tasks[k::workers], out)
+                    _run_share(child_fn or fn, tasks[k::workers], out)
             pids.append(pid)
         shares = [[fn(t) for t in tasks[::workers]]]
         sent = [pipe.read() for pipe in pipes]
@@ -466,7 +444,7 @@ def map_tasks(fn, tasks: list, jobs: int):
         ok, value = pickle.loads(data)
         if not ok:
             raise value
-        shares.append(value)
+        shares.append(list(map(adopt, value)) if adopt else value)
     for i in range(len(tasks)):
         yield shares[i % workers][i // workers]
 

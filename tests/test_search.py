@@ -9,7 +9,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from smoothwords import (Alphabet, Word, certify_concat, complement, enumerate_smooth, gamma,
                          is_smooth, kolakoski_prefix, runs, scan_powers, smooth_chain)
@@ -125,9 +125,10 @@ def _pushed(ab: Alphabet, tower, letters, copies):
 
 @pytest.mark.parametrize("a, b", [(1, 2), (1, 3), (2, 5), (3, 4), (10, 12)])
 def test_inline_bottom_level_agrees_with_push(a, b):
-    # walk and push_copies (and seeded_state, through it) build the bottom
-    # level of a tower inline and call push only for the levels above; every
-    # tower must be push's.
+    # walk builds the bottom level of a tower inline, and so does
+    # push_copies, which push and seeded_state run on; every tower must be
+    # push's, which test_interned_towers_match_the_reference_engine checks
+    # against nested towers.
     ab = Alphabet(a, b)
     nodes = _towers_by_push(ab, 12)
     whole = []
@@ -205,15 +206,97 @@ def test_equal_towers_have_equal_smooth_extensions():
 
 
 def test_fused_power_scan_matches_chain():
-    # Differential check of the power test fused into the walk against the
-    # literal chain of each whole power.
-    for a, b in [(1, 2), (1, 3), (2, 3), (2, 5), (3, 4)]:
-        ab = Alphabet(a, b)
-        bases = enumerate_smooth(ab, 14, min_len=1)
-        for n in range(2, 6):
-            expected = [u for u in bases if smooth_chain(u * n, ab).is_smooth]
-            got = [w.base for w in scan_powers(ab, n, 14).witnesses]
-            assert got == expected, (ab, n)
+    # Differential check of the power test fused into the walk (the junction
+    # check, then the pushed copies) against the literal chain of each whole
+    # power: every alphabet with b <= 6, up to the exponent b + 1 (and at
+    # least 5).
+    for b in range(2, 7):
+        for a in range(1, b):
+            ab = Alphabet(a, b)
+            bases = enumerate_smooth(ab, 14, min_len=1)
+            for n in range(2, max(b + 2, 6)):
+                expected = [u for u in bases if smooth_chain(u * n, ab).is_smooth]
+                got = [w.base for w in scan_powers(ab, n, 14).witnesses]
+                assert got == expected, (ab, n)
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_junction_check_rejects_only_non_smooth_squares(data):
+    # power_hits rejects a base of two or more runs by its junction in u·u
+    # before it pushes any copy; a base it rejects must have a non-smooth
+    # square, so no power of it is smooth.
+    a = data.draw(st.integers(min_value=1, max_value=8), label="a")
+    b = data.draw(st.integers(min_value=a + 1, max_value=9), label="b")
+    ab = Alphabet(a, b)
+    lengths = data.draw(st.lists(st.one_of(st.sampled_from(ab.letters),
+                                           st.integers(min_value=1, max_value=b)),
+                                 min_size=2, max_size=12), label="run lengths")
+    letter = data.draw(st.sampled_from(ab.letters), label="first letter")
+    n = data.draw(st.integers(min_value=2, max_value=4), label="n")
+    w = []
+    for k in lengths:
+        w += [letter] * k
+        letter = ab.complement_of(letter)
+    u = Word(max((w[:k] for k in range(1, len(w) + 1) if is_smooth_fast(w[:k], ab)), key=len))
+    assume(runs(u).r >= 2)
+    pushed = []
+    real = search.push_copies
+
+    def recording(ab_, tower, letters, copies):
+        if tower:  # not the seeding of the walk's root
+            pushed.append(tuple(letters))
+        return real(ab_, tower, letters, copies)
+
+    search.push_copies = recording
+    try:
+        hits = power_hits(ab, n, len(u), u, len(u))
+    finally:
+        search.push_copies = real
+    if not pushed:
+        assert not smooth_chain(u * 2, ab).is_smooth, (ab, u)
+    assert hits[len(u):] == ([[u]] if smooth_chain(u * n, ab).is_smooth else []), (ab, u, n)
+
+
+def _bottom_class(tower: tuple, ab: Alphabet) -> tuple:
+    """What the walk's expansion tells apart in a bottom level: one run or
+    more, and the last run's length below a, a, between a and b, or b."""
+    runs, _, length, _ = tower
+    return (runs, length < ab.a, length == ab.a, ab.a < length < ab.b, length == ab.b)
+
+
+@pytest.mark.parametrize("a, b", [(2, 4), (2, 5), (3, 5)])
+def test_walk_expands_every_bottom_level(a, b):
+    # Seed the walk at bottom levels of every kind the expansion tells apart
+    # (the empty tower; one run or more, each with a last run shorter than a,
+    # of length a, between a and b, or of length b; either last letter) and
+    # compare its visits with the literal calculus, max_len == len(seed)
+    # included.
+    ab = Alphabet(a, b)
+    seeds = [()]
+    for c in ab.letters:
+        d = ab.complement_of(c)
+        for k in range(1, b + 1):
+            seeds.append((c,) * k)
+            for r in (1, b):
+                seeds.append((d,) * r + (c,) * k)
+                for m in ab.letters:  # an interior run of length a or b
+                    seeds.append((c,) * r + (d,) * m + (c,) * k)
+    seeds = [seed for seed in seeds if seeded_state(ab, seed) is not None]
+    classes = {_bottom_class(seeded_state(ab, seed), ab) for seed in seeds if seed}
+    assert len(classes) == 8, classes
+    for seed in seeds:
+        for extra in (0, 1, 3):
+            max_len = len(seed) + extra
+            path = list(seed)
+            visited = []
+            walk(ab, seeded_state(ab, seed), path, max_len,
+                 lambda t, p: visited.append((tuple(p), t)))
+            assert path == list(seed)
+            expected = [seed + t for k in range(extra + 1) for t in product(ab.letters, repeat=k)
+                        if smooth_chain(Word(seed + t), ab).is_smooth]
+            assert [w for w, _ in visited] == sorted(expected), (seed, max_len)
+            assert all(t == seeded_state(ab, w) for w, t in visited), (seed, max_len)
 
 
 def _current_depth() -> int:
@@ -268,20 +351,26 @@ def current_depth():
         depth, frame = depth + 1, frame.f_back
     return depth
 
+# A level (runs, last, length, upper state) packed as the table packs it.
 def intern(table, tower):
     if not tower:
         return 0
-    return search._intern(table, *tower[:3], intern(table, tower[3]))
+    runs, last, length, upper = tower
+    code = ((intern(table, upper) * (table.b + 1) + length) * 2 + (last == table.b)) * 2 + runs - 1
+    if code not in table.ids:
+        table.ids[code] = len(table.levels)
+        table.levels.append(code)
+        table.on_a.append(0)
+        table.on_b.append(0)
+    return table.ids[code]
 
 def nested(table, state):
-    levels = []
-    while state:
-        levels.append(search._level(table, state))
-        state = levels[-1][3]
-    tower = ()
-    for level in reversed(levels):
-        tower = level[:3] + (tower,)
-    return tower
+    if not state:
+        return ()
+    rest, more = divmod(table.levels[state], 2)
+    rest, is_b = divmod(rest, 2)
+    upper, length = divmod(rest, table.b + 1)
+    return (more + 1, table.b if is_b else table.a, length, nested(table, upper))
 
 assert not search._tables
 # The states of a tower 27 levels high and none of their successors: the
@@ -446,9 +535,9 @@ def test_huge_exponent_stops_at_the_first_failed_copy():
 def test_pool_never_has_more_workers_than_tasks(monkeypatch):
     tasks, forks = [], []
 
-    def recording_map(fn, task_list, jobs):
+    def recording_map(fn, task_list, jobs, *forms):
         tasks.append(len(task_list))
-        return search.map_tasks(fn, task_list, jobs)
+        return search.map_tasks(fn, task_list, jobs, *forms)
 
     def recording_fork(real_fork=os.fork):
         forks.append(1)  # only this process's list is read
@@ -493,9 +582,9 @@ def test_task_list_is_the_same_for_every_jobs(monkeypatch):
     # map_tasks one task list, built from their inputs alone.
     seen = []
 
-    def recording_map(fn, task_list, jobs):
+    def recording_map(fn, task_list, jobs, *forms):
         seen.append(list(task_list))
-        return search.map_tasks(fn, task_list, jobs)
+        return search.map_tasks(fn, task_list, jobs, *forms)
 
     monkeypatch.setattr(census, "map_tasks", recording_map)
     monkeypatch.setattr(concat, "map_tasks", recording_map)
