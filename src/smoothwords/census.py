@@ -239,13 +239,6 @@ def _witness_pairs(level: list[Word], n: int, ab: Alphabet) -> list[PowerWitness
     return first + second
 
 
-def _as_words(hits: list[list[tuple]]) -> list[list[Word]]:
-    """The hits of :func:`smoothwords.search.power_hits` made as tuples,
-    each wrapped once as a ``Word``."""
-    wrap = Word._wrap
-    return [list(map(wrap, level)) for level in hits]
-
-
 def _stability(bound: int, last_new: int | None) -> tuple[bool, str]:
     quartile = max(1, -(-bound // 4))  # ceil(bound / 4)
     start = bound - quartile + 1
@@ -297,10 +290,8 @@ def gamma(ab: Alphabet, n: int, L: int, jobs: int = 1) -> tuple[int, CensusRepor
         raise ValueError("base-length bound must be >= 1")
     depth, prefixes = _split(ab, L)
     hits = power_hits(ab, n, depth - 1, (ab.a,))
-    # Prefix order keeps each length's bases lexicographic.  A --jobs child
-    # sends its hits back as plain tuples, which pickle faster than Words.
-    task = partial(power_hits, ab, n, L)
-    for part in map_tasks(task, prefixes, jobs, partial(task, make=tuple), _as_words):
+    # Prefix order keeps each length's bases lexicographic.
+    for part in map_tasks(partial(power_hits, ab, n, L), prefixes, jobs):
         hits.extend([] for _ in range(len(hits), len(part)))
         for level, found in zip(hits[depth:], part[depth:]):
             level.extend(found)

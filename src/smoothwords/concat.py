@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .core import Alphabet, Word, delta_inv, run_lengths, word_to_text
 from .dsigma import _shortlex, dsigma_table
-from .search import complement_tower, derivative_from_runs, map_tasks, push, push_copies, walk
+from .search import complement_tower, derivative_from_runs, map_tasks, push_copies, walk
 
 __all__ = ["ConcatViolation", "ConcatCertificate", "middle_witness", "certify_concat",
            "empirical_middle_set"]
@@ -86,9 +86,9 @@ def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int
     letter shorter is also an x (tables and explore lists are prefix-closed)
     costs one push onto that prefix's tower.
     """
-    a, b = ab.a, ab.b
+    b = ab.b
     counts = dict.fromkeys(xs, 0)
-    # An x with a letter outside {a, b} has no triple (push does not check).
+    # An x with a letter outside {a, b} has no triple (push_copies does not check).
     # Each x is a plain tuple: the walk indexes it per u, a Word by a call.
     xs = sorted((tuple(x) for x in xs if ab.first_foreign(x) is None), key=_shortlex)
     index = {x: i for i, x in enumerate(xs)}
@@ -116,7 +116,7 @@ def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int
             else:
                 ux_tower = towers[prefix]
                 if ux_tower is not None:
-                    ux_tower = push(ux_tower, x[-1], a, b)
+                    ux_tower = push_copies(ab, ux_tower, x[-1:], 1)
             towers.append(ux_tower)
             if ux_tower is not None:
                 # The last letter of u·x: x's, or u's when x = ε (0 for u = ε).

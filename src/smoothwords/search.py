@@ -198,7 +198,7 @@ def push(tower: tuple, letter: int, a: int, b: int) -> tuple | None:
     """The tower of the word in ``tower`` followed by ``letter``, over {a, b},
     or None when no smooth word extends the word that way: the one letter
     pushed by :func:`push_copies`."""
-    return push_copies(_table(a, b), tower, (letter,), 1)
+    return push_copies(Alphabet(a, b), tower, (letter,), 1)
 
 
 def seeded_state(ab: Alphabet, letters) -> tuple | None:
@@ -232,8 +232,7 @@ def push_copies(ab: Alphabet, tower: tuple, letters, copies: int) -> tuple | Non
     ``tower``, one letter at a time, or None at the first push that fails.
 
     No copy is built, so a huge ``copies`` costs only the pushes before the
-    failure.  Only ``ab.a`` and ``ab.b`` are read, so :func:`push` passes
-    the alphabet's table of upper states.
+    failure.
     """
     if not letters or copies < 1:
         return tower
@@ -346,12 +345,11 @@ def walk(ab: Alphabet, tower: tuple, path: list[int], max_len: int, visit) -> No
 
 
 def power_hits(ab: Alphabet, n: int, max_len: int, prefix=(),
-               min_len: int = 1, make=Word._wrap) -> list[list]:
+               min_len: int = 1) -> list[list[Word]]:
     """Smooth words u extending ``prefix`` with min_len <= |u| <= max_len
     (``min_len`` >= 1) and u^n smooth, grouped by length (index i holds
     length i, up to the longest hit) and lexicographic within a length;
-    each hit is ``make(path)``, made once from the walk's path: a ``Word``,
-    or a plain tuple for a ``--jobs`` child to send back.
+    each hit is a ``Word``, made once from the walk's path.
 
     The test is fused into the walk: a u of two or more runs fails at once
     when a run at its junction in u·u, interior in u^n, is not a or b (the
@@ -362,7 +360,7 @@ def power_hits(ab: Alphabet, n: int, max_len: int, prefix=(),
     so a huge ``max_len`` allocates nothing.
     """
     tower = seeded_state(ab, prefix)
-    hits: list[list] = []
+    hits: list[list[Word]] = []
     if tower is None or len(prefix) > max_len:
         return hits
     copies = n - 1
@@ -386,13 +384,13 @@ def power_hits(ab: Alphabet, n: int, max_len: int, prefix=(),
                 return
         while len(hits) <= len(path):
             hits.append([])
-        hits[len(path)].append(make(path))
+        hits[len(path)].append(Word._wrap(path))
 
     walk(ab, tower, list(prefix), max_len, visit)
     return hits
 
 
-def map_tasks(fn, tasks: list, jobs: int, child_fn=None, adopt=None):
+def map_tasks(fn, tasks: list, jobs: int):
     """``fn(t)`` for each task, yielded in task order, on
     ``min(jobs, os.cpu_count() or 1, len(tasks))`` workers (more than the
     CPUs would only add processes), or in this process alone when that is 1
@@ -403,10 +401,7 @@ def map_tasks(fn, tasks: list, jobs: int, child_fn=None, adopt=None):
     process is forked per share after the first and runs its share while
     this process runs share 0; each child sends the list of its results (or
     the exception it raised) back pickled through a pipe, and a child's
-    exception is raised again here.  A child runs ``child_fn`` instead of
-    ``fn`` when one is given, and this process passes each result it
-    receives to ``adopt``: so a child can send a form that pickles faster
-    (plain tuples for ``Word`` objects), turned back into ``fn``'s here.  The program starts no threads, so a
+    exception is raised again here.  The program starts no threads, so a
     fork copies it whole, ``fn`` and the tasks included: nothing is pickled
     on the way out.  A child always leaves through ``os._exit``, so it never
     returns into the caller's code nor flushes the caller's buffered output.
@@ -426,7 +421,7 @@ def map_tasks(fn, tasks: list, jobs: int, child_fn=None, adopt=None):
             with open(w, "wb") as out:  # this process's copy closes after the fork
                 pid = os.fork()
                 if pid == 0:
-                    _run_share(child_fn or fn, tasks[k::workers], out)
+                    _run_share(fn, tasks[k::workers], out)
             pids.append(pid)
         shares = [[fn(t) for t in tasks[::workers]]]
         sent = [pipe.read() for pipe in pipes]
@@ -444,7 +439,7 @@ def map_tasks(fn, tasks: list, jobs: int, child_fn=None, adopt=None):
         ok, value = pickle.loads(data)
         if not ok:
             raise value
-        shares.append(list(map(adopt, value)) if adopt else value)
+        shares.append(value)
     for i in range(len(tasks)):
         yield shares[i % workers][i // workers]
 

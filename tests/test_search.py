@@ -535,9 +535,9 @@ def test_huge_exponent_stops_at_the_first_failed_copy():
 def test_pool_never_has_more_workers_than_tasks(monkeypatch):
     tasks, forks = [], []
 
-    def recording_map(fn, task_list, jobs, *forms):
+    def recording_map(fn, task_list, jobs):
         tasks.append(len(task_list))
-        return search.map_tasks(fn, task_list, jobs, *forms)
+        return search.map_tasks(fn, task_list, jobs)
 
     def recording_fork(real_fork=os.fork):
         forks.append(1)  # only this process's list is read
@@ -582,9 +582,9 @@ def test_task_list_is_the_same_for_every_jobs(monkeypatch):
     # map_tasks one task list, built from their inputs alone.
     seen = []
 
-    def recording_map(fn, task_list, jobs, *forms):
+    def recording_map(fn, task_list, jobs):
         seen.append(list(task_list))
-        return search.map_tasks(fn, task_list, jobs, *forms)
+        return search.map_tasks(fn, task_list, jobs)
 
     monkeypatch.setattr(census, "map_tasks", recording_map)
     monkeypatch.setattr(concat, "map_tasks", recording_map)
