@@ -38,7 +38,7 @@ cmp scan13_1.json scan13_3.json
 # walk must not lose a cube base.
 python -m smoothwords.cli gamma --alphabet 2,3 -n 3 -L 60 > gamma23_3.txt
 grep -q '^gamma=24 ' gamma23_3.txt
-# A --jobs child sends its bases back as plain tuples; over {2,5} the
+# A --jobs child sends its bases back as pickled Words; over {2,5} the
 # junction check rejects most bases before any copy is pushed: same bytes.
 python -m smoothwords.cli scan-powers --alphabet 2,5 -n 4 -L 60 --format csv --jobs 1 > scan25_1.csv
 python -m smoothwords.cli scan-powers --alphabet 2,5 -n 4 -L 60 --format csv --jobs 3 > scan25_3.csv
@@ -48,6 +48,11 @@ cmp scan25_1.csv scan25_3.csv
 python -m smoothwords.cli scan-powers --alphabet 3,4 -n 3 -L 150 --jobs 1 > scan34_1.txt
 python -m smoothwords.cli scan-powers --alphabet 3,4 -n 3 -L 150 --jobs 3 > scan34_3.txt
 cmp scan34_1.txt scan34_3.txt
+# In development mode, with every warning an error, a forked scan writes
+# the same bytes and nothing on stderr, up to the parent's exit hook.
+python -X dev -W error -m smoothwords.cli scan-powers --alphabet 1,3 -n 2 -L 40 --format json --jobs 3 > scan13_dev.json 2> scan13_dev.err
+cmp scan13_1.json scan13_dev.json
+test ! -s scan13_dev.err
 # Forking for --jobs imports no process pool.
 python -c "import sys; from smoothwords.cli import main; assert main(['gamma', '--alphabet', '1,3', '-n', '2', '-L', '30', '--jobs', '2']) == 0; assert 'concurrent' not in sys.modules and 'multiprocessing' not in sys.modules"
 python -m smoothwords.cli certify-concat --alphabet 1,3 -L 5 --explore 3 > explore.txt
@@ -80,6 +85,10 @@ python -m smoothwords.cli certify-concat --alphabet 1,2 -L 10 > concat12.txt
 grep -qx '54470 smooth triples tested, 0 violations' concat12.txt
 python -m smoothwords.cli certify-concat --alphabet 1,2 -L 10 --jobs 2 > concat12_2.txt
 cmp concat12.txt concat12_2.txt
+# So does a forked certification.
+python -X dev -W error -m smoothwords.cli certify-concat --alphabet 1,2 -L 10 --jobs 2 > concat12_dev.txt 2> concat12_dev.err
+cmp concat12.txt concat12_dev.txt
+test ! -s concat12_dev.err
 # A group of pairs is judged once per junction signature of v (first
 # letter, first run length, one run or more); over {2,5} first runs
 # reach length 5.

@@ -31,10 +31,17 @@ usage error, 3 = a ``--jobs`` worker process died (killed, for example by
 the out-of-memory killer) before it sent its results, 141 = stdout was
 closed early (128 + SIGPIPE, as a shell reports a process killed by
 SIGPIPE).  JSON output carries a top-level schema_version field "1".
+
+On exit :func:`main` has the interpreter freeze its heap (``gc.freeze`` as an
+``atexit`` hook), so the shutdown collection skips a heap the OS is about to
+reclaim; nothing is frozen while a command runs, and forked ``--jobs``
+children, which leave through ``os._exit``, never run the hook.
 """
 
 from __future__ import annotations
 
+import atexit
+import gc
 import itertools
 import os
 import sys
@@ -253,12 +260,10 @@ def run(args) -> int:
                                "count": len(words),
                                "words": [word_to_text(w) for w in words]})
         elif fmt == "csv":
-            print("word")
-            for w in words:
-                print(word_to_csv(w))
+            _write_batched(itertools.chain(
+                ("word\n",), (f"{word_to_csv(w)}\n" for w in words)), _LINE_BATCH)
         else:
-            for w in words:
-                print(word_to_text(w))
+            _write_batched((f"{word_to_text(w)}\n" for w in words), _LINE_BATCH)
         return 0
 
     if args.command == "kolakoski":
@@ -293,6 +298,12 @@ def run(args) -> int:
 
 
 def main(argv=None) -> int:
+    # At interpreter exit, move the heap to the collector's permanent
+    # generation: finalization then frees the modules without the final
+    # collection's walk over every object.  Unregistering first keeps one
+    # hook however often main is called in one process.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     try:
         code = run(parse_config(argv))
         # Flush inside the try so a closed pipe surfaces here, not at exit.

@@ -1,5 +1,7 @@
+import atexit
 import contextlib
 import csv
+import gc
 import io
 import json
 import os
@@ -22,6 +24,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_env(**extra):
+    """The environment of a fresh interpreter that imports this checkout's
+    package, plus ``extra``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])), **extra)
+
+
+# What the installed smoothwords script runs, as ``python -c`` source.
+MAIN = "import sys; from smoothwords.cli import main; sys.exit(main())"
 
 
 class TestParseWordText:
@@ -388,16 +402,12 @@ class TestExitCodes:
     def test_closed_stdout_exits_141(self):
         # The read end is closed before the command starts, so its first
         # write to stdout always meets a broken pipe.
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
             proc = subprocess.Popen(
-                [sys.executable, "-c", "import sys; from smoothwords.cli import main; "
-                 "sys.exit(main())", "gamma", "--alphabet", "1,2", "-n", "2", "-L", "12"],
-                stdout=write_end, stderr=subprocess.PIPE, env=env)
+                [sys.executable, "-c", MAIN, "gamma", "--alphabet", "1,2", "-n", "2", "-L", "12"],
+                stdout=write_end, stderr=subprocess.PIPE, env=fresh_env())
         finally:
             os.close(write_end)
         _, err = proc.communicate(timeout=60)
@@ -424,10 +434,7 @@ sys.exit(main(["certify-concat", "--alphabet", "1,2", "-L", "6", "--jobs", "2"])
 def test_dead_worker_exits_3_with_one_line():
     # The forked share's task kills its own process, as the out-of-memory
     # killer would; 1 would read as "violations found".
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", KILLED_WORKER], env=env,
+    proc = subprocess.run([sys.executable, "-c", KILLED_WORKER], env=fresh_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 3
     assert proc.stdout == ""
@@ -525,6 +532,66 @@ def test_help_and_usage_texts_are_golden(capsys, monkeypatch, record):
     monkeypatch.setenv("COLUMNS", "80")
     assert run_cli(capsys, *record["argv"]) == (record["code"], record["stdout"],
                                                 record["stderr"])
+
+
+# ------------------------------------------------------- process exit
+
+def golden_record(records, argv):
+    return next(r for r in records if r["argv"] == argv)
+
+
+# A fresh interpreter per status main() returns, each process left through
+# the exit hook: 0 (a scan, --help), 1 (violations in table mode) and 2 (a
+# usage error, a bad word).  test_dead_worker_exits_3_with_one_line and
+# TestExitCodes.test_closed_stdout_exits_141 run the other two this way.
+EXIT_RECORDS = [
+    golden_record(OUTPUT_GOLDEN, ["scan-powers", "--alphabet", "1,2", "-n", "2", "-L", "10"]),
+    golden_record(GOLDEN, ["--help"]),
+    golden_record(OUTPUT_GOLDEN, ["certify-concat", "--alphabet", "1,3", "-L", "4"]),
+    golden_record(GOLDEN, ["gamma", "--alphabet", "1,2"]),
+    {"argv": ["delta", "--alphabet", "1,2", "--word", "102"], "code": 2, "stdout": "",
+     "stderr": "error: zero digit in '102' at position 1\n"},
+]
+
+
+@pytest.mark.parametrize("record", EXIT_RECORDS, ids=[" ".join(r["argv"]) for r in EXIT_RECORDS])
+def test_a_fresh_process_keeps_output_and_status(record):
+    proc = subprocess.run([sys.executable, "-c", MAIN, *record["argv"]],
+                          env=fresh_env(COLUMNS="80"), capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (record["code"], record["stdout"],
+                                                           record["stderr"])
+
+
+class TestExitHook:
+    """main() has the interpreter freeze its heap at exit, and only then."""
+
+    ARGV = ["delta", "--alphabet", "1,2", "--word", "1122"]
+
+    def test_repeated_calls_leave_one_hook(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(atexit, "register", lambda fn: calls.append(("register", fn)))
+        monkeypatch.setattr(atexit, "unregister", lambda fn: calls.append(("unregister", fn)))
+        for _ in range(3):
+            assert main(self.ARGV) == 0
+        # Each call takes back the hook of the call before it.
+        assert calls == [("unregister", gc.freeze), ("register", gc.freeze)] * 3
+
+    @pytest.mark.parametrize("argv", [
+        ARGV, ["gamma", "--alphabet", "1,2", "-n", "2", "-L", "12", "--jobs", "2"],
+        ["--help"], ["gamma", "--alphabet", "1,2"]],
+        ids=["delta", "gamma --jobs 2", "--help", "usage error"])
+    def test_nothing_is_frozen_after_main_returns(self, capsys, argv):
+        main(argv)
+        assert gc.get_freeze_count() == 0
+
+    def test_a_fresh_process_freezes_its_heap_at_exit(self):
+        # Hooks run last in, first out: one registered before main runs after main's.
+        probe = ("import atexit, gc, os; atexit.register(lambda: os.write(2, "
+                 "b'frozen %d' % (gc.get_freeze_count() > 0)))\n" + MAIN)
+        proc = subprocess.run([sys.executable, "-c", probe, *self.ARGV], env=fresh_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "22\n", "frozen 1")
 
 
 PARSER = build_parser()
