@@ -53,8 +53,9 @@ cmp scan34_1.txt scan34_3.txt
 python -X dev -W error -m smoothwords.cli scan-powers --alphabet 1,3 -n 2 -L 40 --format json --jobs 3 > scan13_dev.json 2> scan13_dev.err
 cmp scan13_1.json scan13_dev.json
 test ! -s scan13_dev.err
-# Forking for --jobs imports no process pool.
-python -c "import sys; from smoothwords.cli import main; assert main(['gamma', '--alphabet', '1,3', '-n', '2', '-L', '30', '--jobs', '2']) == 0; assert 'concurrent' not in sys.modules and 'multiprocessing' not in sys.modules"
+# Forking for --jobs imports no process pool.  Each in-process check sends
+# the commands' output to /dev/null, so only a failing assert reaches the log.
+python -c "import sys; from smoothwords.cli import main; assert main(['gamma', '--alphabet', '1,3', '-n', '2', '-L', '30', '--jobs', '2']) == 0; assert 'concurrent' not in sys.modules and 'multiprocessing' not in sys.modules" > /dev/null
 python -m smoothwords.cli certify-concat --alphabet 1,3 -L 5 --explore 3 > explore.txt
 grep -qx '4349 smooth triples tested, 0 violations' explore.txt
 python -m smoothwords.cli certify-concat --alphabet 1,3 -L 5 --explore 3 --jobs 2 > explore2.txt
@@ -120,7 +121,7 @@ python -c "import csv; rows = list(csv.reader(open('enum0.csv'))); assert rows =
 # The package resolves its public names lazily (PEP 562).
 python -c "from smoothwords import *; import smoothwords; assert set(smoothwords.__all__) <= set(dir(smoothwords))"
 # Each command imports only the modules it runs: chain never needs concat.
-python -c "import sys; from smoothwords.cli import main; assert main(['chain', '--alphabet', '1,2', '--word', '1211']) == 0; assert 'smoothwords.concat' not in sys.modules"
+python -c "import sys; from smoothwords.cli import main; assert main(['chain', '--alphabet', '1,2', '--word', '1211']) == 0; assert 'smoothwords.concat' not in sys.modules" > /dev/null
 python -m smoothwords.cli chain --alphabet 1,2 --word 1211 --format json > chain.json
 python -c "import json; d = json.load(open('chain.json')); assert d['verdict'] == 'smooth' and d['levels'] == ['1211', '12', ''], d"
 # chain names the first level that fails and why: closure rejects a
@@ -176,7 +177,7 @@ python -m smoothwords.cli gamma --alphabet 1,2 > gamma_usage.txt 2> gamma_usage.
 test "$status" -eq 2
 test ! -s gamma_usage.txt
 grep -qx 'smoothwords gamma: error: the following arguments are required: -n' gamma_usage.err
-python -c "import sys; from smoothwords.cli import main; assert main(['chain', '--alphabet', '1,2', '--word', '1211']) == 0; assert 'argparse' not in sys.modules"
+python -c "import sys; from smoothwords.cli import main; assert main(['chain', '--alphabet', '1,2', '--word', '1211']) == 0; assert 'argparse' not in sys.modules" > /dev/null
 # dsigma prints the stored middle-word table; the {1,3} table lists 3111
 # but not 133 or 331, which certify-concat finds (C07 fails on purpose).
 python -m smoothwords.cli dsigma --alphabet 1,3 > dsigma13.txt
@@ -186,7 +187,7 @@ python -m smoothwords.cli dsigma --alphabet 1,3 --format json > dsigma13.json
 python -c "import json; d = json.load(open('dsigma13.json')); assert d['alphabet'] == [1, 3] and d['words'] == open('dsigma13.txt').read().splitlines(), d"
 # lift, kolakoski and dsigma compile neither the scans nor the certifier
 # nor the engine.
-python -c "import sys; from smoothwords.cli import main; assert main(['lift', '--alphabet', '2,4', '--word', '22', '--alpha', '2', '-k', '1']) == 0; assert main(['kolakoski', '--alphabet', '1,2', '--alpha', '1', '-n', '19']) == 0; assert main(['dsigma', '--alphabet', '1,3']) == 0; loaded = {'smoothwords.census', 'smoothwords.concat', 'smoothwords.search'} & set(sys.modules); assert not loaded, loaded"
+python -c "import sys; from smoothwords.cli import main; assert main(['lift', '--alphabet', '2,4', '--word', '22', '--alpha', '2', '-k', '1']) == 0; assert main(['kolakoski', '--alphabet', '1,2', '--alpha', '1', '-n', '19']) == 0; assert main(['dsigma', '--alphabet', '1,3']) == 0; loaded = {'smoothwords.census', 'smoothwords.concat', 'smoothwords.search'} & set(sys.modules); assert not loaded, loaded" > /dev/null
 # A zero letter in comma form is reported at the zero, past the part's
 # leading blanks.
 status=0

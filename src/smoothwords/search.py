@@ -11,10 +11,11 @@ indexes a table kept per alphabet, with 0 for the empty tower.  The table
 interns each distinct upper tower once, as its own bottom level (whose
 ``upper`` is again a state) packed into one int, so equal upper towers have
 equal states and the towers of two words are equal exactly when their nested
-levels are.  Towers are immutable and hashable, and :func:`push` reads
-nothing else, so words with equal towers have the same smooth extensions.
-That makes prefix-pruned enumeration and the concatenation certifier run
-orders of magnitude faster than re-deriving every candidate from scratch.
+levels are.  Towers are immutable and hashable, and :func:`push_copies`
+reads nothing else, so words with equal towers have the same smooth
+extensions.  That makes prefix-pruned enumeration and the concatenation
+certifier run orders of magnitude faster than re-deriving every candidate
+from scratch.
 
 The update uses the fact that rho(w) is the interior run lengths of w framed
 by a ``b`` on each side where the corresponding boundary run is longer than
@@ -33,53 +34,25 @@ composition is enforced by exhaustive tests at small lengths.
 
 Level 0 in locals, the levels above in a table.  Every letter appended
 changes the bottom level, but only some go further up.  So :func:`walk` and
-:func:`push_copies` (which :func:`push` and :func:`seeded_state` run on) hold
-the bottom level's fields in local variables and apply the four rules to them
-inline.  A letter a rule sends up costs one list lookup in the alphabet's
-table, which holds the successor of each upper state on a and on b: a state,
--1 when no smooth word extends that way, or 0 until the first lookup computes
-it (``_climb``: one loop, in one frame, that decodes each level it climbs to
-while a letter goes up to a level with no entry yet, then interns the new
-levels).  Upper towers repeat far more than words: ``gamma --alphabet 1,2 -n
-2 -L 60`` tests 32,947 bases and sends 99,254 letters up, 4,778 of them
-misses, and its table ends with 3,371 states.  The table grows by one state
-per distinct upper tower, for the life of the process.  A state means nothing
-outside its process and is never pickled or written out; a child that
-:func:`map_tasks` forks inherits the tables as they were, so the towers in
-its tasks stay valid there.  Tests check the walk's inline rules against
-:func:`push`, and push and the table against a reference engine of nested
-towers.
+:func:`push_copies` (which :func:`seeded_state` runs on) hold the bottom
+level's fields in local variables and apply the four rules to them inline.
+A letter a rule sends up costs one list lookup in the alphabet's table,
+which holds the successor of each upper state on a and on b: a state, -1
+when no smooth word extends that way, or 0 until the first lookup computes it
+(:func:`_climb`, which applies the rules to that level and, for a letter
+they send up to a level with no entry yet, calls itself once more).  So a
+miss recurses at most once per level above the bottom: no deeper than the
+tower's height, which grows as the logarithm of the word's length.  The
+table grows by one state per distinct upper tower, for the life of the
+process.  A state means nothing outside its process and is never pickled or
+written out; a child that :func:`map_tasks` forks inherits the tables as
+they were, so the towers in its tasks stay valid there.  Tests check the
+inline rules and the table against a reference engine of nested towers.
 
-Every bulk workload runs on one walker, :func:`walk`: a preorder,
-explicit-stack walk of the smooth words extending a seed (letter a before b),
-calling a visitor with the tower and the letters of every node, the seed
-included, and building both children of a node at once from its bottom level
-(the last run grows, or the other letter opens a run).  Preorder visits the
-words of one length in lexicographic order, so collecting per length gives
-shortlex order.  The power census (:func:`power_hits`) and the concatenation
-certifier (``concat._scan``) are visitors on it, and enumeration
-(``census.enumerate_smooth``) is the power census at n = 1.  The power visitor
-fuses the n-th power test into the walk: it rejects a base u of two or more
-runs whose junction in u·u has a run other than a or b, and pushes n-1 more
-copies of every other u onto u's tower, so u^n is tested without a list of
-bases.  The certifier nests two walks: one walk over u pushes every x onto
-each u's tower and groups the pairs (u, x) with a smooth u·x by the tower of
-u·x, whatever the x, or by the tower of its complement
-(:func:`complement_tower`) when u·x ends in b; then one walk over v runs from
-each distinct tower, and the pairs of its group are judged once per junction
-signature of v (first letter, first run length, one run or more), which fixes
-every verdict.
-
-The scans and the certifier split their walks into a task list built from
-their inputs alone, and :func:`map_tasks` maps a function over it; it is the
-only reader of ``--jobs``, so every worker count runs the same tasks.  With
-more than one worker it forks child processes that each run a round-robin
-share while the caller runs the first, and pipes the results back; there is
-no process pool, so a command with ``--jobs`` above 1 pays a fork per extra
-worker and not a pool's start-up.
-
-The module exports only what the walks use; one-word derivatives come from
-the literal calculus (``smoothwords.calculus``).
+Every bulk workload runs on one walker, :func:`walk`, and splits its walks
+into tasks that :func:`map_tasks` runs on ``--jobs`` workers.  The module
+exports only what the walks use; one-word derivatives come from the literal
+calculus (``smoothwords.calculus``).
 """
 
 from __future__ import annotations
@@ -88,7 +61,7 @@ import os
 
 from .core import Alphabet, Word
 
-__all__ = ["push", "seeded_state", "complement_tower", "is_smooth_fast",
+__all__ = ["seeded_state", "complement_tower", "is_smooth_fast",
            "is_power_smooth", "push_copies", "derivative_from_runs", "walk",
            "power_hits", "map_tasks"]
 
@@ -113,92 +86,58 @@ class _Table:
 
 
 _tables: dict[tuple[int, int], _Table] = {}
-# The table used last, so calls over one alphabet skip the dict.
-_last = _Table(0, 0)
 
 
 def _table(a: int, b: int) -> _Table:
     """The table of the upper states over {a, b}."""
-    global _last
-    table = _last
-    if table.a != a or table.b != b:
-        table = _tables.get((a, b))
-        if table is None:
-            table = _tables[a, b] = _Table(a, b)
-        _last = table
+    table = _tables.get((a, b))
+    if table is None:
+        table = _tables[a, b] = _Table(a, b)
     return table
 
 
 def _climb(table: _Table, state: int, letter: int) -> int:
-    """The successor of ``state`` on ``letter``, entered into the table
-    together with that of every level above it that the letter reaches.
+    """The successor of ``state`` on ``letter``, entered into the table.
 
-    The four rules (module docstring) are applied level by level, climbing
-    while a rule sends a letter up to a level with no entry for it; then the
-    new levels are interned from the top down.  It is a loop, so a climb
-    through every level of a tall tower costs no more frames than one level.
-    It decodes and interns the levels itself: a level (runs, last, length,
-    upper state) is the int ``((upper * (b + 1) + length) * 2 + (last == b))
-    * 2 + runs - 1``, under half a tuple's size.
+    The four rules (module docstring) are applied to the level of ``state``;
+    a letter they send up is pushed onto the level above, through the table
+    or, when it has no entry yet, by one more call, so a climb recurses once
+    per level it climbs and no deeper than the tower's height.  The new level
+    is then interned after every level above it.  A level (runs, last,
+    length, upper state) is packed into the int ``((upper * (b + 1) +
+    length) * 2 + (last == b)) * 2 + runs - 1``, under half a tuple's size.
     """
     a, b = table.a, table.b
     step = 4 * (b + 1)  # the packed level's unit of upper state
-    levels = table.levels
-    on_a, on_b = table.on_a, table.on_b
-    # (state, letter, its new level packed less the upper state) per level.
-    climbed = []
-    while True:
-        if not state:  # the empty tower: the letter opens its first run
-            climbed.append((state, letter, 4 + 2 * (letter == b)))
-            found = 0
-            break
-        code = levels[state]
+    on = table.on_a if letter == a else table.on_b
+    if not state:  # the empty tower: the letter opens its first run
+        upper, low = 0, 4 + 2 * (letter == b)
+    else:
+        code = table.levels[state]
         upper, low = divmod(code, step)
         length = low >> 2
-        rise = 0
         if letter == (b if code & 2 else a):
             if length == b:
-                found = -1
-                break
-            if length == a:
-                rise = b
+                upper = -1
+            elif length == a:
+                upper = table.on_b[upper] or _climb(table, upper, b)
             low += 4
         else:
-            if code & 1 and length != b:
-                if length != a:
-                    found = -1
-                    break
-                rise = a
+            if code & 1 and length == a:
+                upper = table.on_a[upper] or _climb(table, upper, a)
+            elif code & 1 and length != b:
+                upper = -1
             low = 5 + 2 * (letter == b)
-        climbed.append((state, letter, low))
-        if not rise:
-            found = upper
-            break
-        state, letter = upper, rise
-        found = (on_a if letter == a else on_b)[state]
-        if found:
-            break
-    if found < 0:
-        (on_a if letter == a else on_b)[state] = -1
-    ids = table.ids
-    for state, letter, low in reversed(climbed):
-        if found >= 0:
-            code = found * step + low
-            found = ids.get(code)
-            if found is None:
-                found = ids[code] = len(levels)
-                levels.append(code)
-                on_a.append(0)
-                on_b.append(0)
-        (on_a if letter == a else on_b)[state] = found
-    return found
-
-
-def push(tower: tuple, letter: int, a: int, b: int) -> tuple | None:
-    """The tower of the word in ``tower`` followed by ``letter``, over {a, b},
-    or None when no smooth word extends the word that way: the one letter
-    pushed by :func:`push_copies`."""
-    return push_copies(Alphabet(a, b), tower, (letter,), 1)
+    if upper >= 0:
+        code = upper * step + low
+        upper = table.ids.get(code)
+        if upper is None:
+            upper = table.ids[code] = len(table.levels)
+            table.levels.append(code)
+            table.on_a.append(0)
+            table.on_b.append(0)
+    on[state] = upper
+    return upper
 
 
 def seeded_state(ab: Alphabet, letters) -> tuple | None:

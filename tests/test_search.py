@@ -16,10 +16,14 @@ from smoothwords import (Alphabet, Word, certify_concat, complement, enumerate_s
 from smoothwords import census, concat, search
 from smoothwords.core import run_lengths
 from smoothwords.search import (complement_tower, derivative_from_runs, is_power_smooth,
-                                is_smooth_fast, map_tasks, power_hits, push, push_copies,
+                                is_smooth_fast, map_tasks, power_hits, push_copies,
                                 seeded_state, walk)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def push(tower: tuple, letter: int, a: int, b: int) -> tuple | None:
+    return push_copies(Alphabet(a, b), tower, (letter,), 1)
 
 
 def test_engine_matches_chain_exhaustively():
@@ -324,11 +328,12 @@ def test_enumeration_depth_is_not_bounded_by_recursion():
 
 def test_push_depth_is_bounded_by_tower_height():
     # The 100,000-letter prefixes have towers 27 ({1,2}) and 15 ({1,3})
-    # levels high, and checking them must fit in 50 frames.  push does not
-    # recurse, and these words climb at most one level per table miss (their
-    # upper towers are those of their own shorter prefixes), so this checks
-    # the engine on warm tables; a climb through all 27 levels at once is
-    # pinned by test_push_depth_on_cold_tables_is_bounded.
+    # levels high, and checking them must fit in 50 frames.  A table miss
+    # recurses once per level it climbs, and these words climb at most one
+    # level per miss (their upper towers are those of their own shorter
+    # prefixes), so this checks the engine on warm tables; a climb through
+    # all 27 levels at once is pinned by
+    # test_push_depth_on_cold_tables_is_bounded.
     words = [(ab, kolakoski_prefix(ab, 1, 100_000)) for ab in (Alphabet(1, 2), Alphabet(1, 3))]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_current_depth() + 50)
@@ -343,7 +348,10 @@ COLD_DEPTH_CHECK = """
 import ast, sys
 from smoothwords import Alphabet, kolakoski_prefix
 from smoothwords import search
-from smoothwords.search import is_smooth_fast, push
+from smoothwords.search import is_smooth_fast, push_copies
+
+def push(tower, letter, a, b):
+    return push_copies(Alphabet(a, b), tower, (letter,), 1)
 
 def current_depth():
     depth, frame = 0, sys._getframe()
@@ -396,6 +404,20 @@ def _height(tower: tuple) -> int:
     return height
 
 
+def _top_growth() -> tuple[tuple, int, tuple, int]:
+    """(tower, letter, child, k) for the last letter of the 100,000-letter
+    Kolakoski prefix over {1,2} that makes its tower higher: the nested
+    towers of the prefix of k letters and of that prefix and the letter."""
+    word = kolakoski_prefix(Alphabet(1, 2), 1, 100_000)
+    tower = ()
+    for k, c in enumerate(word):
+        child = _reference_push(tower, c, 1, 2)
+        if _height(child) > _height(tower):
+            grew = (tower, c, child, k)
+        tower = child
+    return grew
+
+
 def test_push_depth_on_cold_tables_is_bounded():
     # The Kolakoski checks of test_push_depth_is_bounded_by_tower_height in a
     # fresh interpreter, so the tables of upper states start empty, within the
@@ -403,20 +425,39 @@ def test_push_depth_on_cold_tables_is_bounded():
     # own shorter prefixes, so their misses climb one level or two; the check
     # first pushes the letter that makes the {1,2} tower 27 levels high onto
     # a table that holds the tower's states but none of their successors, a
-    # miss that climbs through every level.
-    word = kolakoski_prefix(Alphabet(1, 2), 1, 100_000)
-    tower = ()
-    for c in word:
-        child = _reference_push(tower, c, 1, 2)
-        if _height(child) > _height(tower):
-            grew = (tower, c, child)
-        tower = child
+    # miss that recurses through every level.
+    grew = _top_growth()[:3]
     assert _height(grew[2]) == 27
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", COLD_DEPTH_CHECK], env=env, input=repr(grew),
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[True, True]\n")
+
+
+def test_cold_miss_calls_climb_once_per_level(monkeypatch):
+    # The miss of test_push_depth_on_cold_tables_is_bounded in this process,
+    # on a fresh table that holds the states of the prefix's tower and none
+    # of their successors: the letter climbs every level above the bottom,
+    # the new top included, with one _climb call each.
+    _, letter, expected, k = _top_growth()
+    ab = Alphabet(1, 2)
+    word = kolakoski_prefix(ab, 1, k)
+    monkeypatch.setattr(search, "_tables", {})
+    tower = seeded_state(ab, word)
+    table = search._table(1, 2)
+    table.on_a[:] = table.on_b[:] = [0] * len(table.levels)
+    climb, calls = search._climb, []
+
+    def counted(table, state, letter):
+        calls.append(state)
+        return climb(table, state, letter)
+
+    monkeypatch.setattr(search, "_climb", counted)
+    child = push(tower, letter, 1, 2)
+    assert len(calls) == _height(expected) - 1 == 26
+    assert calls[-1] == 0  # the empty tower above the old top
+    assert child == seeded_state(ab, word + (letter,))
 
 
 def _reference_push(tower: tuple, letter: int, a: int, b: int) -> tuple | None:
@@ -450,16 +491,46 @@ def test_interned_towers_match_the_reference_engine(a, b):
     pairs = set()
     frontier = [((), ())]
     for _ in range(13):
-        grown = []
-        for reference, tower in frontier:
-            pairs.add((reference, tower))
-            for c in (a, b):
-                child = (_reference_push(reference, c, a, b), push(tower, c, a, b))
-                assert (child[0] is None) == (child[1] is None), (reference, c)
-                if child[0] is not None:
-                    grown.append(child)
-        frontier = grown
+        pairs.update(frontier)
+        frontier = _grown(frontier, a, b)
     pairs.update(frontier)
+    assert len({r for r, _ in pairs}) == len({t for _, t in pairs}) == len(pairs)
+
+
+def _grown(frontier: list, a: int, b: int) -> list:
+    """The one-letter extensions of each (nested tower, tower) pair over
+    {a, b}, by the reference engine and by push, which must agree on each
+    verdict."""
+    grown = []
+    for reference, tower in frontier:
+        for c in (a, b):
+            child = (_reference_push(reference, c, a, b), push(tower, c, a, b))
+            assert (child[0] is None) == (child[1] is None), (reference, c)
+            if child[0] is not None:
+                grown.append(child)
+    return grown
+
+
+def test_held_towers_stay_valid_across_alphabets():
+    # Towers of {1,2} words held while scans over {1,3} and {2,5} fill their
+    # own tables, then extended with a push over each of those alphabets
+    # between two over {1,2}: every push finds its table by (a, b), so the
+    # held towers must still extend as the reference engine says.
+    frontier = [((), ())]
+    for _ in range(8):
+        frontier = _grown(frontier, 1, 2)
+    scan_powers(Alphabet(1, 3), 3, 30)
+    scan_powers(Alphabet(2, 5), 2, 40)
+    others = {(1, 3): [((), ())], (2, 5): [((), ())]}
+    pairs = set(frontier)
+    for _ in range(6):
+        grown = []
+        for pair in frontier:
+            grown += _grown([pair], 1, 2)
+            for (a, b), queue in others.items():
+                others[a, b] = queue[1:] + _grown(queue[:1], a, b)
+        frontier = grown
+        pairs.update(frontier)
     assert len({r for r, _ in pairs}) == len({t for _, t in pairs}) == len(pairs)
 
 
