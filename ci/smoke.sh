@@ -53,9 +53,15 @@ cmp scan34_1.txt scan34_3.txt
 python -X dev -W error -m smoothwords.cli scan-powers --alphabet 1,3 -n 2 -L 40 --format json --jobs 3 > scan13_dev.json 2> scan13_dev.err
 cmp scan13_1.json scan13_dev.json
 test ! -s scan13_dev.err
-# Forking for --jobs imports no process pool.  Each in-process check sends
-# the commands' output to /dev/null, so only a failing assert reaches the log.
-python -c "import sys; from smoothwords.cli import main; assert main(['gamma', '--alphabet', '1,3', '-n', '2', '-L', '30', '--jobs', '2']) == 0; assert 'concurrent' not in sys.modules and 'multiprocessing' not in sys.modules" > /dev/null
+# On a mask of one CPU, --jobs 3 runs every share in the calling process:
+# same bytes.
+python -c "import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); from smoothwords.cli import main; sys.exit(main(['scan-powers', '--alphabet', '1,3', '-n', '2', '-L', '40', '--format', 'json', '--jobs', '3']))" > scan13_one_cpu.json
+cmp scan13_1.json scan13_one_cpu.json
+# Forking for --jobs imports no process pool, and the caller gets back the
+# CPU mask it had before the workers were placed.  Each in-process check
+# sends the commands' output to /dev/null, so only a failing assert reaches
+# the log.
+python -c "import os, sys; from smoothwords.cli import main; mask = os.sched_getaffinity(0); assert main(['gamma', '--alphabet', '1,3', '-n', '2', '-L', '30', '--jobs', '2']) == 0; assert os.sched_getaffinity(0) == mask; assert 'concurrent' not in sys.modules and 'multiprocessing' not in sys.modules" > /dev/null
 python -m smoothwords.cli certify-concat --alphabet 1,3 -L 5 --explore 3 > explore.txt
 grep -qx '4349 smooth triples tested, 0 violations' explore.txt
 python -m smoothwords.cli certify-concat --alphabet 1,3 -L 5 --explore 3 --jobs 2 > explore2.txt

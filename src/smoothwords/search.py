@@ -331,9 +331,11 @@ def power_hits(ab: Alphabet, n: int, max_len: int, prefix=(),
 
 def map_tasks(fn, tasks: list, jobs: int):
     """``fn(t)`` for each task, yielded in task order, on
-    ``min(jobs, os.cpu_count() or 1, len(tasks))`` workers (more than the
-    CPUs would only add processes), or in this process alone when that is 1
-    or the platform has no ``os.fork`` (Windows).  ``jobs`` picks only the
+    ``min(jobs, CPUs, len(tasks))`` workers, or in this process alone when
+    that is 1 or the platform has no ``os.fork`` (Windows).  The CPUs are
+    the ones this process may run on (``os.sched_getaffinity``), or
+    ``os.cpu_count() or 1`` where that mask cannot be read (macOS); more
+    workers than CPUs would only add processes.  ``jobs`` picks only the
     process that runs each task, never the tasks.
 
     The tasks are dealt round-robin into one share per worker.  One child
@@ -346,25 +348,40 @@ def map_tasks(fn, tasks: list, jobs: int):
     returns into the caller's code nor flushes the caller's buffered output.
     The children are reaped on every path, and killed first when this
     process fails before it has read their results.  ``pickle`` is imported
-    only when a child forks."""
-    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    only when a child forks.
+
+    A forked child starts on its parent's CPU and, left alone, may stay
+    there for the whole share, so the workers are placed: this process
+    moves to the first CPU of its mask for the forks, child k moves to the
+    k-th, and each is then given the whole mask back, so the kernel stays
+    free to move it later.  This process has its mask back on every path.
+    Where the mask cannot be set, the workers are not placed."""
+    try:
+        mask = os.sched_getaffinity(0)
+    except (AttributeError, OSError):
+        mask = None
+    workers = min(jobs, len(mask) if mask else os.cpu_count() or 1, len(tasks))
     if workers <= 1 or not hasattr(os, "fork"):
         yield from map(fn, tasks)
         return
     import pickle
+    cpus = sorted(mask or ())
     pids, pipes, sent = [], [], []
     try:
+        _set_cpus(cpus[:1])
         for k in range(1, workers):
             r, w = os.pipe()
             pipes.append(open(r, "rb"))
             with open(w, "wb") as out:  # this process's copy closes after the fork
                 pid = os.fork()
                 if pid == 0:
-                    _run_share(fn, tasks[k::workers], out)
+                    _run_share(fn, tasks[k::workers], out, cpus[k:k + 1], mask)
             pids.append(pid)
+        _set_cpus(mask)
         shares = [[fn(t) for t in tasks[::workers]]]
         sent = [pipe.read() for pipe in pipes]
     finally:
+        _set_cpus(mask)
         for pipe in pipes:
             pipe.close()
         if len(sent) < len(pids):
@@ -383,12 +400,26 @@ def map_tasks(fn, tasks: list, jobs: int):
         yield shares[i % workers][i // workers]
 
 
-def _run_share(fn, share: list, out) -> None:
-    """In a forked child: ``fn`` over ``share``, the outcome pickled into the
+def _set_cpus(cpus) -> None:
+    """Let this process run only on ``cpus``; nothing when ``cpus`` is empty
+    or None, the platform has no ``os.sched_setaffinity`` (macOS) or the
+    mask is refused."""
+    if cpus:
+        try:
+            os.sched_setaffinity(0, cpus)
+        except (AttributeError, OSError):
+            pass
+
+
+def _run_share(fn, share: list, out, cpu: list, mask) -> None:
+    """In a forked child: moved to ``cpu`` and then allowed ``mask`` again
+    (:func:`_set_cpus`), ``fn`` over ``share``, the outcome pickled into the
     pipe ``out`` as ``(True, results)`` or ``(False, exception)``; never
     returns.  The exit status is 0 only when the outcome was sent."""
     status = 1
     try:
+        _set_cpus(cpu)
+        _set_cpus(mask)
         try:
             outcome = (True, [fn(t) for t in share])
         except BaseException as exc:

@@ -419,7 +419,7 @@ KILLED_WORKER = """
 import os, signal, sys
 from smoothwords import concat
 from smoothwords.cli import _COMMANDS, _COMMON, _parse_plain, build_parser, main
-os.cpu_count = lambda: 2
+os.sched_getaffinity = lambda pid: {0, 1}
 parent = os.getpid()
 scan_group = concat._scan_group
 def dying(*args):

@@ -603,6 +603,13 @@ def test_huge_exponent_stops_at_the_first_failed_copy():
     assert scan_powers(ab, 10**20, 4).witnesses == ()
 
 
+def _fake_cpus(monkeypatch, count):
+    """This process's CPU mask reads as ``count`` CPUs, and setting it does
+    nothing, so the worker count never depends on the machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
+
+
 def test_pool_never_has_more_workers_than_tasks(monkeypatch):
     tasks, forks = [], []
 
@@ -617,7 +624,7 @@ def test_pool_never_has_more_workers_than_tasks(monkeypatch):
     monkeypatch.setattr(census, "map_tasks", recording_map)
     monkeypatch.setattr(concat, "map_tasks", recording_map)
     monkeypatch.setattr(os, "fork", recording_fork)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    _fake_cpus(monkeypatch, 64)
 
     def forks_and_tasks(run, jobs):
         """Run ``run(jobs)`` against ``run(1)``; the forks and task counts
@@ -637,13 +644,14 @@ def test_pool_never_has_more_workers_than_tasks(monkeypatch):
     assert forks_and_tasks(partial(scan_powers, Alphabet(1, 2), 2, 1), 3) == (0, [1])
     # Nor more workers than CPUs, and the task list ignores jobs: depth 12
     # is the first with 32 smooth words or more that start with 1 (39).
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _fake_cpus(monkeypatch, 2)
     ab = Alphabet(1, 2)
     assert forks_and_tasks(partial(gamma, ab, 2, 20), 5000) == (1, [39])
     count, concat_tasks = forks_and_tasks(partial(certify_concat, ab, 6), 5000)
     assert count == 1 and concat_tasks[0] > 2
-    # os.cpu_count() may be None: one worker, in this process, and the
-    # same 39 tasks.
+    # Where the mask cannot be read the CPUs are os.cpu_count(), which may
+    # be None: one worker, in this process, and the same 39 tasks.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert forks_and_tasks(partial(gamma, ab, 2, 20), 5000) == (0, [39])
 
@@ -659,7 +667,7 @@ def test_task_list_is_the_same_for_every_jobs(monkeypatch):
 
     monkeypatch.setattr(census, "map_tasks", recording_map)
     monkeypatch.setattr(concat, "map_tasks", recording_map)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    _fake_cpus(monkeypatch, 4)
     for run in (partial(scan_powers, Alphabet(1, 3), 2, 40), partial(gamma, Alphabet(1, 2), 1, 14),
                 partial(certify_concat, Alphabet(1, 3), 4)):
         lists = []
@@ -678,7 +686,7 @@ def _fail_on_four(t):
 
 
 def test_map_tasks_yields_in_task_order(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _fake_cpus(monkeypatch, 3)
     tasks = list(range(5, 15))  # shares of 4, 3 and 3 tasks
     expected = list(map(_fail_on_four, tasks))
     assert list(map_tasks(_fail_on_four, tasks, 3)) == expected
@@ -688,7 +696,7 @@ def test_map_tasks_yields_in_task_order(monkeypatch):
 
 
 def test_map_tasks_raises_a_child_error_and_leaves_no_child(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _fake_cpus(monkeypatch, 3)
     # Task 4 is in share 1 (tasks 1, 4, 7), which a forked child runs; then
     # in share 0, which this process runs while the children still work.
     for tasks in (list(range(10)), list(range(4, 14))):
@@ -705,7 +713,7 @@ def _sleep_unless_zero(t):
 
 
 def test_map_tasks_kills_the_children_when_the_caller_fails(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _fake_cpus(monkeypatch, 2)
     start = time.monotonic()
     with pytest.raises(ValueError, match="task 0"):
         list(map_tasks(_sleep_unless_zero, [0, 1], 2))
@@ -714,10 +722,81 @@ def test_map_tasks_kills_the_children_when_the_caller_fails(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_map_tasks_gives_the_caller_its_cpu_mask_back():
+    # On the machine's own mask: after a clean map, a child's error (task 4
+    # in share 1 of range(1, 11) or range(10)) and an error in this process
+    # (task 4 in share 0 of range(4, 14)).
+    before = os.sched_getaffinity(0)
+    jobs = max(2, min(len(before), 3))
+    tasks = list(range(5, 15))
+    assert list(map_tasks(_fail_on_four, tasks, jobs)) == list(map(_fail_on_four, tasks))
+    assert os.sched_getaffinity(0) == before
+    for tasks in (list(range(1, 11)), list(range(10)), list(range(4, 14))):
+        with pytest.raises(ValueError, match="task 4"):
+            list(map_tasks(_fail_on_four, tasks, jobs))
+        assert os.sched_getaffinity(0) == before
+
+
+def test_map_tasks_places_each_worker_then_gives_the_mask_back(monkeypatch):
+    # Each call to the recording sched_setaffinity lands in the list of the
+    # process that made it; a child reports its list through its result.
+    calls = []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {9, 3, 5}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append(sorted(cpus)),
+                        raising=False)
+    records = list(map_tasks(lambda t: (t, list(calls)), [0, 1, 2], 3))
+    # The caller forks on the first CPU of its mask and has the whole mask
+    # back before it runs task 0; child k starts on the k-th CPU.
+    assert records == [(0, [[3], [3, 5, 9]]),
+                       (1, [[3], [5], [3, 5, 9]]),
+                       (2, [[3], [9], [3, 5, 9]])]
+    # The caller is given the mask back after its last fork and again on the
+    # way out, also when a child's task or its own raises.
+    assert calls == [[3], [3, 5, 9], [3, 5, 9]]
+    for tasks in (list(range(10)), list(range(4, 14))):
+        del calls[:]
+        with pytest.raises(ValueError, match="task 4"):
+            list(map_tasks(_fail_on_four, tasks, 3))
+        assert calls[0] == [3] and calls[-1] == [3, 5, 9]
+
+
+def test_map_tasks_without_placement_gives_the_same_results(monkeypatch):
+    forks = []
+
+    def recording_fork(real_fork=os.fork):
+        forks.append(1)
+        return real_fork()
+
+    def refused(pid, cpus):
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    tasks = list(range(5, 15))
+    expected = list(map(_fail_on_four, tasks))
+    monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
+    assert list(map_tasks(_fail_on_four, tasks, 3)) == expected
+    # No sched_setaffinity at all (macOS).
+    monkeypatch.delattr(os, "sched_setaffinity")
+    assert list(map_tasks(_fail_on_four, tasks, 3)) == expected
+    assert len(forks) == 4
+
+
+def test_map_tasks_forks_nothing_on_one_cpu(monkeypatch):
+    forks, calls = [], []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1))
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {7}, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: calls.append(cpus),
+                        raising=False)
+    assert list(map_tasks(abs, [-1, -2, -3], 4)) == [1, 2, 3]
+    assert forks == [] and calls == []
+
+
 UNFLUSHED_CHILD = """
 import os
 from smoothwords.search import map_tasks
-os.cpu_count = lambda: 2
+os.sched_getaffinity = lambda pid: {0, 1}
 forks = []
 real_fork = os.fork
 def fork():

@@ -113,7 +113,7 @@ def test_usage_error_loads_argparse():
 # CHILD on a machine of two CPUs, counting the children forked.
 FORKING_CHILD = """
 import os
-os.cpu_count = lambda: 2
+os.sched_getaffinity = lambda pid: {0, 1}
 forks = []
 real_fork = os.fork
 def fork():
