@@ -103,6 +103,11 @@ python -m smoothwords.cli certify-concat --alphabet 2,5 -L 12 --jobs 1 > concat2
 grep -qx '30254 smooth triples tested, 0 violations' concat25.txt
 python -m smoothwords.cli certify-concat --alphabet 2,5 -L 12 --jobs 2 > concat25_2.txt
 cmp concat25.txt concat25_2.txt
+# Over {2,9} first runs reach 9 letters: a group judges each one-run v
+# c^k and each root c^k c̄, then walks that root's subtree.  Exit 0.
+python -m smoothwords.cli certify-concat --alphabet 2,9 -L 16 --jobs 1 > concat29.txt
+python -m smoothwords.cli certify-concat --alphabet 2,9 -L 16 --jobs 3 > concat29_3.txt
+cmp concat29.txt concat29_3.txt
 # One scan serves every x: pairs (u, x) of different x share towers
 # of u·x, and a --jobs task is one such tower group.
 python -m smoothwords.cli certify-concat --alphabet 1,2 -L 8 --explore 6 > shared.txt

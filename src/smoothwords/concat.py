@@ -14,11 +14,13 @@ lives with the other one-word power objects, so neither ``dsigma`` nor
 ``power-decomp`` compiles this module.
 
 Both certifiers run on one scan (:func:`_scan`) over a list of x words:
-one walk over u, and one walk over v per distinct tower of u·x whatever the
+one walk over u, and one group of v per distinct tower of u·x whatever the
 x.  The pairs (u, x) of one tower are judged once per *junction signature*
 of v (first letter, first run length, one run or more), not once per v: the
 verdict at v depends on v through nothing else (the proof is in
-:func:`_scan_group`), so a walk over v costs its pushes and little else.
+:func:`_scan_group`).  Every v of one signature is either c^k or lies in the
+subtree below c^k c̄, so a group judges each root once and its walks over
+v cost their pushes and little else.
 The scan uses the complement symmetry once, where it files each pair:
 swapping a and b keeps every run length, so (u, x, v) and (ū, x̄, v̄) are
 smooth together and have the same derivatives and the same middle, and a
@@ -77,14 +79,14 @@ def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int
     group is one task (:func:`_scan_group`), in first-seen order, mapped over
     ``jobs`` workers.
 
-    The walk keeps the run lengths of u per depth, and a pair is filed as
-    ((runs of u, last letter of u), (x, runs of x), flip), the first two
-    shared by all pairs of that u or x.  That is all the group needs: D(u)
-    and the runs of u·x follow, and u's letters are rebuilt from its runs
-    and last letter by :func:`smoothwords.core.delta_inv`, only for a
-    violation.  The x are taken in shortlex order, so an x whose prefix one
-    letter shorter is also an x (tables and explore lists are prefix-closed)
-    costs one push onto that prefix's tower.
+    The runs of u are read off its path, and a pair is filed as ((runs of
+    u, last letter of u), (x, runs of x), flip), the first two shared by all
+    pairs of that u or x.  That is all the group needs: D(u) and the runs
+    of u·x follow, and u's letters are rebuilt from its runs and last letter
+    by :func:`smoothwords.core.delta_inv`, only for a violation.  The x are
+    taken in shortlex order, so an x whose prefix one letter shorter is also
+    an x (tables and explore lists are prefix-closed) costs one push onto
+    that prefix's tower.
     """
     b = ab.b
     counts = dict.fromkeys(xs, 0)
@@ -96,18 +98,10 @@ def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int
     # -1 when that is not an x (or x is ε).
     plan = [((x, tuple(run_lengths(x))), index.get(x[:-1], -1) if x else -1) for x in xs]
     groups: dict[tuple, list[tuple]] = {}
-    # uruns[d] holds the run lengths of the u that is d letters into the
-    # walk; the list grows with the depth the walk reaches, not with L.
-    uruns = [()]
 
     def visit_u(tower: tuple, upath: list[int]) -> None:
-        depth = len(upath)
-        if depth:
-            r = uruns[depth - 1]
-            r = r[:-1] + (r[-1] + 1,) if depth > 1 and upath[-1] == upath[-2] else r + (1,)
-            uruns[depth:] = [r]
         # u as (its runs, its last letter), shared by its pairs.
-        u = (uruns[depth], upath[-1] if depth else 0)
+        u = (tuple(run_lengths(upath)), upath[-1] if upath else 0)
         towers = []
         for xinfo, prefix in plan:
             x = xinfo[0]
@@ -139,19 +133,21 @@ def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int
 
 
 def _scan_group(ab: Alphabet, L: int, table_set: frozenset | None, task: tuple):
-    """One walk over v from the tower shared by a group of pairs (u, x);
-    returns (v nodes walked, violations, middles).
+    """Every v from the tower shared by a group of pairs (u, x); returns
+    (v nodes visited, violations, middles).
 
     Every non-empty u·x of the group ends in a, or is flipped: it ends in b
     and stands for its complement, which has the same runs, derivative and
     middles, so a flipped pair's triple at v is (u, x, v̄).  The verdict of
     every pair at v ≠ ε depends on v only through its *signature*: its first
-    letter, the length k of its first run, and whether it is one run.  So
-    each signature is judged once (:func:`_judge`), at the first v that has
-    it, and v = ε once: at most 4b + 1 judgments per group, however many v
-    the walk visits.  At every other v the failing pairs of its signature
-    are reported again.  A judgment tests one pair per distinct (D(u), R),
-    R as below, since the formula reads nothing else of (u, x).
+    letter, the length k of its first run, and whether it is one run.  A
+    one-run v is c^k, and every v with more runs and signature (c, k) lies
+    in the subtree below c^k c̄.  So v = ε and each c^k are judged
+    (:func:`_judge`) and visited on their own, and each root c^k c̄ is
+    judged once and its subtree walked, each v of it reporting the root's
+    failing pairs: at most 4b + 1 judgments per group, however many v the
+    walks visit.  A judgment tests one pair per distinct (D(u), R), R as
+    below, since the formula reads nothing else of (u, x).
 
     Proof.  Let t be the last run length of u·x (0 for u·x = ε), R the runs
     of u·x, without the last run when v starts with a (the merge: v's first
@@ -193,39 +189,37 @@ def _scan_group(ab: Alphabet, L: int, table_set: frozenset | None, task: tuple):
     tail = r[-1] if r else 0
     violations: list[tuple[tuple, tuple, tuple, str]] = []
     middles: set[tuple] = set()
-    # verdicts maps a signature (first letter, first run length, one run)
-    # to the entry (signature, failing pairs); entries[d] is the entry of
-    # the v that is d letters into the walk.
-    verdicts: dict[tuple, tuple] = {}
-    entries: list[tuple] = [()]
     nodes = 0
+    failing: list[tuple] = []
 
     def visit_v(tower: tuple, path: list[int]) -> None:
         nonlocal nodes
         nodes += 1
-        depth = len(path)
-        if depth > 1:
-            entry = entries[depth - 1]
-            first, k, single = entry[0]
-            if single:
-                sig = (first, k + 1, True) if path[-1] == first else (first, k, False)
-                entry = verdicts.get(sig)
-        elif depth:
-            sig = (path[0], 1, True)
-            entry = verdicts.get(sig)
-        else:
-            sig = ()
-            entry = None
-        if entry is None:
-            entry = verdicts[sig] = (sig, _judge(ab, pairs, tail, path, table_set, middles))
-        entries[depth:] = [entry]
-        failing = entry[1]
         if failing:
             v = tuple(path)
             vs = (v, tuple(map(swap, v)))
             violations.extend((u, x, vs[flip], reason) for u, x, flip, reason in failing)
 
-    walk(ab, ux_tower, [], L, visit_v)
+    def root(tower: tuple, path: list[int], subtree: bool) -> None:
+        # Judge the signature of path, then visit path and, for a subtree,
+        # every v below it: they all have that signature.
+        nonlocal failing
+        failing = _judge(ab, pairs, tail, path, table_set, middles)
+        if subtree:
+            walk(ab, tower, path, L, visit_v)
+        else:
+            visit_v(tower, path)
+
+    root(ux_tower, [], False)
+    for c, other in ((a, b), (b, a)):
+        tower, run = ux_tower, []
+        while len(run) < L and (tower := push_copies(ab, tower, (c,), 1)) is not None:
+            run.append(c)
+            root(tower, run, False)
+            if len(run) < L:
+                fork = push_copies(ab, tower, (other,), 1)
+                if fork is not None:
+                    root(fork, run + [other], True)
     return nodes, violations, middles
 
 

@@ -13,7 +13,8 @@ from smoothwords.concat import _extract_middle, _scan
 from smoothwords.core import run_lengths
 from smoothwords.dsigma import DsigmaTable
 from smoothwords.errors import CertificationError
-from smoothwords.search import derivative_from_runs, is_smooth_fast, seeded_state, walk
+from smoothwords.search import (derivative_from_runs, is_smooth_fast, push_copies, seeded_state,
+                                walk)
 
 
 def words(texts):
@@ -153,8 +154,10 @@ class TestScanDifferential:
     """``_scan`` against a brute force over all (u, x, v) built on the
     literal ``calculus.derivative``."""
 
-    # Bounds keep each case near a second of literal derivatives.
-    CASES = [((1, 2), 6), ((1, 3), 6), ((1, 4), 6), ((2, 3), 8), ((2, 5), 8), ((3, 4), 8)]
+    # Bounds keep each case near a second of literal derivatives; over
+    # {2,7} L = 9 reaches the roots c^7 c̄.
+    CASES = [((1, 2), 6), ((1, 3), 6), ((1, 4), 6), ((2, 3), 8), ((2, 5), 8), ((3, 4), 8),
+             ((2, 7), 9)]
     _found: dict = {}
 
     @staticmethod
@@ -247,28 +250,42 @@ class TestScanDifferential:
         assert len(violations) == sum(counts.values())
 
     def test_one_v_walk_per_tower_of_ux(self, monkeypatch, ab12):
-        # Pairs (u, x) with equal towers of u·x share one walk over v, across
-        # all x and with the complements of the u·x that end in b; one walk
-        # over u serves every x.
-        starts = []
+        # Pairs (u, x) with equal towers of u·x share one group, across all x
+        # and with the complements of the u·x that end in b; one walk over u
+        # serves every x.  A group walks only the subtrees of its multi-run
+        # roots c^k c̄: ε and the one-run v are visited without a walk.
+        L, starts, groups = 8, [], []
+        scan_group = concat._scan_group
 
         def counting_walk(ab, tower, path, max_len, visit):
-            starts.append(tower)
+            starts.append((tower, tuple(path)))
             walk(ab, tower, path, max_len, visit)
 
+        def counting_scan_group(*args):
+            groups.append(args[-1][0])  # the task's tower
+            return scan_group(*args)
+
         xs = [tuple(w) for w in dsigma_table(ab12).words]
-        singles = [_scan(ab12, 8, [x], None) for x in xs]
+        singles = [_scan(ab12, L, [x], None) for x in xs]
         monkeypatch.setattr(concat, "walk", counting_walk)
-        counts, violations, middles = _scan(ab12, 8, xs, None)
-        words = [tuple(u) for u in enumerate_smooth(ab12, 8, min_len=0)]
+        monkeypatch.setattr(concat, "_scan_group", counting_scan_group)
+        counts, violations, middles = _scan(ab12, L, xs, None)
+        words = [tuple(u) for u in enumerate_smooth(ab12, L, min_len=0)]
         # A u·x that ends in b is filed under the tower of its complement.
         towers = {x: {seeded_state(ab12, complement(u + x, ab12) if (u + x)[-1:] == (2,)
                                    else u + x) for u in words}
                   - {None} for x in xs}
         everywhere = set().union(*towers.values())
-        # One walk over u, then one walk over v per distinct tower of u·x.
-        assert len(starts) == 1 + len(everywhere)
+        # One task per distinct tower of u·x, up to the complement.
+        assert sorted(groups) == sorted(everywhere)
         assert len(everywhere) < sum(map(len, towers.values()))
+        # One walk over u from the empty tower; every other walk starts at
+        # a root c^k c̄ (k >= 1) of a group, once.
+        assert starts[0] == ((), ())
+        runs = [(t, (c,) * k + (d,)) for t in groups for c, d in ((1, 2), (2, 1))
+                for k in range(1, L)]
+        roots = [(push_copies(ab12, t, run, 1), run) for t, run in runs]
+        assert sorted(starts[1:]) == sorted(r for r in roots if r[0] is not None)
         assert counts == {x: t for x, (c, _, _) in zip(xs, singles) for t in c.values()}
         assert sorted(violations) == sorted(v for _, vio, _ in singles for v in vio)
         assert middles == set().union(*(m for _, _, m in singles))
@@ -299,15 +316,68 @@ class TestScanDifferential:
         assert per_group and max(per_group) <= 4 * ab.b + 1
         assert sum(per_group) < sum(nodes)
 
+    @pytest.mark.parametrize("table", [None, frozenset()])
+    @pytest.mark.parametrize("ab_pair,L", [((a, b), L) for a, b in ((2, 7), (1, 9), (4, 9), (2, 9))
+                                           for L in range(3, b + 3)])
+    def test_subtrees_lose_and_double_no_v(self, monkeypatch, ab_pair, L, table):
+        # A group visits ε and its one-run v and walks the subtree of each
+        # multi-run root c^k c̄.  Its nodes, violations and middles equal
+        # those of one plain walk from its tower with a judgment at every v;
+        # L < b also cuts first runs.
+        ab = Alphabet(*ab_pair)
+        judge, scan_group = concat._judge, concat._scan_group
+        swap = (ab.a + ab.b).__sub__
+        groups = 0
+
+        def checked_scan_group(ab, L, table_set, task):
+            nonlocal groups
+            groups += 1
+            seen = []
+
+            def recording_judge(*args):
+                seen.append(args)
+                return judge(*args)
+
+            monkeypatch.setattr(concat, "_judge", recording_judge)
+            result = scan_group(ab, L, table_set, task)
+            monkeypatch.setattr(concat, "_judge", judge)
+            # Every judgment of the group reads the same pairs and tail.
+            _, pairs, tail, _, _, _ = seen[0]
+            nodes, violations, middles = 0, [], set()
+
+            def visit(tower, path):
+                nonlocal nodes
+                nodes += 1
+                v = tuple(path)
+                vs = (v, tuple(map(swap, v)))
+                violations.extend((u, x, vs[flip], reason) for u, x, flip, reason
+                                  in judge(ab, pairs, tail, path, table_set, middles))
+
+            walk(ab, task[0], [], L, visit)
+            assert result[0] == nodes
+            assert sorted(result[1]) == sorted(violations)
+            assert result[2] == middles
+            return result
+
+        monkeypatch.setattr(concat, "_scan_group", checked_scan_group)
+        _scan(ab, L, TestScanDifferential._xs(ab), table)
+        assert groups
+
     def test_huge_bound_needs_no_arrays_of_that_size(self, monkeypatch, ab12):
         # Stubbed walks visit only their root, so 10**20 is never walked.
         def root_only(ab, tower, path, max_len, visit):
             visit(tower, path)
 
         monkeypatch.setattr(concat, "walk", root_only)
-        # Only (ε, x, ε) is visited, and D(12) is empty.
+        # Only u = ε is visited; its group visits v = ε, the one-run v and
+        # the multi-run roots c^k c̄, and a run of 3 is too long over {1,2}.
         for x in [(), (1, 2)]:
-            assert _scan(ab12, 10**20, [x], None) == ({x: 1}, [], {()})
+            vs = [()] + [(c,) * k + end for c, d in ((1, 2), (2, 1)) for k in (1, 2, 3)
+                         for end in ((), (d,))]
+            vs = [v for v in vs if is_smooth_fast(x + v, ab12)]
+            middles = {middle_witness((), x, v, ab12) for v in vs}
+            assert None not in middles
+            assert _scan(ab12, 10**20, [x], None) == ({x: len(vs)}, [], set(map(tuple, middles)))
 
 
 @pytest.mark.parametrize("du, dv, dfull", [
