@@ -86,6 +86,18 @@ status=0
 python -m smoothwords.cli certify-concat --alphabet 1,3 -L 6 --format json --jobs 2 > concat13_2.json || status=$?
 test "$status" -eq 1
 cmp concat13.json concat13_2.json
+# Each scan extracts a middle once per (class of u·x, v root), and a
+# forked share starts with the middles its parent held at the fork: the
+# failing rows of {1,3} must not change one byte at --jobs 3.
+status=0
+python -m smoothwords.cli certify-concat --alphabet 1,3 -L 10 --jobs 1 > concat13_10.txt || status=$?
+test "$status" -eq 1
+grep -qx '42367 smooth triples tested, 600 violations' concat13_10.txt
+status=0
+python -m smoothwords.cli certify-concat --alphabet 1,3 -L 10 --jobs 3 > concat13_10_3.txt || status=$?
+test "$status" -eq 1
+grep -qx '42367 smooth triples tested, 600 violations' concat13_10_3.txt
+cmp concat13_10.txt concat13_10_3.txt
 # The walk over v runs once per tower of u·x; over {1,2} towers are
 # shared only because they keep a "more than one run" flag.
 python -m smoothwords.cli certify-concat --alphabet 1,2 -L 10 > concat12.txt

@@ -17,10 +17,13 @@ Both certifiers run on one scan (:func:`_scan`) over a list of x words:
 one walk over u, and one group of v per distinct tower of u·x whatever the
 x.  The pairs (u, x) of one tower are judged once per *junction signature*
 of v (first letter, first run length, one run or more), not once per v: the
-verdict at v depends on v through nothing else (the proof is in
-:func:`_scan_group`).  Every v of one signature is either c^k or lies in the
-subtree below c^k c̄, so a group judges each root once and its walks over
-v cost their pushes and little else.
+verdict at v depends on v through nothing else.  Every v of one signature is
+either c^k or lies in the subtree below c^k c̄, so a group judges each root
+once and its walks over v cost their pushes and little else.  The verdict
+depends on (u, x) only through its *class* (u empty, one run or more; the
+last run length of u; whether u's last letter is x's first; the runs of x),
+so one scan extracts each middle once per (class, root), whatever the group
+(both proofs are in :func:`_scan_group`).
 The scan uses the complement symmetry once, where it files each pair:
 swapping a and b keeps every run length, so (u, x, v) and (ū, x̄, v̄) are
 smooth together and have the same derivatives and the same middle, and a
@@ -77,13 +80,18 @@ def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int
     so the v that extend a group's tower are, for a pair filed as it is, its
     smooth v, and for a flipped pair the complements of its smooth v.  Each
     group is one task (:func:`_scan_group`), in first-seen order, mapped over
-    ``jobs`` workers.
+    ``jobs`` workers.  Every group reads and fills one dict of this call,
+    which maps (class of (u, x), v root) to the middle or None, so a middle
+    is extracted once per (class, root) in the scan; a forked share starts
+    with what the dict held at the fork.  The dict lives no longer than the
+    call: its keys name neither the alphabet nor the table.
 
     The runs of u are read off its path, and a pair is filed as ((runs of
     u, last letter of u), (x, runs of x), flip), the first two shared by all
-    pairs of that u or x.  That is all the group needs: D(u) and the runs
-    of u·x follow, and u's letters are rebuilt from its runs and last letter
-    by :func:`smoothwords.core.delta_inv`, only for a violation.  The x are
+    pairs of that u or x.  That is all the group needs: the class of the
+    pair follows, on a miss so do D(u) and the runs of u·x, and u's letters
+    are rebuilt from its runs and last letter by
+    :func:`smoothwords.core.delta_inv`, only for a violation.  The x are
     taken in shortlex order, so an x whose prefix one letter shorter is also
     an x (tables and explore lists are prefix-closed) costs one push onto
     that prefix's tower.
@@ -123,8 +131,9 @@ def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int
     tasks = list(groups.items())
     violations: list[tuple[tuple, tuple, tuple, str]] = []
     middles: set[tuple] = set()
+    found: dict[tuple, tuple | None] = {}
     for (_, members), (nodes, vio, mids) in zip(
-            tasks, map_tasks(partial(_scan_group, ab, L, table_set), tasks, jobs)):
+            tasks, map_tasks(partial(_scan_group, ab, L, table_set, found), tasks, jobs)):
         for _, (x, _), _ in members:
             counts[x] += nodes
         violations += vio
@@ -132,9 +141,10 @@ def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int
     return counts, violations, middles
 
 
-def _scan_group(ab: Alphabet, L: int, table_set: frozenset | None, task: tuple):
+def _scan_group(ab: Alphabet, L: int, table_set: frozenset | None, found: dict, task: tuple):
     """Every v from the tower shared by a group of pairs (u, x); returns
-    (v nodes visited, violations, middles).
+    (v nodes visited, violations, middles).  ``found`` maps (class, v root)
+    to the middle or None, as :func:`_scan` says.
 
     Every non-empty u·x of the group ends in a, or is flipped: it ends in b
     and stands for its complement, which has the same runs, derivative and
@@ -146,15 +156,19 @@ def _scan_group(ab: Alphabet, L: int, table_set: frozenset | None, task: tuple):
     (:func:`_judge`) and visited on their own, and each root c^k c̄ is
     judged once and its subtree walked, each v of it reporting the root's
     failing pairs: at most 4b + 1 judgments per group, however many v the
-    walks visit.  A judgment tests one pair per distinct (D(u), R), R as
-    below, since the formula reads nothing else of (u, x).
+    walks visit.  The verdict depends on (u, x) only through its *class*:
+    whether u is empty, one run or more, the last run length of u, whether
+    the last letter of u is the first letter of x, and the runs of x.  So a
+    judgment reads one middle per class, and a middle is extracted once per
+    (class, root) in a whole scan.
 
-    Proof.  Let t be the last run length of u·x (0 for u·x = ε), R the runs
-    of u·x, without the last run when v starts with a (the merge: v's first
-    run continues that run), and V the runs of v, the first lengthened by t
-    on a merge, so V[0] is k + t or k.  Then u·x·v has the runs R + V, and
-    ``derivative_from_runs`` drops each boundary run unless it has length b.
-    The first letter fixes the merge, and with k it fixes V[0].
+    Proof for v.  Let t be the last run length of u·x (0 for u·x = ε), R
+    the runs of u·x, without the last run when v starts with a (the merge:
+    v's first run continues that run), and V the runs of v, the first
+    lengthened by t on a merge, so V[0] is k + t or k.  Then u·x·v has the
+    runs R + V, and ``derivative_from_runs`` drops each boundary run unless
+    it has length b.  The first letter fixes the merge, and with k it fixes
+    V[0].
 
     * v is one run: u·x·v has the runs R + (V[0],), and D(v) is (b,) or ε
       as k is b or not, so the signature fixes all three derivatives.
@@ -173,20 +187,36 @@ def _scan_group(ab: Alphabet, L: int, table_set: frozenset | None, task: tuple):
       - k = b with a merge and u·x ≠ ε: V[0] = b + t > b, so u·x·v is not
         smooth and the walk never reaches it.  (For u·x = ε, t = 0 and
         R = ε, so a merge changes nothing.)
+
+    Proof for u.  The proof for v reads (u, x) only through D(u), the runs
+    of u·x and t.  For an empty u the class fixes all three: they are ε, the
+    runs of x and x's last run length.  For u = c^l it fixes them too: D(u)
+    is (b,) or ε as l is b or not, and u·x has the runs (l + x₁,) followed
+    by the rest of x's runs when c is the first letter of x, and (l,)
+    followed by x's runs otherwise.  Now let u have n >= 2 runs U, the last
+    of length l.  Then u·x·v has the runs F = U[:n-1] + T + V, where T, the
+    runs from u's last run on with the last one dropped on a merge, and V
+    depend on u only through the class, and T + V ≠ ε.  The first run of
+    u·x·v is U[0], so D(u) and D(u·x·v) drop the same first run: with s as
+    above, D(u) = U[s:n-1] + Z, where Z = (b,) when l = b and ε otherwise,
+    and D(u·x·v) = U[s:n-1] + G, where G is T + V less its last run unless
+    that has length b.  The two agree up to position n - 1, and everything
+    after it moves by that one offset: the prefix test drops U[s:n-1] on
+    both sides, the length test subtracts its length from both, and when
+    that holds, D(v) is a suffix of G.  So the middle is that of Z, D(v)
+    and G, which depend on u only through its class.
     """
     ux_tower, members = task
     a, b = ab.a, ab.b
     swap = (a + b).__sub__
-    # pairs[merge] maps (D(u), R) to the pairs (u, x) that have it.
-    pairs = ({}, {})
+    # The pairs (u, x) of each class, in first-seen order.
+    classes: dict[tuple, list[tuple]] = {}
     for member in members:
         (ur, last), (x, xr), _ = member
-        r = ur[:-1] + (ur[-1] + xr[0],) + xr[1:] if ur and x and last == x[0] else ur + xr
-        du = derivative_from_runs(ur, b)
-        pairs[0].setdefault((du, r), []).append(member)
-        pairs[1].setdefault((du, r[:-1]), []).append(member)
-    # The last run length of u·x (0 for ε) is one per group: the tower holds it.
-    tail = r[-1] if r else 0
+        # (u has two runs or more, its last run length or 0 for ε, whether
+        # that run goes on into x, runs of x); ε's last letter 0 is no letter.
+        cls = (len(ur) > 1, ur[-1] if ur else 0, x[0] == last if x else False, xr)
+        classes.setdefault(cls, []).append(member)
     violations: list[tuple[tuple, tuple, tuple, str]] = []
     middles: set[tuple] = set()
     nodes = 0
@@ -204,7 +234,7 @@ def _scan_group(ab: Alphabet, L: int, table_set: frozenset | None, task: tuple):
         # Judge the signature of path, then visit path and, for a subtree,
         # every v below it: they all have that signature.
         nonlocal failing
-        failing = _judge(ab, pairs, tail, path, table_set, middles)
+        failing = _judge(ab, classes, path, table_set, middles, found)
         if subtree:
             walk(ab, tower, path, L, visit_v)
         else:
@@ -223,26 +253,36 @@ def _scan_group(ab: Alphabet, L: int, table_set: frozenset | None, task: tuple):
     return nodes, violations, middles
 
 
-def _judge(ab: Alphabet, pairs: tuple, tail: int, v: list[int],
-           table_set: frozenset | None, middles: set) -> list[tuple]:
-    """The pairs of a group that fail at v, as (u, x, flip, reason); every
-    middle found is added to ``middles``.
+def _judge(ab: Alphabet, classes: dict, v: list[int], table_set: frozenset | None,
+           middles: set, found: dict) -> list[tuple]:
+    """The pairs of a group that fail at the root v, as (u, x, flip, reason);
+    every middle found is added to ``middles``.
 
-    ``pairs[merge]`` maps (D(u), R) to its pairs and ``tail`` is the last run
-    length of u·x, as in :func:`_scan_group`.  Each key is tested once, on
-    run lengths: D(v) from the runs of v, D(u·x·v) from R and those runs.
+    ``classes`` maps each class of (u, x), as in :func:`_scan_group`, to its
+    pairs.  The middle of a class at v is read from ``found``; on a miss it
+    is extracted from the class's first pair, on run lengths: D(u) from the
+    runs of u, D(v) from the runs of v, D(u·x·v) from the runs of u·x and v,
+    and stored there.
     """
     a, b = ab.a, ab.b
-    vr = run_lengths(v)
+    root = tuple(v)
+    vr = tuple(run_lengths(v))
     dv = derivative_from_runs(vr, b)
     merge = bool(v) and v[0] == a
-    if merge:
-        # v's first run continues the last run of u·x.
-        vr[0] += tail
-    vr = tuple(vr)
     failing = []
-    for (du, r), group in pairs[merge].items():
-        mid = _extract_middle(du, dv, derivative_from_runs(r + vr, b))
+    for cls, group in classes.items():
+        try:
+            mid = found[cls, root]
+        except KeyError:
+            (ur, _), (_, xr), _ = group[0]
+            r = ur[:-1] + (ur[-1] + xr[0],) + xr[1:] if cls[2] else ur + xr
+            if merge and r:
+                # v's first run continues the last run of u·x.
+                r = r[:-1] + (r[-1] + vr[0],) + vr[1:]
+            else:
+                r += vr
+            mid = found[cls, root] = _extract_middle(derivative_from_runs(ur, b), dv,
+                                                     derivative_from_runs(r, b))
         if mid is not None:
             middles.add(mid)
             if table_set is None or mid in table_set:

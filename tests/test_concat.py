@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -123,6 +127,27 @@ class TestCertify:
         assert certify_concat(ab13, 6, jobs=2) == seq
         explored = certify_concat(ab13, 5, jobs=1, explore=4)
         assert certify_concat(ab13, 5, jobs=2, explore=4) == explored
+
+    def test_each_certificate_is_that_of_a_fresh_process(self):
+        # Each scan has its own table of middles per (class, v root): its
+        # keys name neither the alphabet nor the table, so certificates over
+        # two alphabets, and over one with and without the table, in one
+        # process must each equal the certificate a fresh process computes.
+        cases = [((1, 2), 7, None), ((1, 3), 7, None), ((1, 3), 7, 4), ((1, 2), 7, 4),
+                 ((1, 3), 7, None)]
+        here = [certify_concat(Alphabet(*ab), L, explore=explore).to_json()
+                for ab, L, explore in cases]
+        assert here[1]["violations"] and not here[2]["violations"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for (ab, L, explore), doc in zip(cases, here):
+            code = ("import json; from smoothwords import Alphabet, certify_concat; "
+                    f"print(json.dumps(certify_concat(Alphabet{ab}, {L}, explore={explore})"
+                    ".to_json()))")
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=60, check=True)
+            assert json.loads(proc.stdout) == doc, (ab, L, explore)
 
     def test_pinned_counts_12(self, ab12):
         # Confirmed by bench/oracle.py, which shares no code with the package.
@@ -316,6 +341,44 @@ class TestScanDifferential:
         assert per_group and max(per_group) <= 4 * ab.b + 1
         assert sum(per_group) < sum(nodes)
 
+    @staticmethod
+    def _count_extractions(monkeypatch):
+        """Patch ``_extract_middle`` and ``_judge`` to count, in the dict
+        returned, the extractions, the (class, v root) keys judged and the
+        middles read (one per class of a group and judgment)."""
+        extract, judge = concat._extract_middle, concat._judge
+        seen = {"calls": 0, "keys": set(), "reads": 0}
+
+        def counting_extract(*args):
+            seen["calls"] += 1
+            return extract(*args)
+
+        def recording_judge(ab, classes, v, *rest):
+            seen["reads"] += len(classes)
+            seen["keys"].update((cls, tuple(v)) for cls in classes)
+            return judge(ab, classes, v, *rest)
+
+        monkeypatch.setattr(concat, "_extract_middle", counting_extract)
+        monkeypatch.setattr(concat, "_judge", recording_judge)
+        return seen
+
+    @pytest.mark.parametrize("table", [None, frozenset()])
+    @pytest.mark.parametrize("ab_pair,L", CASES)
+    def test_one_extraction_per_class_and_root(self, monkeypatch, ab_pair, L, table):
+        # One scan extracts each middle once per (class of (u, x), v root),
+        # however many groups judge that class at that root.
+        ab = Alphabet(*ab_pair)
+        seen = self._count_extractions(monkeypatch)
+        _scan(ab, L, self._xs(ab), table)
+        assert seen["calls"] == len(seen["keys"]) < seen["reads"]
+
+    def test_extractions_pinned_for_12(self, monkeypatch, ab12):
+        # certify-concat --alphabet 1,2 -L 16 reads a middle 4,827 times and
+        # extracts 372 of them.
+        seen = self._count_extractions(monkeypatch)
+        assert certify_concat(ab12, 16).tested_triples == 334218
+        assert (seen["calls"], len(seen["keys"]), seen["reads"]) == (372, 372, 4827)
+
     @pytest.mark.parametrize("table", [None, frozenset()])
     @pytest.mark.parametrize("ab_pair,L", [((a, b), L) for a, b in ((2, 7), (1, 9), (4, 9), (2, 9))
                                            for L in range(3, b + 3)])
@@ -329,7 +392,7 @@ class TestScanDifferential:
         swap = (ab.a + ab.b).__sub__
         groups = 0
 
-        def checked_scan_group(ab, L, table_set, task):
+        def checked_scan_group(ab, L, table_set, found, task):
             nonlocal groups
             groups += 1
             seen = []
@@ -339,11 +402,12 @@ class TestScanDifferential:
                 return judge(*args)
 
             monkeypatch.setattr(concat, "_judge", recording_judge)
-            result = scan_group(ab, L, table_set, task)
+            result = scan_group(ab, L, table_set, found, task)
             monkeypatch.setattr(concat, "_judge", judge)
-            # Every judgment of the group reads the same pairs and tail.
-            _, pairs, tail, _, _, _ = seen[0]
-            nodes, violations, middles = 0, [], set()
+            # Every judgment of the group reads the same classes.  The plain
+            # walk extracts its own middles: each v is a root of its own.
+            _, classes, _, _, _, _ = seen[0]
+            nodes, violations, middles, own = 0, [], set(), {}
 
             def visit(tower, path):
                 nonlocal nodes
@@ -351,7 +415,7 @@ class TestScanDifferential:
                 v = tuple(path)
                 vs = (v, tuple(map(swap, v)))
                 violations.extend((u, x, vs[flip], reason) for u, x, flip, reason
-                                  in judge(ab, pairs, tail, path, table_set, middles))
+                                  in judge(ab, classes, path, table_set, middles, own))
 
             walk(ab, task[0], [], L, visit)
             assert result[0] == nodes
@@ -433,6 +497,71 @@ def test_middle_depends_on_v_only_through_its_signature(data):
     mid = middle_witness(u, x, v, ab)
     assert mid == middle_witness(u, x, v2, ab), (ab, u, x, v, v2)
     assert mid == _literal_middle(u, x, v, ab) and mid == _literal_middle(u, x, v2, ab)
+
+
+def _draw_smooth_triple(data):
+    """(alphabet with b <= 9, u, x, v cut from one smooth word of up to 16
+    letters, draw), where draw(label) draws the letters of a smooth word."""
+    a = data.draw(st.integers(min_value=1, max_value=8), label="a")
+    b = data.draw(st.integers(min_value=a + 1, max_value=9), label="b")
+    ab = Alphabet(a, b)
+
+    def draw(label):
+        n = data.draw(st.integers(min_value=0, max_value=16), label=label + " length")
+        return tuple(data.draw(st.sampled_from(enumerate_smooth(ab, n)), label=label))
+
+    w = draw("u·x·v")
+    i = data.draw(st.integers(min_value=0, max_value=len(w)), label="|u|")
+    j = data.draw(st.integers(min_value=i, max_value=len(w)), label="|u·x|")
+    return ab, w[:i], w[i:j], w[j:], draw
+
+
+def _same_class(ab, u, rest, draw):
+    """Another u2 of the class of u with u2·rest smooth: for u of two runs
+    or more, the longest such suffix of drawn letters, the other letter and
+    u's last run; ε and one run are their own class."""
+    last = next((i for i in range(len(u) - 1, 0, -1) if u[i - 1] != u[i]), None)
+    if last is None:
+        return u
+    raw = draw("u2 letters") + (ab.a + ab.b - u[-1],) + u[last:]
+    u2 = next(raw[i:] for i in range(len(raw) + 1) if is_smooth_fast(raw[i:] + rest, ab))
+    # u's last two runs are a factor of u·rest, so they stay.
+    assert len(u2) > len(u) - last
+    return u2
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_middle_depends_on_u_only_through_its_class(data):
+    # The u half of locality, which _judge relies on when it reuses a
+    # middle across groups: two u with the same class (empty, one run or
+    # more; last run length; last letter of u equal to the first of x or
+    # not) give every smooth u·x·v the same middle, or both none.
+    ab, u, x, v, draw = _draw_smooth_triple(data)
+    u2 = _same_class(ab, u, x + v, draw)
+    mid = middle_witness(u, x, v, ab)
+    assert mid == middle_witness(u2, x, v, ab), (ab, u, u2, x, v)
+    assert mid == _literal_middle(u, x, v, ab) and mid == _literal_middle(u2, x, v, ab)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_middle_is_a_function_of_the_whole_signature(data):
+    # Both halves together: any two smooth triples with the same u class,
+    # the same x and the same v signature have the same middle, or none.
+    ab, u, x, v, draw = _draw_smooth_triple(data)
+    u2 = _same_class(ab, u, x, draw)
+    k = next((i for i, d in enumerate(v) if d != v[0]), len(v))  # first run length
+    if k == len(v):
+        v2 = v  # ε or one run: the signature is the whole word
+        assume(is_smooth_fast(u2 + x + v2, ab))
+    else:
+        w = v[:k] + (ab.a + ab.b - v[0],) + draw("v2 letters")
+        v2 = next(w[:n] for n in range(len(w), -1, -1) if is_smooth_fast(u2 + x + w[:n], ab))
+        assume(len(v2) > k)
+    mid = _literal_middle(u, x, v, ab)
+    assert mid == _literal_middle(u2, x, v2, ab), (ab, u, u2, x, v, v2)
+    assert mid == middle_witness(u, x, v, ab) and mid == middle_witness(u2, x, v2, ab)
 
 
 class TestComplementHalving:
