@@ -5,49 +5,51 @@
 # output files into the current directory.  Exits non-zero at the first
 # failing check.
 set -e
-python -m smoothwords.cli gamma --alphabet 1,2 -n 2 -L 12 > gamma1.txt
+# same_bytes FIRST_JOBS JOBS OUT1 OUT2 ARGS...: the CLI with ARGS into OUT1,
+# with --jobs FIRST_JOBS appended unless that is empty, and with --jobs JOBS
+# appended into OUT2.  The two outputs must have the same bytes.
+same_bytes() {
+    local first=$1 jobs=$2 out1=$3 out2=$4
+    shift 4
+    python -m smoothwords.cli "$@" ${first:+--jobs "$first"} > "$out1"
+    python -m smoothwords.cli "$@" --jobs "$jobs" > "$out2"
+    cmp "$out1" "$out2"
+}
+# exits STATUS CMD...: CMD must exit with STATUS.  Redirections written
+# after the call apply to CMD.
+exits() {
+    local want=$1 status=0
+    shift
+    "$@" || status=$?
+    test "$status" -eq "$want"
+}
+same_bytes "" 2 gamma1.txt gamma2.txt gamma --alphabet 1,2 -n 2 -L 12
 grep -qx 'gamma=22 stable=true' gamma1.txt
-python -m smoothwords.cli gamma --alphabet 1,2 -n 2 -L 12 --jobs 2 > gamma2.txt
-cmp gamma1.txt gamma2.txt
 # Without -L the bound is 60 for squares and 30 for any other exponent.
 python -m smoothwords.cli scan-powers --alphabet 3,4 -n 3 > scan_default.txt
 grep -qx 'alphabet 3,4  exponent 3  bound 30' scan_default.txt
 # --jobs > 1 hands the workers only the prefixes that start with a.
-python -m smoothwords.cli scan-powers --alphabet 1,3 -n 4 -L 14 --format csv > scan1.csv
-python -m smoothwords.cli scan-powers --alphabet 1,3 -n 4 -L 14 --format csv --jobs 2 > scan2.csv
-cmp scan1.csv scan2.csv
+same_bytes "" 2 scan1.csv scan2.csv scan-powers --alphabet 1,3 -n 4 -L 14 --format csv
 # gamma -n 1 runs the census scan; --explore lists its x words with enumerate_smooth.
-python -m smoothwords.cli gamma --alphabet 1,2 -n 1 -L 10 > gamma_n1.txt
+same_bytes "" 2 gamma_n1.txt gamma_n1_2.txt gamma --alphabet 1,2 -n 1 -L 10
 grep -qx 'gamma=206 stable=false' gamma_n1.txt
-python -m smoothwords.cli gamma --alphabet 1,2 -n 1 -L 10 --jobs 2 > gamma_n1_2.txt
-cmp gamma_n1.txt gamma_n1_2.txt
 # Census reports are written as they render (JSON one witness dict at a
 # time, CSV a batch of lines at a time), whichever process found each base.
-python -m smoothwords.cli gamma --alphabet 1,2 -n 1 -L 16 --format json --jobs 1 > gamma16_1.json
-python -m smoothwords.cli gamma --alphabet 1,2 -n 1 -L 16 --format json --jobs 3 > gamma16_3.json
-cmp gamma16_1.json gamma16_3.json
-python -m smoothwords.cli gamma --alphabet 1,2 -n 1 -L 16 --format csv --jobs 1 > gamma16_1.csv
-python -m smoothwords.cli gamma --alphabet 1,2 -n 1 -L 16 --format csv --jobs 3 > gamma16_3.csv
-cmp gamma16_1.csv gamma16_3.csv
+same_bytes 1 3 gamma16_1.json gamma16_3.json gamma --alphabet 1,2 -n 1 -L 16 --format json
+same_bytes 1 3 gamma16_1.csv gamma16_3.csv gamma --alphabet 1,2 -n 1 -L 16 --format csv
 # --jobs 3 deals the prefixes round-robin into three shares, one run
 # by the calling process and two by forked children: same bytes.
-python -m smoothwords.cli scan-powers --alphabet 1,3 -n 2 -L 40 --format json --jobs 1 > scan13_1.json
-python -m smoothwords.cli scan-powers --alphabet 1,3 -n 2 -L 40 --format json --jobs 3 > scan13_3.json
-cmp scan13_1.json scan13_3.json
+same_bytes 1 3 scan13_1.json scan13_3.json scan-powers --alphabet 1,3 -n 2 -L 40 --format json
 # gamma_{2,3}(3) is 24 for every L >= 25, and the junction check in the
 # walk must not lose a cube base.
 python -m smoothwords.cli gamma --alphabet 2,3 -n 3 -L 60 > gamma23_3.txt
 grep -q '^gamma=24 ' gamma23_3.txt
 # A --jobs child sends its bases back as pickled Words; over {2,5} the
 # junction check rejects most bases before any copy is pushed: same bytes.
-python -m smoothwords.cli scan-powers --alphabet 2,5 -n 4 -L 60 --format csv --jobs 1 > scan25_1.csv
-python -m smoothwords.cli scan-powers --alphabet 2,5 -n 4 -L 60 --format csv --jobs 3 > scan25_3.csv
-cmp scan25_1.csv scan25_3.csv
+same_bytes 1 3 scan25_1.csv scan25_3.csv scan-powers --alphabet 2,5 -n 4 -L 60 --format csv
 # Over {3,4} the towers at the split depth are deep, and forked children
 # continue them on the tables of upper states they inherited: same bytes.
-python -m smoothwords.cli scan-powers --alphabet 3,4 -n 3 -L 150 --jobs 1 > scan34_1.txt
-python -m smoothwords.cli scan-powers --alphabet 3,4 -n 3 -L 150 --jobs 3 > scan34_3.txt
-cmp scan34_1.txt scan34_3.txt
+same_bytes 1 3 scan34_1.txt scan34_3.txt scan-powers --alphabet 3,4 -n 3 -L 150
 # In development mode, with every warning an error, a forked scan writes
 # the same bytes and nothing on stderr, up to the parent's exit hook.
 python -X dev -W error -m smoothwords.cli scan-powers --alphabet 1,3 -n 2 -L 40 --format json --jobs 3 > scan13_dev.json 2> scan13_dev.err
@@ -62,48 +64,32 @@ cmp scan13_1.json scan13_one_cpu.json
 # sends the commands' output to /dev/null, so only a failing assert reaches
 # the log.
 python -c "import os, sys; from smoothwords.cli import main; mask = os.sched_getaffinity(0); assert main(['gamma', '--alphabet', '1,3', '-n', '2', '-L', '30', '--jobs', '2']) == 0; assert os.sched_getaffinity(0) == mask; assert 'concurrent' not in sys.modules and 'multiprocessing' not in sys.modules" > /dev/null
-python -m smoothwords.cli certify-concat --alphabet 1,3 -L 5 --explore 3 > explore.txt
+same_bytes "" 2 explore.txt explore2.txt certify-concat --alphabet 1,3 -L 5 --explore 3
 grep -qx '4349 smooth triples tested, 0 violations' explore.txt
-python -m smoothwords.cli certify-concat --alphabet 1,3 -L 5 --explore 3 --jobs 2 > explore2.txt
-cmp explore.txt explore2.txt
 # certify-concat exits 1 on violations: the {1,3} table lacks the middles
 # 133 and 331.  A u·x that ends in 3 shares the walk over v of its
 # complement and reports the complement of that walk's v; --jobs must
 # not change one byte of that.
-status=0
-python -m smoothwords.cli certify-concat --alphabet 1,3 -L 6 > concat13.txt || status=$?
-test "$status" -eq 1
+exits 1 python -m smoothwords.cli certify-concat --alphabet 1,3 -L 6 > concat13.txt
 grep -qx '7890 smooth triples tested, 100 violations' concat13.txt
-status=0
-python -m smoothwords.cli certify-concat --alphabet 1,3 -L 6 --jobs 2 > concat13_2.txt || status=$?
-test "$status" -eq 1
+exits 1 python -m smoothwords.cli certify-concat --alphabet 1,3 -L 6 --jobs 2 > concat13_2.txt
 cmp concat13.txt concat13_2.txt
 # The JSON lists every violation's v, the complemented ones included.
-status=0
-python -m smoothwords.cli certify-concat --alphabet 1,3 -L 6 --format json --jobs 1 > concat13.json || status=$?
-test "$status" -eq 1
-status=0
-python -m smoothwords.cli certify-concat --alphabet 1,3 -L 6 --format json --jobs 2 > concat13_2.json || status=$?
-test "$status" -eq 1
+exits 1 python -m smoothwords.cli certify-concat --alphabet 1,3 -L 6 --format json --jobs 1 > concat13.json
+exits 1 python -m smoothwords.cli certify-concat --alphabet 1,3 -L 6 --format json --jobs 2 > concat13_2.json
 cmp concat13.json concat13_2.json
 # Each scan extracts a middle once per (class of u·x, v root), and a
 # forked share starts with the middles its parent held at the fork: the
 # failing rows of {1,3} must not change one byte at --jobs 3.
-status=0
-python -m smoothwords.cli certify-concat --alphabet 1,3 -L 10 --jobs 1 > concat13_10.txt || status=$?
-test "$status" -eq 1
+exits 1 python -m smoothwords.cli certify-concat --alphabet 1,3 -L 10 --jobs 1 > concat13_10.txt
 grep -qx '42367 smooth triples tested, 600 violations' concat13_10.txt
-status=0
-python -m smoothwords.cli certify-concat --alphabet 1,3 -L 10 --jobs 3 > concat13_10_3.txt || status=$?
-test "$status" -eq 1
+exits 1 python -m smoothwords.cli certify-concat --alphabet 1,3 -L 10 --jobs 3 > concat13_10_3.txt
 grep -qx '42367 smooth triples tested, 600 violations' concat13_10_3.txt
 cmp concat13_10.txt concat13_10_3.txt
 # The walk over v runs once per tower of u·x; over {1,2} towers are
 # shared only because they keep a "more than one run" flag.
-python -m smoothwords.cli certify-concat --alphabet 1,2 -L 10 > concat12.txt
+same_bytes "" 2 concat12.txt concat12_2.txt certify-concat --alphabet 1,2 -L 10
 grep -qx '54470 smooth triples tested, 0 violations' concat12.txt
-python -m smoothwords.cli certify-concat --alphabet 1,2 -L 10 --jobs 2 > concat12_2.txt
-cmp concat12.txt concat12_2.txt
 # So does a forked certification.
 python -X dev -W error -m smoothwords.cli certify-concat --alphabet 1,2 -L 10 --jobs 2 > concat12_dev.txt 2> concat12_dev.err
 cmp concat12.txt concat12_dev.txt
@@ -111,21 +97,15 @@ test ! -s concat12_dev.err
 # A group of pairs is judged once per junction signature of v (first
 # letter, first run length, one run or more); over {2,5} first runs
 # reach length 5.
-python -m smoothwords.cli certify-concat --alphabet 2,5 -L 12 --jobs 1 > concat25.txt
+same_bytes 1 2 concat25.txt concat25_2.txt certify-concat --alphabet 2,5 -L 12
 grep -qx '30254 smooth triples tested, 0 violations' concat25.txt
-python -m smoothwords.cli certify-concat --alphabet 2,5 -L 12 --jobs 2 > concat25_2.txt
-cmp concat25.txt concat25_2.txt
 # Over {2,9} first runs reach 9 letters: a group judges each one-run v
 # c^k and each root c^k c̄, then walks that root's subtree.  Exit 0.
-python -m smoothwords.cli certify-concat --alphabet 2,9 -L 16 --jobs 1 > concat29.txt
-python -m smoothwords.cli certify-concat --alphabet 2,9 -L 16 --jobs 3 > concat29_3.txt
-cmp concat29.txt concat29_3.txt
+same_bytes 1 3 concat29.txt concat29_3.txt certify-concat --alphabet 2,9 -L 16
 # One scan serves every x: pairs (u, x) of different x share towers
 # of u·x, and a --jobs task is one such tower group.
-python -m smoothwords.cli certify-concat --alphabet 1,2 -L 8 --explore 6 > shared.txt
+same_bytes "" 2 shared.txt shared2.txt certify-concat --alphabet 1,2 -L 8 --explore 6
 grep -qx '43369 smooth triples tested, 0 violations' shared.txt
-python -m smoothwords.cli certify-concat --alphabet 1,2 -L 8 --explore 6 --jobs 2 > shared2.txt
-cmp shared.txt shared2.txt
 # The walker on this Python: {1,2} has 3702 smooth words of length 60.
 python -m smoothwords.cli enumerate --alphabet 1,2 -n 60 > enum60.txt
 test "$(wc -l < enum60.txt)" -eq 3702
@@ -134,9 +114,7 @@ python -m smoothwords.cli scan-powers --alphabet 10,12 -n 2 -L 24 --format csv >
 python -c "import csv; rows = list(csv.reader(open('scan1012.csv'))); assert len(rows) > 1 and all(len(r) == 3 for r in rows), rows"
 # Witness text is cut from the base's text, but a one-letter comma-form
 # base renders its power and primitive base in full.
-python -m smoothwords.cli gamma --alphabet 10,12 -n 2 -L 24 --jobs 1 > gamma1012.txt
-python -m smoothwords.cli gamma --alphabet 10,12 -n 2 -L 24 --jobs 2 > gamma1012_2.txt
-cmp gamma1012.txt gamma1012_2.txt
+same_bytes 1 2 gamma1012.txt gamma1012_2.txt gamma --alphabet 10,12 -n 2 -L 24
 grep -qx 'witness: base=10, power=10,10 primitive=10,' gamma1012.txt
 # -n 0 lists the empty word, which CSV must keep as one empty field.
 python -m smoothwords.cli enumerate --alphabet 1,2 -n 0 --format csv > enum0.csv
@@ -169,22 +147,16 @@ python -m smoothwords.cli power-decomp --alphabet 1,3 --word 3111313111 -n 4 > d
 grep -qx 'level 1: witness 1' decomp.txt
 grep -qx 'level 2: witness 111' decomp.txt
 # A huge exponent fails the copy-by-copy test before u^n is built: one line, exit 2.
-status=0
-python -m smoothwords.cli power-decomp --alphabet 1,3 --word 13 -n 100000000000000000000 > decomp_huge.txt 2> decomp_huge.err || status=$?
-test "$status" -eq 2
+exits 2 python -m smoothwords.cli power-decomp --alphabet 1,3 --word 13 -n 100000000000000000000 > decomp_huge.txt 2> decomp_huge.err
 test ! -s decomp_huge.txt
 test "$(wc -l < decomp_huge.err)" -eq 1
 grep -qx 'error: (13)^100000000000000000000 must be smooth over 1,3' decomp_huge.err
 # A letter outside the alphabet: lift and kolakoski exit 2 with one error
 # line and no stdout; chain reports it as the failure of level 0.
-status=0
-python -m smoothwords.cli lift --alphabet 1,2 --word 12 --alpha 3 > lift_bad.txt 2> lift_bad.err || status=$?
-test "$status" -eq 2
+exits 2 python -m smoothwords.cli lift --alphabet 1,2 --word 12 --alpha 3 > lift_bad.txt 2> lift_bad.err
 test ! -s lift_bad.txt
 grep -qx 'error: starting letter 3 is not in alphabet 1,2' lift_bad.err
-status=0
-python -m smoothwords.cli kolakoski --alphabet 1,2 --alpha 3 -n 5 > kolakoski_bad.txt 2> kolakoski_bad.err || status=$?
-test "$status" -eq 2
+exits 2 python -m smoothwords.cli kolakoski --alphabet 1,2 --alpha 3 -n 5 > kolakoski_bad.txt 2> kolakoski_bad.err
 test ! -s kolakoski_bad.txt
 grep -qx 'error: first letter 3 is not in alphabet 1,2' kolakoski_bad.err
 python -m smoothwords.cli chain --alphabet 1,2 --word 13 > chain_bad.txt
@@ -195,9 +167,7 @@ grep -qx 'failure: level 0 (letter-not-in-alphabet)' chain_bad.txt
 python -m smoothwords.cli delta --alphabet 1,2 --word 1122 > delta_plain.txt
 python -m smoothwords.cli delta --alph 1,2 --word=1122 > delta_argparse.txt
 cmp delta_plain.txt delta_argparse.txt
-status=0
-python -m smoothwords.cli gamma --alphabet 1,2 > gamma_usage.txt 2> gamma_usage.err || status=$?
-test "$status" -eq 2
+exits 2 python -m smoothwords.cli gamma --alphabet 1,2 > gamma_usage.txt 2> gamma_usage.err
 test ! -s gamma_usage.txt
 grep -qx 'smoothwords gamma: error: the following arguments are required: -n' gamma_usage.err
 python -c "import sys; from smoothwords.cli import main; assert main(['chain', '--alphabet', '1,2', '--word', '1211']) == 0; assert 'argparse' not in sys.modules" > /dev/null
@@ -208,14 +178,15 @@ grep -qx '3111' dsigma13.txt
 test "$(grep -cx '133' dsigma13.txt)" -eq 0
 python -m smoothwords.cli dsigma --alphabet 1,3 --format json > dsigma13.json
 python -c "import json; d = json.load(open('dsigma13.json')); assert d['alphabet'] == [1, 3] and d['words'] == open('dsigma13.txt').read().splitlines(), d"
+# The middle-word fixpoint, complete at every length, is that table plus
+# 133 and 331.
+python -c "from smoothwords import Alphabet, Word, dsigma_table, empirical_middle_set; ab = Alphabet(1, 3); assert empirical_middle_set(ab) == set(dsigma_table(ab).words) | {Word('133'), Word('331')}"
 # lift, kolakoski and dsigma compile neither the scans nor the certifier
 # nor the engine.
 python -c "import sys; from smoothwords.cli import main; assert main(['lift', '--alphabet', '2,4', '--word', '22', '--alpha', '2', '-k', '1']) == 0; assert main(['kolakoski', '--alphabet', '1,2', '--alpha', '1', '-n', '19']) == 0; assert main(['dsigma', '--alphabet', '1,3']) == 0; loaded = {'smoothwords.census', 'smoothwords.concat', 'smoothwords.search'} & set(sys.modules); assert not loaded, loaded" > /dev/null
 # A zero letter in comma form is reported at the zero, past the part's
 # leading blanks.
-status=0
-python -m smoothwords.cli delta --alphabet 1,2 --word '1, 0' > zero_letter.txt 2> zero_letter.err || status=$?
-test "$status" -eq 2
+exits 2 python -m smoothwords.cli delta --alphabet 1,2 --word '1, 0' > zero_letter.txt 2> zero_letter.err
 test ! -s zero_letter.txt
 test "$(cat zero_letter.err)" = "error: zero letter in '1, 0' at position 3"
 test "$(wc -l < zero_letter.err)" -eq 1

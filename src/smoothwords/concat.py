@@ -6,12 +6,14 @@ with the middle word w again in the table.  The table depends only on the
 alphabet class; :func:`certify_concat` re-verifies the splitting
 exhaustively at bounded length, and :func:`empirical_middle_set` rebuilds
 the table from scratch as a least fixpoint, independent of the stored
-literals.  The one-word certifier :func:`middle_witness` derives with the
-literal ``calculus.derivative``, imported when it runs.  A
-:class:`ConcatCertificate` renders itself as text or JSON.  The same
-splitting applied to powers, :func:`smoothwords.powers.power_decomposition`,
-lives with the other one-word power objects, so neither ``dsigma`` nor
-``power-decomp`` compiles this module.
+literals, and complete at every length: it scans at L = b+1, where every
+middle of a longer triple already occurs.  The one-word certifier
+:func:`middle_witness` derives with the literal ``calculus.derivative``,
+imported when it runs.  A :class:`ConcatCertificate` renders itself as
+text or JSON.  The same splitting applied to powers,
+:func:`smoothwords.powers.power_decomposition`, lives with the other
+one-word power objects, so neither ``dsigma`` nor ``power-decomp``
+compiles this module.
 
 Both certifiers run on one scan (:func:`_scan`) over a list of x words:
 one walk over u, and one group of v per distinct tower of u·x whatever the
@@ -379,19 +381,27 @@ def certify_concat(ab: Alphabet, L: int, jobs: int = 1,
         x_source=x_source)
 
 
-def empirical_middle_set(ab: Alphabet, L: int) -> set[Word]:
-    """Least fixpoint of middle extraction, seeded with the empty word.
+def empirical_middle_set(ab: Alphabet) -> set[Word]:
+    """Least fixpoint of middle extraction, seeded with the empty word: every
+    middle of every smooth u·x·v, at every length, with x in the set itself.
 
     This is the independent oracle for the stored tables: it never reads
     them, it only slices derivatives of smooth concatenations.  Each round
-    scans every middle the last round found as x, in one :func:`_scan`.
+    scans every middle the last round found as x, in one :func:`_scan` at
+    L = b+1, and no longer triple adds a middle.  Take a smooth u·x·v.
+    Cut u to its last run plus one letter of the run before it (a u of one
+    run or none stays whole), and v to its root: ε, c^k, or c^k c̄ when v
+    has two runs or more.  The cut triple is a factor of u·x·v, so it is
+    smooth, and it has the same class of (u, x) and the same root of v, so
+    by the locality proofs of :func:`_scan_group` it has the same middle, or
+    none.  Both cut parts have at most b+1 letters.  So a scan at b+1 finds
+    every middle that a scan at any L finds for the same x, and the fixpoint
+    at b+1 is the fixpoint at every L >= b+1.
     """
-    if L < 1:
-        raise ValueError("length bound must be >= 1")
     found: set[tuple] = {()}
     new: set[tuple] = {()}
     while new:
-        _, _, mids = _scan(ab, L, list(new), None)
+        _, _, mids = _scan(ab, ab.b + 1, list(new), None)
         new = mids - found
         found |= new
         if len(found) > _MIDDLE_SET_LIMIT:

@@ -132,7 +132,7 @@ def test_c07_concat_certification():
     failures = {}
     for ab, L in combos:
         cert = certify_concat(ab, L)
-        ems = empirical_middle_set(ab, L)
+        ems = empirical_middle_set(ab)
         table = set(dsigma_table(ab).words)
         problems = []
         if cert.violations:

@@ -499,6 +499,31 @@ def test_middle_depends_on_v_only_through_its_signature(data):
     assert mid == _literal_middle(u, x, v, ab) and mid == _literal_middle(u, x, v2, ab)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_shortened_triple_has_the_same_middle(data):
+    # The shortening argument behind empirical_middle_set's bound b+1: cut u
+    # to its last run plus one letter of the run before it, and v to its
+    # root (ε, c^k or c^k c̄).  The cut triple is smooth, each cut part has
+    # at most b+1 letters, and the middle is the same, or none for both.
+    a = data.draw(st.integers(min_value=1, max_value=6), label="a")
+    b = data.draw(st.integers(min_value=a + 1, max_value=7), label="b")
+    ab = Alphabet(a, b)
+    x = data.draw(st.sampled_from(sorted(tuple(w) for w in dsigma_table(ab).words)), label="x")
+    assume(is_smooth_fast(x, ab))
+    letters = st.lists(st.sampled_from(ab.letters), max_size=14)
+    raw = tuple(data.draw(letters, label="u letters"))
+    u = next(raw[i:] for i in range(len(raw) + 1) if is_smooth_fast(raw[i:] + x, ab))
+    raw = tuple(data.draw(letters, label="v letters"))
+    v = next(raw[:n] for n in range(len(raw), -1, -1) if is_smooth_fast(u + x + raw[:n], ab))
+    last = next((i for i in range(len(u) - 1, 0, -1) if u[i - 1] != u[i]), 0)
+    cut_u = u[max(last - 1, 0):]
+    k = next((i for i, d in enumerate(v) if d != v[0]), len(v))  # first run length
+    cut_v = v[:k + 1]
+    assert len(cut_u) <= b + 1 and len(cut_v) <= b + 1
+    assert middle_witness(cut_u, x, cut_v, ab) == middle_witness(u, x, v, ab), (ab, u, x, v)
+
+
 def _draw_smooth_triple(data):
     """(alphabet with b <= 9, u, x, v cut from one smooth word of up to 16
     letters, draw), where draw(label) draws the letters of a smooth word."""
@@ -641,24 +666,46 @@ class TestComplementHalving:
 
 class TestEmpiricalMiddleSet:
     def test_subset_of_table_for_12(self, ab12):
-        ems = empirical_middle_set(ab12, 8)
+        ems = empirical_middle_set(ab12)
         assert EPSILON in ems
         assert ems <= set(dsigma_table(ab12).words)
 
     def test_exactly_table_plus_gap_for_13(self, ab13):
         # Independent fixpoint oracle: rebuilds the whole stored table plus
         # the two middles the stored table lacks, then closes.
-        ems = empirical_middle_set(ab13, 12)
+        ems = empirical_middle_set(ab13)
         assert ems == set(dsigma_table(ab13).words) | words(["133", "331"])
 
-    def test_contains_epsilon_at_tiny_bound(self, ab12):
-        assert EPSILON in empirical_middle_set(ab12, 1)
-
     def test_fixpoint_larger_than_the_limit_raises(self, ab12, monkeypatch):
-        # The {1,2} fixpoint at L = 8 has more than five middles.
+        # The {1,2} fixpoint has 22 middles, more than five.
         monkeypatch.setattr(concat, "_MIDDLE_SET_LIMIT", 5)
         with pytest.raises(RuntimeError, match="exceeded 5 elements"):
-            empirical_middle_set(ab12, 8)
+            empirical_middle_set(ab12)
+
+    @staticmethod
+    def _fixpoint_at(ab, L):
+        """The fixpoint with every round's scan at bound L."""
+        found, new = {()}, {()}
+        while new:
+            new = _scan(ab, L, list(new), None)[2] - found
+            found |= new
+        return {Word(t) for t in found}
+
+    def test_equals_the_stored_tables_at_every_length(self):
+        # The stored tables, C07's {1,3} refutation included, hold at every
+        # length: the fixpoint scans at b+1, and for b <= 6 it is also the
+        # fixpoint whose rounds scan at b+2 and at b+3.
+        for b in range(2, 13):
+            for a in range(1, b):
+                ab = Alphabet(a, b)
+                ems = empirical_middle_set(ab)
+                table = set(dsigma_table(ab).words)
+                if (a, b) == (1, 3):
+                    table |= words(["133", "331"])
+                assert ems == table, ab
+                if b <= 6:
+                    for L in (b + 2, b + 3):
+                        assert self._fixpoint_at(ab, L) == ems, (ab, L)
 
 
 class TestTripleSplitting:

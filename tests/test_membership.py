@@ -5,9 +5,8 @@ Lengths, exponents and bounds below their range: the exact error text."""
 import pytest
 
 from smoothwords import (Alphabet, Word, certify_concat, complement, delta_inv,
-                         empirical_middle_set, enumerate_smooth, gamma, is_differentiable,
-                         kolakoski_prefix, lift, lift_family, power_decomposition,
-                         smooth_chain)
+                         enumerate_smooth, gamma, is_differentiable, kolakoski_prefix, lift,
+                         lift_family, power_decomposition, smooth_chain)
 from smoothwords.calculus import REASON_BAD_LETTER, ChainFailure
 from smoothwords.concat import _scan
 from smoothwords.search import seeded_state
@@ -55,8 +54,6 @@ def test_letters_outside_the_alphabet(call, expected):
     pytest.param(lambda: gamma(AB, 0, 4), "exponent must be >= 1", id="gamma"),
     pytest.param(lambda: certify_concat(AB, 0), "length bound must be >= 1",
                  id="certify_concat"),
-    pytest.param(lambda: empirical_middle_set(AB, 0), "length bound must be >= 1",
-                 id="empirical_middle_set"),
     pytest.param(lambda: power_decomposition(Word("12"), 1, AB), "exponent must be >= 2",
                  id="power_decomposition"),
     pytest.param(lambda: lift(Word("12"), 1, -1, AB), "lift depth must be >= 0", id="lift"),
