@@ -676,6 +676,11 @@ class TestEmpiricalMiddleSet:
         ems = empirical_middle_set(ab13)
         assert ems == set(dsigma_table(ab13).words) | words(["133", "331"])
 
+    def test_contains_epsilon_at_tiny_bound(self, ab12):
+        # ε seeds the fixpoint, so it is a middle at any bound, down to 1.
+        assert EPSILON in self._fixpoint_at(ab12, 1)
+        assert EPSILON in empirical_middle_set(ab12)
+
     def test_fixpoint_larger_than_the_limit_raises(self, ab12, monkeypatch):
         # The {1,2} fixpoint has 22 middles, more than five.
         monkeypatch.setattr(concat, "_MIDDLE_SET_LIMIT", 5)
