@@ -102,6 +102,11 @@ grep -qx '30254 smooth triples tested, 0 violations' concat25.txt
 # Over {2,9} first runs reach 9 letters: a group judges each one-run v
 # c^k and each root c^k c̄, then walks that root's subtree.  Exit 0.
 same_bytes 1 3 concat29.txt concat29_3.txt certify-concat --alphabet 2,9 -L 16
+# x is pushed once per tower of u, and each tower stands for all its u:
+# over {3,4} at L=20 a tower holds 4.3 u on average, and the count is the
+# oracle's (bench/reference.json).
+same_bytes "" 3 concat34.txt concat34_3.txt certify-concat --alphabet 3,4 -L 20
+grep -qx '98477 smooth triples tested, 0 violations' concat34.txt
 # One scan serves every x: pairs (u, x) of different x share towers
 # of u·x, and a --jobs task is one such tower group.
 same_bytes "" 2 shared.txt shared2.txt certify-concat --alphabet 1,2 -L 8 --explore 6

@@ -16,16 +16,20 @@ one-word power objects, so neither ``dsigma`` nor ``power-decomp``
 compiles this module.
 
 Both certifiers run on one scan (:func:`_scan`) over a list of x words:
-one walk over u, and one group of v per distinct tower of u·x whatever the
-x.  The pairs (u, x) of one tower are judged once per *junction signature*
-of v (first letter, first run length, one run or more), not once per v: the
-verdict at v depends on v through nothing else.  Every v of one signature is
+one walk over u that files each u under its tower, one round of x pushes
+per distinct tower of u (its u have the same smooth extensions), and one
+group of v per distinct tower of u·x whatever the x.  The pairs (u, x) of
+one tower of u·x are judged once per *junction signature* of v (first
+letter, first run length, one run or more), not once per v: the verdict at
+v depends on v through nothing else.  Every v of one signature is
 either c^k or lies in the subtree below c^k c̄, so a group judges each root
 once and its walks over v cost their pushes and little else.  The verdict
 depends on (u, x) only through its *class* (u empty, one run or more; the
 last run length of u; whether u's last letter is x's first; the runs of x),
 so one scan extracts each middle once per (class, root), whatever the group
-(both proofs are in :func:`_scan_group`).
+(both proofs are in :func:`_scan_group`).  The class needs no letter of u
+beyond its tower's bottom level, so every u of one tower rides in one
+member of its group, which counts it once per v and lists it on a failure.
 The scan uses the complement symmetry once, where it files each pair:
 swapping a and b keeps every run length, so (u, x, v) and (ū, x̄, v̄) are
 smooth together and have the same derivatives and the same middle, and a
@@ -37,7 +41,7 @@ from __future__ import annotations
 from functools import partial
 from typing import NamedTuple
 
-from .core import Alphabet, Word, delta_inv, run_lengths, word_to_text
+from .core import Alphabet, Word, run_lengths, word_to_text
 from .dsigma import _shortlex, dsigma_table
 from .search import complement_tower, derivative_from_runs, map_tasks, push_copies, walk
 
@@ -76,45 +80,48 @@ def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int
     extracted middles); with ``table_set`` None only the middles are
     collected, otherwise a middle outside it is a violation.
 
-    One walk over u pushes every x onto each u's tower and groups the pairs
-    (u, x) with a smooth u·x by the tower of u·x, filed under the tower of
-    its complement when u·x ends in b.  A walk reads nothing but its tower,
-    so the v that extend a group's tower are, for a pair filed as it is, its
-    smooth v, and for a flipped pair the complements of its smooth v.  Each
-    group is one task (:func:`_scan_group`), in first-seen order, mapped over
-    ``jobs`` workers.  Every group reads and fills one dict of this call,
-    which maps (class of (u, x), v root) to the middle or None, so a middle
-    is extracted once per (class, root) in the scan; a forked share starts
-    with what the dict held at the fork.  The dict lives no longer than the
-    call: its keys name neither the alphabet nor the table.
+    One walk over u files each u under its tower.  Words with equal towers
+    have the same smooth extensions, so each x is pushed once per distinct
+    tower of u, and the pairs (u, x) with a smooth u·x are grouped by the
+    tower of u·x, filed under the tower of its complement when u·x ends in
+    b.  A walk reads nothing but its tower, so the v that extend a group's
+    tower are, for a pair filed as it is, its smooth v, and for a flipped
+    pair the complements of its smooth v.  Each group is one task
+    (:func:`_scan_group`), in first-seen order, mapped over ``jobs``
+    workers.  Every group reads and fills one dict of this call, which maps
+    (class of (u, x), v root) to the middle or None, so a middle is
+    extracted once per (class, root) in the scan; a forked share starts with
+    what the dict held at the fork.  The dict lives no longer than the call:
+    its keys name neither the alphabet nor the table.
 
-    The runs of u are read off its path, and a pair is filed as ((runs of
-    u, last letter of u), (x, runs of x), flip), the first two shared by all
-    pairs of that u or x.  That is all the group needs: the class of the
-    pair follows, on a miss so do D(u) and the runs of u·x, and u's letters
-    are rebuilt from its runs and last letter by
-    :func:`smoothwords.core.delta_inv`, only for a violation.  The x are
-    taken in shortlex order, so an x whose prefix one letter shorter is also
-    an x (tables and explore lists are prefix-closed) costs one push onto
-    that prefix's tower.
+    A group's *member* is (class, us, x, flip).  ``us`` lists the letters
+    of every u of one tower, one list shared by all x.  The class of their
+    pairs with x follows from x and the tower's bottom level (two runs or
+    more, the last run length, the last letter), and ``flip`` says whether
+    u·x was complemented.  So x costs one push per tower of u, not per u,
+    and a member's v count is multiplied by ``len(us)``.  The x are taken in
+    shortlex order, so an x whose prefix one letter shorter is also an x
+    (tables and explore lists are prefix-closed) costs one push onto that
+    prefix's tower.
     """
     b = ab.b
     counts = dict.fromkeys(xs, 0)
     # An x with a letter outside {a, b} has no triple (push_copies does not check).
-    # Each x is a plain tuple: the walk indexes it per u, a Word by a call.
+    # Each x is a plain tuple: the pushes index it per tower, a Word by a call.
     xs = sorted((tuple(x) for x in xs if ab.first_foreign(x) is None), key=_shortlex)
     index = {x: i for i, x in enumerate(xs)}
-    # Each x as (x, its runs), with the index of x less its last letter, or
-    # -1 when that is not an x (or x is ε).
-    plan = [((x, tuple(run_lengths(x))), index.get(x[:-1], -1) if x else -1) for x in xs]
+    # Each x with its runs and the index of x less its last letter, or -1
+    # when that is not an x (or x is ε).
+    plan = [(x, tuple(run_lengths(x)), index.get(x[:-1], -1) if x else -1) for x in xs]
+    by_tower: dict[tuple, list[tuple]] = {}
+    walk(ab, (), [], L, lambda tower, upath: by_tower.setdefault(tower, []).append(tuple(upath)))
     groups: dict[tuple, list[tuple]] = {}
-
-    def visit_u(tower: tuple, upath: list[int]) -> None:
-        # u as (its runs, its last letter), shared by its pairs.
-        u = (tuple(run_lengths(upath)), upath[-1] if upath else 0)
+    for tower, us in by_tower.items():
+        # The bottom level of u's tower: two runs or more, the last run
+        # length and the last letter; ε has (False, 0, 0), and 0 is no letter.
+        many, length, last = (tower[0] > 1, tower[2], tower[1]) if tower else (False, 0, 0)
         towers = []
-        for xinfo, prefix in plan:
-            x = xinfo[0]
+        for x, xr, prefix in plan:
             if prefix < 0:
                 ux_tower = push_copies(ab, tower, x, 1)
             else:
@@ -123,21 +130,21 @@ def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int
                     ux_tower = push_copies(ab, ux_tower, x[-1:], 1)
             towers.append(ux_tower)
             if ux_tower is not None:
-                # The last letter of u·x: x's, or u's when x = ε (0 for u = ε).
-                flip = (x[-1] if x else u[1]) == b
+                # The last letter of u·x: x's, or u's when x = ε.
+                flip = (x[-1] if x else last) == b
                 if flip:
                     ux_tower = complement_tower(ux_tower, ab)
-                groups.setdefault(ux_tower, []).append((u, xinfo, flip))
+                cls = (many, length, x[0] == last if x else False, xr)
+                groups.setdefault(ux_tower, []).append((cls, us, x, flip))
 
-    walk(ab, (), [], L, visit_u)
     tasks = list(groups.items())
     violations: list[tuple[tuple, tuple, tuple, str]] = []
     middles: set[tuple] = set()
     found: dict[tuple, tuple | None] = {}
     for (_, members), (nodes, vio, mids) in zip(
             tasks, map_tasks(partial(_scan_group, ab, L, table_set, found), tasks, jobs)):
-        for _, (x, _), _ in members:
-            counts[x] += nodes
+        for _, us, x, _ in members:
+            counts[x] += nodes * len(us)
         violations += vio
         middles |= mids
     return counts, violations, middles
@@ -145,8 +152,10 @@ def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int
 
 def _scan_group(ab: Alphabet, L: int, table_set: frozenset | None, found: dict, task: tuple):
     """Every v from the tower shared by a group of pairs (u, x); returns
-    (v nodes visited, violations, middles).  ``found`` maps (class, v root)
-    to the middle or None, as :func:`_scan` says.
+    (v nodes visited, violations, middles).  The group's members are
+    (class, us, x, flip), as :func:`_scan` files them, and are filed here by
+    class.  ``found`` maps (class, v root) to the middle or None, as
+    :func:`_scan` says.
 
     Every non-empty u·x of the group ends in a, or is flipped: it ends in b
     and stands for its complement, which has the same runs, derivative and
@@ -211,14 +220,10 @@ def _scan_group(ab: Alphabet, L: int, table_set: frozenset | None, found: dict, 
     ux_tower, members = task
     a, b = ab.a, ab.b
     swap = (a + b).__sub__
-    # The pairs (u, x) of each class, in first-seen order.
+    # The members of each class, in first-seen order.
     classes: dict[tuple, list[tuple]] = {}
     for member in members:
-        (ur, last), (x, xr), _ = member
-        # (u has two runs or more, its last run length or 0 for ε, whether
-        # that run goes on into x, runs of x); ε's last letter 0 is no letter.
-        cls = (len(ur) > 1, ur[-1] if ur else 0, x[0] == last if x else False, xr)
-        classes.setdefault(cls, []).append(member)
+        classes.setdefault(member[0], []).append(member)
     violations: list[tuple[tuple, tuple, tuple, str]] = []
     middles: set[tuple] = set()
     nodes = 0
@@ -261,10 +266,12 @@ def _judge(ab: Alphabet, classes: dict, v: list[int], table_set: frozenset | Non
     every middle found is added to ``middles``.
 
     ``classes`` maps each class of (u, x), as in :func:`_scan_group`, to its
-    pairs.  The middle of a class at v is read from ``found``; on a miss it
-    is extracted from the class's first pair, on run lengths: D(u) from the
-    runs of u, D(v) from the runs of v, D(u·x·v) from the runs of u·x and v,
-    and stored there.
+    members (class, us, x, flip).  The middle of a class at v is read from
+    ``found``; on a miss it is extracted on run lengths, from the first u of
+    the class's first member and the runs of x the class holds: D(u) from
+    the runs of u, D(v) from the runs of v, D(u·x·v) from the runs of u·x
+    and v, and stored there.  A failing member lists each of its u as it
+    stands.
     """
     a, b = ab.a, ab.b
     root = tuple(v)
@@ -276,7 +283,7 @@ def _judge(ab: Alphabet, classes: dict, v: list[int], table_set: frozenset | Non
         try:
             mid = found[cls, root]
         except KeyError:
-            (ur, _), (_, xr), _ = group[0]
+            ur, xr = tuple(run_lengths(group[0][1][0])), cls[3]
             r = ur[:-1] + (ur[-1] + xr[0],) + xr[1:] if cls[2] else ur + xr
             if merge and r:
                 # v's first run continues the last run of u·x.
@@ -290,10 +297,7 @@ def _judge(ab: Alphabet, classes: dict, v: list[int], table_set: frozenset | Non
             if table_set is None or mid in table_set:
                 continue
         reason = "no-middle-decomposition" if mid is None else "middle-not-in-table"
-        # u from its runs: an odd run count starts on the last letter.
-        failing += [(delta_inv(ur, last if len(ur) % 2 else a + b - last, ab) if ur else (),
-                     x, flip, reason)
-                    for (ur, last), (x, _), flip in group]
+        failing += [(u, x, flip, reason) for _, us, x, flip in group for u in us]
     return failing
 
 

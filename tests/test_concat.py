@@ -253,6 +253,23 @@ class TestScanDifferential:
                 assert got == expected, (ab, x)
 
     @pytest.mark.parametrize("ab_pair,L", CASES)
+    def test_some_tower_of_u_holds_several_u(self, monkeypatch, ab_pair, L):
+        # At these bounds the brute-force tests reach members that stand for
+        # two u or more, so a count is multiplied and, with the empty table,
+        # a failing member lists each of its u.
+        ab = Alphabet(*ab_pair)
+        scan_group, members = concat._scan_group, []
+
+        def recording_scan_group(*args):
+            members.extend(args[-1][1])
+            return scan_group(*args)
+
+        monkeypatch.setattr(concat, "_scan_group", recording_scan_group)
+        _scan(ab, L, self._xs(ab), frozenset())
+        assert all(len(set(us)) == len(us) for _, us, _, _ in members)
+        assert max(len(us) for _, us, _, _ in members) >= 2, ab
+
+    @pytest.mark.parametrize("ab_pair,L", CASES)
     def test_one_scan_over_every_x_matches_the_union(self, ab_pair, L):
         # Pairs (u, x) of different x share towers, walks over v and classes;
         # every x still gets its own count, violations and middles.
@@ -587,6 +604,27 @@ def test_middle_is_a_function_of_the_whole_signature(data):
     mid = _literal_middle(u, x, v, ab)
     assert mid == _literal_middle(u2, x, v2, ab), (ab, u, u2, x, v, v2)
     assert mid == middle_witness(u, x, v, ab) and mid == middle_witness(u2, x, v2, ab)
+
+
+@pytest.mark.parametrize("ab_pair", [(1, 2), (1, 3), (2, 5), (3, 4), (2, 9)])
+def test_u_of_one_tower_share_class_and_pushes(ab_pair):
+    # _scan files each u under its tower and pushes every x once per tower:
+    # the u of one tower must have one (two runs or more, last run length,
+    # last letter), that of the tower's bottom level, and each table x must
+    # give all of them one tower of u·x, or fail for all of them.
+    ab = Alphabet(*ab_pair)
+    xs = sorted(tuple(w) for w in dsigma_table(ab).words)
+    groups = {}
+    for u in enumerate_smooth(ab, 10, min_len=0):
+        groups.setdefault(seeded_state(ab, u), []).append(tuple(u))
+    for tower, us in groups.items():
+        bottom = (tower[0] > 1, tower[2], tower[1]) if tower else None
+        for u in us:
+            runs = run_lengths(u)
+            assert ((len(runs) > 1, runs[-1], u[-1]) if u else None) == bottom, (ab, tower, u)
+        for x in xs:
+            assert len({seeded_state(ab, u + x) for u in us}) == 1, (ab, us, x)
+    assert len(groups) < sum(map(len, groups.values())), ab
 
 
 class TestComplementHalving:
