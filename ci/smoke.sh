@@ -30,7 +30,7 @@ python -m smoothwords.cli scan-powers --alphabet 3,4 -n 3 > scan_default.txt
 grep -qx 'alphabet 3,4  exponent 3  bound 30' scan_default.txt
 # --jobs > 1 hands the workers only the prefixes that start with a.
 same_bytes "" 2 scan1.csv scan2.csv scan-powers --alphabet 1,3 -n 4 -L 14 --format csv
-# gamma -n 1 runs the census scan; --explore lists its x words with enumerate_smooth.
+# gamma -n 1 runs the census scan, in which every smooth base is a witness.
 same_bytes "" 2 gamma_n1.txt gamma_n1_2.txt gamma --alphabet 1,2 -n 1 -L 10
 grep -qx 'gamma=206 stable=false' gamma_n1.txt
 # Census reports are written as they render (JSON one witness dict at a
@@ -66,6 +66,13 @@ cmp scan13_1.json scan13_one_cpu.json
 python -c "import os, sys; from smoothwords.cli import main; mask = os.sched_getaffinity(0); assert main(['gamma', '--alphabet', '1,3', '-n', '2', '-L', '30', '--jobs', '2']) == 0; assert os.sched_getaffinity(0) == mask; assert 'concurrent' not in sys.modules and 'multiprocessing' not in sys.modules" > /dev/null
 same_bytes "" 2 explore.txt explore2.txt certify-concat --alphabet 1,3 -L 5 --explore 3
 grep -qx '4349 smooth triples tested, 0 violations' explore.txt
+# --explore walks its x words with the engine and never loads the census.
+python -c "import sys; from smoothwords.cli import main; assert main(['certify-concat', '--alphabet', '1,3', '-L', '5', '--explore', '3']) == 0; assert 'smoothwords.census' not in sys.modules" > /dev/null
+# --explore 0 scans x = ε alone; the count is the oracle's
+# (bench/oracle.concat_census((1, 2), 8, [()])).
+python -m smoothwords.cli certify-concat --alphabet 1,2 -L 8 --explore 0 > explore0.txt
+grep -qx '3363 smooth triples tested, 0 violations' explore0.txt
+grep -qx 'middle set: eps 1 2 11' explore0.txt
 # certify-concat exits 1 on violations: the {1,3} table lacks the middles
 # 133 and 331.  A u·x that ends in 3 shares the walk over v of its
 # complement and reports the complement of that walk's v; --jobs must

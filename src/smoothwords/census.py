@@ -2,8 +2,7 @@
 
 ``enumerate_smooth`` lists the smooth words of a range of lengths: they are
 the power scan's bases for n = 1 (:func:`smoothwords.search.power_hits`),
-so it collects them with that walk.  It serves the ``enumerate`` command and
-the x words of ``certify-concat --explore``.
+so it collects them with that walk.  It serves the ``enumerate`` command.
 ``gamma`` runs the power scan: it walks every smooth base up to a length
 bound (bases of smooth powers are necessarily smooth, because factors of
 smooth words are smooth) and tests the n-th power inside the walk

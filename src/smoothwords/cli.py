@@ -7,8 +7,8 @@ command runs: ``calculus`` for ``derive``, ``rho`` and ``chain``; ``powers``
 for ``lift`` and ``kolakoski``; ``dsigma`` for ``dsigma``; ``powers`` with
 ``calculus``, ``dsigma`` and ``search`` for ``power-decomp``; ``census`` with
 ``search`` for ``enumerate``, ``scan-powers`` and ``gamma``; ``concat`` with
-``dsigma`` and ``search`` for ``certify-concat``, whose ``--explore`` adds
-``census``.  ``delta``, ``closure`` and ``--help`` load none of them.
+``dsigma`` and ``search`` for ``certify-concat``, with or without
+``--explore``.  ``delta``, ``closure`` and ``--help`` load none of them.
 
 :func:`run` renders the word commands itself.  The reports render
 themselves: each record (``CensusReport``, ``ConcatCertificate``,

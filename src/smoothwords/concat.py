@@ -76,36 +76,36 @@ def middle_witness(u, x, v, ab: Alphabet) -> Word | None:
 
 def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int = 1):
     """Certify every (u, x, v) with x in ``xs``, u, v smooth, |u|,|v| <= L
-    and uxv smooth.  Returns (tested count per x, violations, set of
-    extracted middles); with ``table_set`` None only the middles are
-    collected, otherwise a middle outside it is a violation.
+    and uxv smooth.  Returns (triples tested, violations, set of extracted
+    middles); with ``table_set`` None only the middles are collected,
+    otherwise a middle outside it is a violation.
 
     One walk over u files each u under its tower.  Words with equal towers
     have the same smooth extensions, so each x is pushed once per distinct
     tower of u, and the pairs (u, x) with a smooth u·x are grouped by the
     tower of u·x, filed under the tower of its complement when u·x ends in
-    b.  A walk reads nothing but its tower, so the v that extend a group's
-    tower are, for a pair filed as it is, its smooth v, and for a flipped
-    pair the complements of its smooth v.  Each group is one task
-    (:func:`_scan_group`), in first-seen order, mapped over ``jobs``
-    workers.  Every group reads and fills one dict of this call, which maps
-    (class of (u, x), v root) to the middle or None, so a middle is
-    extracted once per (class, root) in the scan; a forked share starts with
-    what the dict held at the fork.  The dict lives no longer than the call:
-    its keys name neither the alphabet nor the table.
+    b, and within its group by its class.  A walk reads nothing but its
+    tower, so the v that extend a group's tower are, for a pair filed as it
+    is, its smooth v, and for a flipped pair the complements of its smooth
+    v.  Each group is one task (:func:`_scan_group`), in first-seen order,
+    mapped over ``jobs`` workers.  Every group reads and fills one dict of
+    this call, which maps (class of (u, x), v root) to the middle or None,
+    so a middle is extracted once per (class, root) in the scan; a forked
+    share starts with what the dict held at the fork.  The dict lives no
+    longer than the call: its keys name neither the alphabet nor the table.
 
-    A group's *member* is (class, us, x, flip).  ``us`` lists the letters
-    of every u of one tower, one list shared by all x.  The class of their
-    pairs with x follows from x and the tower's bottom level (two runs or
-    more, the last run length, the last letter), and ``flip`` says whether
-    u·x was complemented.  So x costs one push per tower of u, not per u,
-    and a member's v count is multiplied by ``len(us)``.  The x are taken in
+    A group maps each class, in first-seen order, to its *members*
+    (us, x, flip).  ``us`` lists the letters of every u of one tower, one
+    list shared by all x.  The class of their pairs with x follows from x
+    and the tower's bottom level (two runs or more, the last run length, the
+    last letter), and ``flip`` says whether u·x was complemented.  So x
+    costs one push per tower of u, not per u, and a group's v count is
+    multiplied by the number of u its members hold.  The x are taken in
     shortlex order, so an x whose prefix one letter shorter is also an x
     (tables and explore lists are prefix-closed) costs one push onto that
     prefix's tower.
     """
     b = ab.b
-    counts = dict.fromkeys(xs, 0)
     # An x with a letter outside {a, b} has no triple (push_copies does not check).
     # Each x is a plain tuple: the pushes index it per tower, a Word by a call.
     xs = sorted((tuple(x) for x in xs if ab.first_foreign(x) is None), key=_shortlex)
@@ -115,7 +115,7 @@ def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int
     plan = [(x, tuple(run_lengths(x)), index.get(x[:-1], -1) if x else -1) for x in xs]
     by_tower: dict[tuple, list[tuple]] = {}
     walk(ab, (), [], L, lambda tower, upath: by_tower.setdefault(tower, []).append(tuple(upath)))
-    groups: dict[tuple, list[tuple]] = {}
+    groups: dict[tuple, dict[tuple, list[tuple]]] = {}
     for tower, us in by_tower.items():
         # The bottom level of u's tower: two runs or more, the last run
         # length and the last letter; ε has (False, 0, 0), and 0 is no letter.
@@ -135,26 +135,26 @@ def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int
                 if flip:
                     ux_tower = complement_tower(ux_tower, ab)
                 cls = (many, length, x[0] == last if x else False, xr)
-                groups.setdefault(ux_tower, []).append((cls, us, x, flip))
+                groups.setdefault(ux_tower, {}).setdefault(cls, []).append((us, x, flip))
 
     tasks = list(groups.items())
+    tested = 0
     violations: list[tuple[tuple, tuple, tuple, str]] = []
     middles: set[tuple] = set()
     found: dict[tuple, tuple | None] = {}
-    for (_, members), (nodes, vio, mids) in zip(
+    for (_, classes), (nodes, vio, mids) in zip(
             tasks, map_tasks(partial(_scan_group, ab, L, table_set, found), tasks, jobs)):
-        for _, us, x, _ in members:
-            counts[x] += nodes * len(us)
+        tested += nodes * sum(len(us) for group in classes.values() for us, _, _ in group)
         violations += vio
         middles |= mids
-    return counts, violations, middles
+    return tested, violations, middles
 
 
 def _scan_group(ab: Alphabet, L: int, table_set: frozenset | None, found: dict, task: tuple):
     """Every v from the tower shared by a group of pairs (u, x); returns
-    (v nodes visited, violations, middles).  The group's members are
-    (class, us, x, flip), as :func:`_scan` files them, and are filed here by
-    class.  ``found`` maps (class, v root) to the middle or None, as
+    (v nodes visited, violations, middles).  The task is the tower and a
+    dict from each class to its members (us, x, flip), as :func:`_scan`
+    files them.  ``found`` maps (class, v root) to the middle or None, as
     :func:`_scan` says.
 
     Every non-empty u·x of the group ends in a, or is flipped: it ends in b
@@ -217,13 +217,9 @@ def _scan_group(ab: Alphabet, L: int, table_set: frozenset | None, found: dict, 
     that holds, D(v) is a suffix of G.  So the middle is that of Z, D(v)
     and G, which depend on u only through its class.
     """
-    ux_tower, members = task
+    ux_tower, classes = task
     a, b = ab.a, ab.b
     swap = (a + b).__sub__
-    # The members of each class, in first-seen order.
-    classes: dict[tuple, list[tuple]] = {}
-    for member in members:
-        classes.setdefault(member[0], []).append(member)
     violations: list[tuple[tuple, tuple, tuple, str]] = []
     middles: set[tuple] = set()
     nodes = 0
@@ -266,7 +262,7 @@ def _judge(ab: Alphabet, classes: dict, v: list[int], table_set: frozenset | Non
     every middle found is added to ``middles``.
 
     ``classes`` maps each class of (u, x), as in :func:`_scan_group`, to its
-    members (class, us, x, flip).  The middle of a class at v is read from
+    members (us, x, flip).  The middle of a class at v is read from
     ``found``; on a miss it is extracted on run lengths, from the first u of
     the class's first member and the runs of x the class holds: D(u) from
     the runs of u, D(v) from the runs of v, D(u·x·v) from the runs of u·x
@@ -283,7 +279,7 @@ def _judge(ab: Alphabet, classes: dict, v: list[int], table_set: frozenset | Non
         try:
             mid = found[cls, root]
         except KeyError:
-            ur, xr = tuple(run_lengths(group[0][1][0])), cls[3]
+            ur, xr = tuple(run_lengths(group[0][0][0])), cls[3]
             r = ur[:-1] + (ur[-1] + xr[0],) + xr[1:] if cls[2] else ur + xr
             if merge and r:
                 # v's first run continues the last run of u·x.
@@ -297,7 +293,7 @@ def _judge(ab: Alphabet, classes: dict, v: list[int], table_set: frozenset | Non
             if table_set is None or mid in table_set:
                 continue
         reason = "no-middle-decomposition" if mid is None else "middle-not-in-table"
-        failing += [(u, x, flip, reason) for _, us, x, flip in group for u in us]
+        failing += [(u, x, flip, reason) for us, x, flip in group for u in us]
     return failing
 
 
@@ -370,15 +366,16 @@ def certify_concat(ab: Alphabet, L: int, jobs: int = 1,
     else:
         if explore < 0:
             raise ValueError("length bound must be >= 0")
-        from .census import enumerate_smooth  # only explore mode lists its x words
-        xs = enumerate_smooth(ab, explore, min_len=0)
+        # The x words are the nodes of one walk from ε.
+        xs = []
+        walk(ab, (), [], explore, lambda tower, path: xs.append(tuple(path)))
         check = None
         x_source = f"smooth-x<={explore}"
 
-    counts, violations, middles = _scan(ab, L, xs, check, jobs)
+    tested, violations, middles = _scan(ab, L, xs, check, jobs)
     violations.sort(key=lambda r: (_shortlex(r[0]), _shortlex(r[1]), _shortlex(r[2])))
     return ConcatCertificate(
-        alphabet=ab, bound=L, tested_triples=sum(counts.values()),
+        alphabet=ab, bound=L, tested_triples=tested,
         violations=tuple(ConcatViolation(Word._wrap(u), Word._wrap(x), Word._wrap(v), reason)
                          for u, x, v, reason in violations),
         middle_set=tuple(Word._wrap(m) for m in sorted(middles, key=_shortlex)),

@@ -240,15 +240,15 @@ class TestScanDifferential:
             found = self._brute(ab, L, x)
             middles = {mid for _, _, mid in found if mid is not None}
             missing = [(u, x, v, "no-middle-decomposition") for u, v, mid in found if mid is None]
-            counts, violations, got_middles = _scan(ab, L, [x], None)
-            assert (counts, got_middles) == ({x: len(found)}, middles), (ab, x)
+            tested, violations, got_middles = _scan(ab, L, [x], None)
+            assert (tested, got_middles) == (len(found), middles), (ab, x)
             assert sorted(violations) == sorted(missing), (ab, x)
             # The empty table makes every triple a violation.
             want = sorted(missing + [(u, x, v, "middle-not-in-table")
                                      for u, v, mid in found if mid is not None])
-            counts, violations, got_middles = _scan(ab, L, [x], frozenset())
-            assert (counts, got_middles) == ({x: len(found)}, middles), (ab, x)
-            assert len(violations) == counts[x]
+            tested, violations, got_middles = _scan(ab, L, [x], frozenset())
+            assert (tested, got_middles) == (len(found), middles), (ab, x)
+            assert len(violations) == tested
             for got, expected in zip(sorted(violations), want):
                 assert got == expected, (ab, x)
 
@@ -261,35 +261,36 @@ class TestScanDifferential:
         scan_group, members = concat._scan_group, []
 
         def recording_scan_group(*args):
-            members.extend(args[-1][1])
+            members.extend(m for group in args[-1][1].values() for m in group)
             return scan_group(*args)
 
         monkeypatch.setattr(concat, "_scan_group", recording_scan_group)
         _scan(ab, L, self._xs(ab), frozenset())
-        assert all(len(set(us)) == len(us) for _, us, _, _ in members)
-        assert max(len(us) for _, us, _, _ in members) >= 2, ab
+        assert all(len(set(us)) == len(us) for us, _, _ in members)
+        assert max(len(us) for us, _, _ in members) >= 2, ab
 
     @pytest.mark.parametrize("ab_pair,L", CASES)
     def test_one_scan_over_every_x_matches_the_union(self, ab_pair, L):
         # Pairs (u, x) of different x share towers, walks over v and classes;
-        # every x still gets its own count, violations and middles.
+        # the scan counts the triples of every x, and each x still gets its
+        # own violations and middles.
         ab = Alphabet(*ab_pair)
         xs = self._xs(ab)
         found = {x: self._brute(ab, L, x) for x in xs}
         middles = {mid for x in xs for _, _, mid in found[x] if mid is not None}
-        counts, violations, got_middles = _scan(ab, L, xs, None)
-        assert counts == {x: len(found[x]) for x in xs}
+        tested, violations, got_middles = _scan(ab, L, xs, None)
+        assert tested == sum(len(found[x]) for x in xs)
         assert got_middles == middles
         assert sorted(violations) == sorted((u, x, v, "no-middle-decomposition")
                                             for x in xs for u, v, mid in found[x]
                                             if mid is None)
         # The empty table fails every class, so each expands to all its members.
-        counts, violations, got_middles = _scan(ab, L, xs, frozenset())
+        tested, violations, got_middles = _scan(ab, L, xs, frozenset())
         assert got_middles == middles
         assert sorted(violations) == sorted(
             (u, x, v, "no-middle-decomposition" if mid is None else "middle-not-in-table")
             for x in xs for u, v, mid in found[x])
-        assert len(violations) == sum(counts.values())
+        assert len(violations) == tested
 
     def test_one_v_walk_per_tower_of_ux(self, monkeypatch, ab12):
         # Pairs (u, x) with equal towers of u·x share one group, across all x
@@ -311,7 +312,7 @@ class TestScanDifferential:
         singles = [_scan(ab12, L, [x], None) for x in xs]
         monkeypatch.setattr(concat, "walk", counting_walk)
         monkeypatch.setattr(concat, "_scan_group", counting_scan_group)
-        counts, violations, middles = _scan(ab12, L, xs, None)
+        tested, violations, middles = _scan(ab12, L, xs, None)
         words = [tuple(u) for u in enumerate_smooth(ab12, L, min_len=0)]
         # A u·x that ends in b is filed under the tower of its complement.
         towers = {x: {seeded_state(ab12, complement(u + x, ab12) if (u + x)[-1:] == (2,)
@@ -328,7 +329,7 @@ class TestScanDifferential:
                 for k in range(1, L)]
         roots = [(push_copies(ab12, t, run, 1), run) for t, run in runs]
         assert sorted(starts[1:]) == sorted(r for r in roots if r[0] is not None)
-        assert counts == {x: t for x, (c, _, _) in zip(xs, singles) for t in c.values()}
+        assert tested == sum(t for t, _, _ in singles)
         assert sorted(violations) == sorted(v for _, vio, _ in singles for v in vio)
         assert middles == set().union(*(m for _, _, m in singles))
 
@@ -458,7 +459,7 @@ class TestScanDifferential:
             vs = [v for v in vs if is_smooth_fast(x + v, ab12)]
             middles = {middle_witness((), x, v, ab12) for v in vs}
             assert None not in middles
-            assert _scan(ab12, 10**20, [x], None) == ({x: len(vs)}, [], set(map(tuple, middles)))
+            assert _scan(ab12, 10**20, [x], None) == (len(vs), [], set(map(tuple, middles)))
 
 
 @pytest.mark.parametrize("du, dv, dfull", [
@@ -640,7 +641,9 @@ class TestComplementHalving:
              ((2, 5), 9, None, None), ((3, 4), 9, None, None), ((1, 5), 8, None, None),
              ((1, 2), 6, 4, None), ((2, 4), 7, 4, None),
              ((1, 2), 7, None, ("", "1", "2", "12", "21")),
-             ((2, 5), 8, None, ("", "2", "5"))]
+             ((2, 5), 8, None, ("", "2", "5")),
+             # The only x of length 0 is ε: the reference is _epsilon alone.
+             ((1, 2), 8, 0, None), ((1, 3), 8, 0, None), ((2, 5), 9, 0, None)]
 
     @staticmethod
     def _epsilon(ab, L, check):
@@ -674,8 +677,8 @@ class TestComplementHalving:
         tested, violations, middles = cls._epsilon(ab, L, check)
         for x in xs:
             if x:
-                counts, vio, mids = _scan(ab, L, [x], check)
-                tested += counts[x]
+                count, vio, mids = _scan(ab, L, [x], check)
+                tested += count
                 violations += vio
                 middles |= mids
         def shortlex(w):
@@ -693,6 +696,7 @@ class TestComplementHalving:
                                 lambda ab: DsigmaTable(ab, frozenset(map(Word, table))))
         tested, violations, middles = self._reference(ab, L, explore)
         cert = certify_concat(ab, L, jobs=jobs, explore=explore)
+        assert cert.x_source == ("table" if explore is None else f"smooth-x<={explore}")
         assert cert.tested_triples == tested
         assert [tuple(v) for v in cert.violations] == violations
         assert [tuple(w) for w in cert.middle_set] == middles
