@@ -5,10 +5,8 @@ every interior run length is exactly ``a`` or ``b`` (boundary runs may have
 any length 1..b).  Its derivative is the run-length word with a boundary run
 dropped when shorter than ``b``.  ``rho`` composes closure and derivative;
 a word is smooth when iterating ``rho`` reaches the empty word.
-``chain_levels`` yields that chain level by level; ``chain_text`` and
-``chain_json`` render each level as it comes, which gives the text and the
-JSON document of the ``chain`` command, so a long word lives in one copy
-(its text apart) and each level is dropped for the next.  ``runs``
+``chain_levels`` yields that chain level by level, and ``chain_text``
+renders it as it comes: that is the text of the ``chain`` command.  ``runs``
 decomposes a word into :class:`Run` records.  No command calls it, so it
 lives here rather than in ``core``, which every command compiles.
 """
@@ -24,7 +22,7 @@ __all__ = [
     "REASON_RUN_TOO_LONG", "REASON_INTERIOR_RUN", "REASON_BAD_LETTER",
     "ChainFailure", "DerivativeChain", "Run", "RunDecomposition",
     "runs", "is_differentiable", "derivative", "rho", "rho_by_formula",
-    "chain_levels", "chain_text", "chain_json", "smooth_chain", "is_smooth",
+    "chain_levels", "chain_text", "smooth_chain", "is_smooth",
 ]
 
 REASON_RUN_TOO_LONG = "run-too-long"
@@ -54,16 +52,13 @@ class DerivativeChain(NamedTuple):
         return self.verdict == "smooth"
 
     def to_json(self) -> dict:
-        return _chain_doc([word_to_text(level) for level in self.levels],
-                          self.verdict, self.failure)
-
-
-def _chain_doc(texts: list[str], verdict: str, failure: ChainFailure | None) -> dict:
-    """The JSON document of a chain, from the texts of its levels."""
-    doc: dict = {"levels": texts, "verdict": verdict}
-    if failure is not None:
-        doc["failure"] = {"level": failure.level, "reason": failure.reason}
-    return doc
+        doc: dict = {
+            "levels": [word_to_text(level) for level in self.levels],
+            "verdict": self.verdict,
+        }
+        if self.failure is not None:
+            doc["failure"] = {"level": self.failure.level, "reason": self.failure.reason}
+        return doc
 
 
 def is_differentiable(w: Word, ab: Alphabet) -> bool:
@@ -190,20 +185,6 @@ def chain_text(w: Word, ab: Alphabet) -> Iterator[str]:
     yield f"verdict: {verdict}\n"
     if failure is not None:
         yield f"failure: level {failure.level} ({failure.reason})\n"
-
-
-def chain_json(w: Word, ab: Alphabet) -> dict:
-    """The ``chain`` JSON document, ``smooth_chain(w, ab).to_json()``, with
-    each level rendered as it comes: the document holds the text of every
-    level but no ``Word`` past the current one."""
-    levels = chain_levels(w, ab)
-    del w  # as in chain_text
-    texts = []
-    while True:
-        try:
-            texts.append(word_to_text(next(levels)))
-        except StopIteration as stop:
-            return _chain_doc(texts, *stop.value)
 
 
 def smooth_chain(w: Word, ab: Alphabet) -> DerivativeChain:

@@ -204,18 +204,7 @@ class CensusReport(NamedTuple):
 
 def _root_length(u: tuple) -> int:
     """The length of the shortest r with u = r^k; r is also the primitive
-    root of every power of u.
-
-    That length is the least shift that maps u onto itself, the first place
-    after 0 where u occurs in uu: one bytes search while every letter is at
-    most 255, else a loop over the divisors of |u|.  ``u`` is not empty.
-    """
-    try:
-        s = bytes(u)
-    except ValueError:
-        pass
-    else:
-        return (s + s).find(s, 1)
+    root of every power of u."""
     n = len(u)
     for d in range(1, n):
         if n % d == 0 and u[:d] * (n // d) == u:

@@ -243,10 +243,10 @@ def run(args) -> int:
         return _emit_word(args, lift(word_from_text(args.word), args.alpha, args.k, ab))
 
     if args.command == "chain":
-        from .calculus import chain_json, chain_text
+        from .calculus import chain_text, smooth_chain
         if fmt == "json":
-            chain = chain_json(word_from_text(args.word), ab)
-            _print_json(args, {"alphabet": str(ab), **chain})
+            chain = smooth_chain(word_from_text(args.word), ab)
+            _print_json(args, {"alphabet": str(ab), **chain.to_json()})
         else:
             # One line per write: each level is written before the next is derived.
             _write_batched(chain_text(word_from_text(args.word), ab), 1)

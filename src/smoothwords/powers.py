@@ -196,9 +196,7 @@ def kolakoski_prefix(ab: Alphabet, first: int, length: int) -> Word:
 
     Letters alternate between a and b run by run, starting with ``first``;
     run j has the length given by letter j of the word being generated.
-    Runs in O(length) with no recursion.  The letters are trimmed in place
-    and the list is dropped once it is a tuple, so the word lives in at most
-    two copies (that tuple and the ``Word`` made of it).
+    Runs in O(length) with no recursion.
     """
     ab.require_letter(first, "first letter")
     if length < 0:
@@ -212,7 +210,4 @@ def kolakoski_prefix(ab: Alphabet, first: int, length: int) -> Word:
         out += [cur] * (out[i] if i < len(out) else cur)
         cur = total - cur
         i += 1
-    del out[length:]
-    letters = tuple(out)
-    del out
-    return Word._wrap(letters)
+    return Word._wrap(tuple(out[:length]))

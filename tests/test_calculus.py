@@ -5,13 +5,11 @@ import tracemalloc
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
 
 from smoothwords import (Alphabet, ChainFailure, EPSILON, Word, REASON_BAD_LETTER,
                          REASON_INTERIOR_RUN, REASON_RUN_TOO_LONG, delta,
                          derivative, is_differentiable, is_smooth, kolakoski_prefix,
                          mirror, closure, rho, rho_by_formula, smooth_chain)
-from smoothwords.calculus import chain_json
 from smoothwords.errors import NotClosableError, NotDifferentiableError
 
 
@@ -207,50 +205,6 @@ class TestSmoothChain:
                     assert is_smooth(w, ab12)
 
 
-_CHAIN_ALPHABETS = [Alphabet(1, 2), Alphabet(1, 3), Alphabet(2, 3), Alphabet(2, 5),
-                    Alphabet(10, 12)]
-
-
-@st.composite
-def _chain_cases(draw):
-    """A word and its alphabet: a factor of a 400-letter Kolakoski prefix
-    (smooth over {1,2}), with up to three letters replaced by a, b or the
-    foreign letter b + 1, so every verdict and failure reason comes up."""
-    ab = draw(st.sampled_from(_CHAIN_ALPHABETS))
-    k = kolakoski_prefix(ab, draw(st.sampled_from(ab.letters)), 400)
-    i = draw(st.integers(0, len(k)))
-    letters = list(k[i:draw(st.integers(i, len(k)))])
-    for _ in range(draw(st.integers(0, 3)) if letters else 0):
-        letters[draw(st.integers(0, len(letters) - 1))] = draw(
-            st.sampled_from([ab.a, ab.b, ab.b + 1]))
-    return Word(letters), ab
-
-
-class TestChainJson:
-    """chain_json renders each level as it comes into the document that
-    smooth_chain(w, ab).to_json() builds from the whole chain."""
-
-    @pytest.mark.parametrize("text, ab, failure", [
-        ("", Alphabet(1, 2), None),
-        ("13", Alphabet(1, 2), ChainFailure(0, REASON_BAD_LETTER)),
-        ("12121", Alphabet(1, 2), ChainFailure(1, REASON_RUN_TOO_LONG)),
-        ("113133", Alphabet(1, 3), ChainFailure(1, REASON_INTERIOR_RUN)),
-        ("10,12,12,10,10,12", Alphabet(10, 12), ChainFailure(0, REASON_INTERIOR_RUN)),
-    ], ids=["epsilon", "letter-not-in-alphabet", "run-too-long",
-            "interior-run-not-in-alphabet", "comma-form"])
-    def test_each_verdict(self, text, ab, failure):
-        w = Word(text)
-        doc = chain_json(w, ab)
-        assert doc == smooth_chain(w, ab).to_json()
-        assert smooth_chain(w, ab).failure == failure
-        json.dumps(doc)
-
-    @given(_chain_cases())
-    def test_matches_smooth_chain(self, case):
-        w, ab = case
-        assert chain_json(w, ab) == smooth_chain(w, ab).to_json()
-
-
 def _traced_peak(call):
     """``call()`` and the peak of the memory it allocated, by tracemalloc."""
     tracemalloc.start()
@@ -263,9 +217,8 @@ def _traced_peak(call):
 class TestOneCopy:
     """A long word lives in one copy while it is derived: the run-length
     list is dropped once it is a tuple, which the ``Word`` copies, so the
-    peak is about twice the output.  Kept as a list, a slice or a level
-    ``Word``, it would reach three times (derivative, rho, kolakoski_prefix)
-    or keep every level of the chain (chain_json)."""
+    peak is about twice the output.  Kept alive next to the tuple, the list
+    would take it to three times."""
 
     @pytest.fixture(scope="class")
     def word(self):
@@ -275,18 +228,6 @@ class TestOneCopy:
     def test_derivative_peak(self, word, op):
         out, peak = _traced_peak(lambda: op(word, Alphabet(1, 2)))
         assert peak <= 2.2 * sys.getsizeof(out), (peak, sys.getsizeof(out))
-
-    def test_kolakoski_peak(self):
-        out, peak = _traced_peak(lambda: kolakoski_prefix(Alphabet(1, 2), 2, 100_000))
-        assert len(out) == 100_000
-        assert peak <= 2.2 * sys.getsizeof(out), (peak, sys.getsizeof(out))
-
-    def test_chain_json_peak(self, word):
-        ab = Alphabet(1, 2)
-        doc, peak = _traced_peak(lambda: chain_json(word, ab))
-        full, full_peak = _traced_peak(lambda: smooth_chain(word, ab).to_json())
-        assert doc == full
-        assert peak < 0.8 * full_peak, (peak, full_peak)
 
 
 class TestFailureMessages:

@@ -189,17 +189,6 @@ class TestWitnessStorage:
         with pytest.raises(ValueError):
             PowerWitness(Word(base), Word(power), Word(base))
 
-    @pytest.mark.parametrize("a, b", [(1, 2), (1, 3), (2, 5), (255, 256)])
-    def test_root_length_is_the_definitions(self, a, b):
-        # One bytes search while every letter fits a byte, the divisor loop
-        # above 255 ({255, 256}): both give the definition's root length.
-        words = enumerate_smooth(Alphabet(a, b), 16, min_len=1)
-        assert len(words) > 16
-        for u in words:
-            for k in (1, 2, 3):
-                p = tuple(u) * k
-                assert census._root_length(p) == len(root_of_power(p)), p
-
     def test_power_is_not_stored(self):
         assert "power" not in PowerWitness.__slots__
         w = PowerWitness(Word("1"), Word("111"), Word("1"))
