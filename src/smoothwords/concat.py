@@ -43,7 +43,8 @@ from typing import NamedTuple
 
 from .core import Alphabet, Word, run_lengths, word_to_text
 from .dsigma import _shortlex, dsigma_table
-from .search import complement_tower, derivative_from_runs, map_tasks, push_copies, walk
+from .search import (bottom_level, complement_tower, derivative_from_runs, map_tasks,
+                     push_copies, walk)
 
 __all__ = ["ConcatViolation", "ConcatCertificate", "middle_witness", "certify_concat",
            "empirical_middle_set"]
@@ -97,13 +98,12 @@ def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int
     A group maps each class, in first-seen order, to its *members*
     (us, x, flip).  ``us`` lists the letters of every u of one tower, one
     list shared by all x.  The class of their pairs with x follows from x
-    and the tower's bottom level (two runs or more, the last run length, the
-    last letter), and ``flip`` says whether u·x was complemented.  So x
-    costs one push per tower of u, not per u, and a group's v count is
-    multiplied by the number of u its members hold.  The x are taken in
-    shortlex order, so an x whose prefix one letter shorter is also an x
-    (tables and explore lists are prefix-closed) costs one push onto that
-    prefix's tower.
+    and the tower's :func:`~smoothwords.search.bottom_level`, and ``flip``
+    says whether u·x was complemented.  So x costs one push per tower of u,
+    not per u, and a group's v count is multiplied by the number of u its
+    members hold.  The x are taken in shortlex order, so an x whose prefix
+    one letter shorter is also an x (tables and explore lists are
+    prefix-closed) costs one push onto that prefix's tower.
     """
     b = ab.b
     # An x with a letter outside {a, b} has no triple (push_copies does not check).
@@ -117,9 +117,7 @@ def _scan(ab: Alphabet, L: int, xs: list, table_set: frozenset | None, jobs: int
     walk(ab, (), [], L, lambda tower, upath: by_tower.setdefault(tower, []).append(tuple(upath)))
     groups: dict[tuple, dict[tuple, list[tuple]]] = {}
     for tower, us in by_tower.items():
-        # The bottom level of u's tower: two runs or more, the last run
-        # length and the last letter; ε has (False, 0, 0), and 0 is no letter.
-        many, length, last = (tower[0] > 1, tower[2], tower[1]) if tower else (False, 0, 0)
+        many, length, last = bottom_level(tower)
         towers = []
         for x, xr, prefix in plan:
             if prefix < 0:

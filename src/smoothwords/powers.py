@@ -97,13 +97,13 @@ def power_decomposition(u, n: int, ab: Alphabet) -> PowerDecomposition:
     """
     from .calculus import derivative
     from .dsigma import dsigma_table
-    from .search import is_power_smooth
+    from .search import seeded_state
     u = Word(u)
     if n < 2:
         raise ValueError("exponent must be >= 2")
     if len(run_lengths(u)) < 2:
         raise ValueError(f"base {word_to_text(u)!r} must have at least two runs")
-    if not is_power_smooth(u, n, ab):
+    if seeded_state(ab, u, n) is None:
         raise ValueError(f"({word_to_text(u)})^{n} must be smooth over {ab}")
     table = dsigma_table(ab).words
 
@@ -156,7 +156,7 @@ def lift_family(u, n: int, alpha: int, K: int, ab: Alphabet) -> list[Word]:
     :class:`CertificationError` (a certified-claim failure, never silently
     dropped); the same applies if the K bases are not distinct.
     """
-    from .search import is_power_smooth
+    from .search import seeded_state
     u = Word(u)
     a, b = ab.a, ab.b
     if n < 1:
@@ -168,20 +168,18 @@ def lift_family(u, n: int, alpha: int, K: int, ab: Alphabet) -> list[Word]:
     if (a - b) % 2:
         raise ValueError(f"alphabet letters {a},{b} must have the same parity")
     ab.require_letter(alpha)
-    if not is_power_smooth(u, n, ab):
+    if seeded_state(ab, u, n) is None:
         raise ValueError(f"({word_to_text(u)})^{n} must be smooth over {ab}")
-    # u's letters are in the alphabet (is_power_smooth said so), so depth k
-    # is lift(u, alpha, k): one delta_inv of depth k - 1.
-    family: list[Word] = []
-    v = u
-    for k in range(K):
-        if k:
-            v = delta_inv(v, alpha, ab)
+    # The checks above certify depth 0, u, and its letters (seeded_state), so
+    # depth k is lift(u, alpha, k): one delta_inv of depth k - 1.
+    family = [u]
+    for k in range(1, K):
+        v = delta_inv(family[-1], alpha, ab)
         if len(v) % 2:
             raise CertificationError(
                 f"lift depth {k} of {word_to_text(u)!r} has odd length {len(v)}",
                 level=k, actual=v)
-        if not is_power_smooth(v, n, ab):
+        if seeded_state(ab, v, n) is None:
             raise CertificationError(
                 f"lift depth {k}: ({word_to_text(v)})^{n} is not smooth over {ab}",
                 level=k, actual=v)

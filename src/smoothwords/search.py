@@ -50,9 +50,11 @@ they were, so the towers in its tasks stay valid there.  Tests check the
 inline rules and the table against a reference engine of nested towers.
 
 Every bulk workload runs on one walker, :func:`walk`, and splits its walks
-into tasks that :func:`map_tasks` runs on ``--jobs`` workers.  The module
-exports only what the walks use; one-word derivatives come from the literal
-calculus (``smoothwords.calculus``).
+into tasks that :func:`map_tasks` runs on ``--jobs`` workers.  The exports
+serve ``census`` (:func:`power_hits`), ``concat`` (the pushes, the walk,
+:func:`bottom_level`, :func:`complement_tower`, :func:`derivative_from_runs`),
+``powers`` (:func:`seeded_state`, the one door for letters) and the package
+(:func:`is_smooth_fast`); only this module reads a tower's fields.
 """
 
 from __future__ import annotations
@@ -61,9 +63,8 @@ import os
 
 from .core import Alphabet, Word
 
-__all__ = ["seeded_state", "complement_tower", "is_smooth_fast",
-           "is_power_smooth", "push_copies", "derivative_from_runs", "walk",
-           "power_hits", "map_tasks"]
+__all__ = ["seeded_state", "bottom_level", "complement_tower", "is_smooth_fast",
+           "push_copies", "derivative_from_runs", "walk", "power_hits", "map_tasks"]
 
 
 class _Table:
@@ -140,13 +141,20 @@ def _climb(table: _Table, state: int, letter: int) -> int:
     return upper
 
 
-def seeded_state(ab: Alphabet, letters) -> tuple | None:
-    """The tower of ``letters``, or None if they do not form a smooth word
-    over ``ab`` (letters outside {a, b} fail)."""
+def seeded_state(ab: Alphabet, letters, copies: int = 1) -> tuple | None:
+    """The tower of ``letters`` repeated ``copies`` times, pushed copy by
+    copy without building that word (:func:`push_copies`), or None if it is
+    not smooth over ``ab`` (letters outside {a, b} fail)."""
     letters = tuple(letters)  # read twice, so an iterator is taken once
     if ab.first_foreign(letters) is not None:
         return None
-    return push_copies(ab, (), letters, 1)
+    return push_copies(ab, (), letters, copies)
+
+
+def bottom_level(tower: tuple) -> tuple[bool, int, int]:
+    """The bottom level of ``tower`` as (two runs or more, last run length,
+    last letter); ε has (False, 0, 0), and 0 is no letter."""
+    return (tower[0] > 1, tower[2], tower[1]) if tower else (False, 0, 0)
 
 
 def complement_tower(tower: tuple, ab: Alphabet) -> tuple:
@@ -204,15 +212,6 @@ def push_copies(ab: Alphabet, tower: tuple, letters, copies: int) -> tuple | Non
                 last = c
                 length = 1
     return (runs, last, length, upper)
-
-
-def is_power_smooth(letters, n: int, ab: Alphabet) -> bool:
-    """Whether ``letters`` repeated n >= 1 times is smooth over ``ab``,
-    without building the power (see :func:`push_copies`)."""
-    if n < 1:
-        raise ValueError(f"exponent must be >= 1, got {n}")
-    letters = tuple(letters)
-    return ab.first_foreign(letters) is None and push_copies(ab, (), letters, n) is not None
 
 
 def derivative_from_runs(lens: list[int], b: int) -> tuple[int, ...]:

@@ -1,6 +1,17 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from smoothwords import Alphabet, Word
+
+
+def fresh_env(**extra):
+    """The environment of a fresh interpreter that imports this checkout's
+    package, plus ``extra``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])), **extra)
 
 
 @pytest.fixture(scope="session")

@@ -355,7 +355,7 @@ class TestLiftFamily:
     @pytest.mark.parametrize("module, name, stub, text, level, actual", [
         (powers, "delta_inv", lambda w, alpha, ab: delta_inv(w, alpha, ab) + Word((alpha,)),
          "lift depth 1 of '2244' has odd length 13", 1, Word("2244222244442")),
-        (search, "is_power_smooth", lambda w, n, ab: w == Word("2244"),
+        (search, "seeded_state", lambda ab, w, copies=1: () if w == Word("2244") else None,
          "lift depth 1: (224422224444)^3 is not smooth over 2,4", 1, Word("224422224444")),
         (powers, "delta_inv", lambda w, alpha, ab: w,
          "lifted bases of '2244' are not pairwise distinct", None, None),

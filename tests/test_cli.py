@@ -19,19 +19,13 @@ from smoothwords.cli import _COMMANDS, _COMMON, _emit_report, _parse_plain, buil
 from smoothwords.core import word_to_csv
 from smoothwords.errors import WordParseError
 
+from conftest import fresh_env
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def fresh_env(**extra):
-    """The environment of a fresh interpreter that imports this checkout's
-    package, plus ``extra``."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(src), os.environ.get("PYTHONPATH")])), **extra)
 
 
 # What the installed smoothwords script runs, as ``python -c`` source.

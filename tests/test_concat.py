@@ -1,9 +1,7 @@
 import json
-import os
 import subprocess
 import sys
 from itertools import product
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,8 +15,10 @@ from smoothwords.concat import _extract_middle, _scan
 from smoothwords.core import run_lengths
 from smoothwords.dsigma import DsigmaTable
 from smoothwords.errors import CertificationError
-from smoothwords.search import (derivative_from_runs, is_smooth_fast, push_copies, seeded_state,
-                                walk)
+from smoothwords.search import (bottom_level, derivative_from_runs, is_smooth_fast, push_copies,
+                                seeded_state, walk)
+
+from conftest import fresh_env
 
 
 def words(texts):
@@ -138,9 +138,7 @@ class TestCertify:
         here = [certify_concat(Alphabet(*ab), L, explore=explore).to_json()
                 for ab, L, explore in cases]
         assert here[1]["violations"] and not here[2]["violations"]
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = fresh_env()
         for (ab, L, explore), doc in zip(cases, here):
             code = ("import json; from smoothwords import Alphabet, certify_concat; "
                     f"print(json.dumps(certify_concat(Alphabet{ab}, {L}, explore={explore})"
@@ -619,10 +617,11 @@ def test_u_of_one_tower_share_class_and_pushes(ab_pair):
     for u in enumerate_smooth(ab, 10, min_len=0):
         groups.setdefault(seeded_state(ab, u), []).append(tuple(u))
     for tower, us in groups.items():
-        bottom = (tower[0] > 1, tower[2], tower[1]) if tower else None
+        bottom = bottom_level(tower)
         for u in us:
             runs = run_lengths(u)
-            assert ((len(runs) > 1, runs[-1], u[-1]) if u else None) == bottom, (ab, tower, u)
+            assert ((len(runs) > 1, runs[-1], u[-1]) if u else (False, 0, 0)) == bottom, \
+                (ab, tower, u)
         for x in xs:
             assert len({seeded_state(ab, u + x) for u in us}) == 1, (ab, us, x)
     assert len(groups) < sum(map(len, groups.values())), ab

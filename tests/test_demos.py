@@ -1,11 +1,12 @@
 """Every narrative script in demos/ runs to the end in a fresh interpreter."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import fresh_env
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -17,9 +18,7 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs_clean(demo):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
+    proc = subprocess.run([sys.executable, str(demo)], env=fresh_env(), cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout

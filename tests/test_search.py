@@ -1,5 +1,6 @@
 """The incremental engine must agree exactly with the literal chain."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -15,11 +16,11 @@ from smoothwords import (Alphabet, Word, certify_concat, complement, enumerate_s
                          is_smooth, kolakoski_prefix, runs, scan_powers, smooth_chain)
 from smoothwords import census, concat, search
 from smoothwords.core import run_lengths
-from smoothwords.search import (complement_tower, derivative_from_runs, is_power_smooth,
+from smoothwords.search import (complement_tower, derivative_from_runs,
                                 is_smooth_fast, map_tasks, power_hits, push_copies,
                                 seeded_state, walk)
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+from conftest import fresh_env
 
 
 def push(tower: tuple, letter: int, a: int, b: int) -> tuple | None:
@@ -428,8 +429,7 @@ def test_push_depth_on_cold_tables_is_bounded():
     # miss that recurses through every level.
     grew = _top_growth()[:3]
     assert _height(grew[2]) == 27
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env = fresh_env()
     proc = subprocess.run([sys.executable, "-c", COLD_DEPTH_CHECK], env=env, input=repr(grew),
                           capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[True, True]\n")
@@ -580,8 +580,8 @@ def test_power_test_matches_literal_power():
     for u in ("2233322233", "23", "22", "3", ""):
         for n in range(1, 5):
             w = Word(u)
-            assert is_power_smooth(w, n, ab) == is_smooth(w * n, ab), (u, n)
-    assert not is_power_smooth((1,), 2, ab)  # a letter outside the alphabet
+            assert (seeded_state(ab, w, n) is not None) == is_smooth(w * n, ab), (u, n)
+    assert seeded_state(ab, (1,), 2) is None  # a letter outside the alphabet
 
 
 @pytest.mark.parametrize("letters, n", [((1, 1, 1), 1), ((1, 3), 1), ((1, 2), 3),
@@ -589,8 +589,8 @@ def test_power_test_matches_literal_power():
 def test_letters_may_be_an_iterator(letters, n):
     # The letters are read more than once (membership, then the pushes).
     ab = Alphabet(1, 2)
-    want = is_power_smooth(letters, n, ab)
-    assert is_power_smooth(iter(letters), n, ab) == want
+    want = seeded_state(ab, letters, n)
+    assert seeded_state(ab, iter(letters), n) == want
     assert is_smooth_fast(iter(letters), ab) == is_smooth_fast(letters, ab)
 
 
@@ -598,9 +598,99 @@ def test_huge_exponent_stops_at_the_first_failed_copy():
     # 10**20 copies cannot be built; the copies are pushed one at a time and
     # the first failure ends the test.
     ab = Alphabet(1, 2)
-    assert not is_power_smooth(Word("1211"), 10**20, ab)
+    assert seeded_state(ab, Word("1211"), 10**20) is None
     assert power_hits(ab, 10**20, 6, (1,)) == []  # no hit, so no list
     assert scan_powers(ab, 10**20, 4).witnesses == ()
+
+
+@given(st.data())
+def test_copies_give_the_tower_of_the_repeated_word(data):
+    # seeded_state pushes k copies without building the word: the tower, or
+    # None, must be that of the built word, also when the letters are an
+    # iterator.  Runs of length a or b keep many words smooth.
+    a = data.draw(st.integers(min_value=1, max_value=8), label="a")
+    b = data.draw(st.integers(min_value=a + 1, max_value=9), label="b")
+    ab = Alphabet(a, b)
+    lengths = data.draw(st.lists(st.one_of(st.sampled_from(ab.letters),
+                                           st.integers(min_value=1, max_value=b + 1)),
+                                 max_size=30), label="run lengths")
+    w, letter = [], data.draw(st.sampled_from(ab.letters), label="first letter")
+    for n in lengths:
+        w += [letter] * n
+        letter = ab.complement_of(letter)
+    w = w[:30]
+    if w and data.draw(st.booleans(), label="foreign"):
+        foreign = data.draw(st.integers(min_value=0, max_value=10).filter(
+            lambda c: c not in ab.letters), label="foreign letter")
+        w[data.draw(st.integers(min_value=0, max_value=len(w) - 1), label="at")] = foreign
+    k = data.draw(st.integers(min_value=1, max_value=4), label="k")
+    want = seeded_state(ab, tuple(w) * k)
+    assert seeded_state(ab, w, k) == want
+    assert seeded_state(ab, iter(w), k) == want
+
+
+# Search functions that return a tower: a name bound to their result holds one.
+_TOWER_MAKERS = {"seeded_state", "push_copies", "complement_tower"}
+
+
+def _tower_reads(source: str) -> list[int]:
+    """The lines of ``source`` that read a tower's fields: a constant-index
+    subscript of a name that holds a tower, or an unpacking of one into four
+    names.  A name holds a tower when it says so ("tower" is in it) or is
+    bound to a call of a search function that returns one.  An index that
+    is not constant (``towers[prefix]``) looks a tower up, so it passes."""
+    tree = ast.parse(source)
+    holders = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.NamedExpr)) and isinstance(node.value, ast.Call):
+            func = node.value.func
+            if getattr(func, "attr", getattr(func, "id", None)) in _TOWER_MAKERS:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                holders |= {t.id for t in targets if isinstance(t, ast.Name)}
+
+    def holds(node) -> bool:
+        return isinstance(node, ast.Name) and ("tower" in node.id or node.id in holders)
+
+    def constant(node) -> bool:
+        if isinstance(node, ast.UnaryOp):
+            node = node.operand
+        if isinstance(node, ast.Slice):
+            return all(part is None or constant(part)
+                       for part in (node.lower, node.upper, node.step))
+        return isinstance(node, ast.Constant)
+
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and holds(node.value) and constant(node.slice):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Assign) and holds(node.value) and any(
+                isinstance(t, ast.Tuple) and len(t.elts) == 4 for t in node.targets):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_tower_reads_are_found():
+    source = """
+many = (tower[0] > 1, tower[2], tower[-3]) if tower else None
+runs, last, length, upper = ux_tower
+fork = push_copies(ab, tower, (b,), 1)
+head = fork[:2]
+if (t := seeded_state(ab, w)) is not None:
+    level = t[3]
+found = towers[prefix]
+runs, last = pair
+"""
+    assert _tower_reads(source) == [2, 3, 5, 7]
+
+
+def test_only_search_reads_a_tower():
+    # A tower's layout is search's to know: every other module reads a
+    # bottom level through search.bottom_level.
+    package = Path(search.__file__).parent
+    modules = sorted(p for p in package.glob("*.py") if p.name != "search.py")
+    assert len(modules) >= 9
+    reads = {p.name: lines for p in modules if (lines := _tower_reads(p.read_text()))}
+    assert reads == {}
 
 
 def _fake_cpus(monkeypatch, count):
@@ -809,18 +899,11 @@ print(list(map_tasks(abs, [-1, -2, -3], 2)), len(forks))
 
 
 def test_forked_child_never_writes_the_callers_output():
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env = fresh_env()
     proc = subprocess.run([sys.executable, "-c", UNFLUSHED_CHILD], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "before the map\n[1, 2, 3] 1\n"
-
-
-def test_power_test_rejects_exponents_below_one():
-    for n in (0, -1):
-        with pytest.raises(ValueError, match="exponent"):
-            is_power_smooth(Word("12"), n, Alphabet(1, 2))
 
 
 @given(st.data())

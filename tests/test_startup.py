@@ -1,14 +1,12 @@
 """Import hygiene: what a single CLI command, or the bare package, loads in a
 fresh interpreter."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import fresh_env
 
 # Imported only by the branches that need them (a forked child, JSON
 # output), or not at all.
@@ -29,9 +27,7 @@ print("added", *sorted(set(sys.modules) - bare))
 def python_fresh(code, *argv):
     """Run ``code`` in a new interpreter; its stdout lines.  It must write
     nothing to stderr."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=fresh_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.stderr == ""
     return proc.stdout.splitlines()
